@@ -70,8 +70,8 @@ class RunConfig:
     packet_bytes: int = 300
     layers: int = 2
     ue_capability: int = 2
-    cell_radius_m: float = 866.0
-    lanes: int = 6
+    cell_radius_m: float = lnk.DEFAULT_CELL_RADIUS_M
+    lanes: int = scn.DEFAULT_LANES
     overhead_re_per_rb: int = lnk.DEFAULT_OVERHEAD_RE_PER_RB
     edge_cqi: int = lnk.DEFAULT_EDGE_CQI
     horizon_ms: float = 10_000.0
@@ -80,6 +80,14 @@ class RunConfig:
     min_replications: int = 10
     max_replications: int = 64
     relative_error_target: float = 0.01
+
+    def __post_init__(self) -> None:
+        if self.density_veh_km_lane < 0:
+            raise phy.ConfigurationError("density must be non-negative")
+        if self.warmup_ms >= self.horizon_ms:
+            raise phy.ConfigurationError("warmup must end before the horizon")
+        if self.min_replications > self.max_replications:
+            raise phy.ConfigurationError("min_replications exceeds max_replications")
 
     def scheme(self) -> lat.SchemeConfig:
         return lat.SchemeConfig(

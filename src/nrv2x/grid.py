@@ -7,6 +7,18 @@ scheduler is first-fit in (slot, start symbol, start RB) order.
 
 Occupancy is a per-symbol bitmask of RBs (python ints), so the consecutive
 free-RB search is a shift-and-AND run computation.
+
+Each live slot also keeps a "cannot fit" memo: for every burst length in
+symbols, the fewest RBs known not to fit in any admissible window of that
+slot.  A first-fit scan that probed every start symbol of a slot and found
+no room records its request there; the burst length alone is the key, as
+a full-slot burst has the single window of a region-long mini-slot burst.
+Later scans skip such a slot without probing it, as they skip a slot whose
+free area is below the request.  A commit only adds occupancy, so an entry
+stays true; `release` clears the memo of every slot it frees, and
+`release_expired` drops the memo together with the slot.  Skipping never
+changes a result: the skipped slot still yields its first boundary, its
+deadline check and one step of the scan limit.
 """
 
 from __future__ import annotations
@@ -40,11 +52,12 @@ def _run_starts(free: int, length: int) -> int:
 
 
 class _Slot:
-    __slots__ = ("masks", "free_area")
+    __slots__ = ("masks", "free_area", "no_fit")
 
-    def __init__(self, n_region_symbols: int, area: int):
+    def __init__(self, n_region_symbols: int, area: int, no_fit: tuple[int, ...]):
         self.masks = [0] * n_region_symbols
         self.free_area = area
+        self.no_fit = no_fit  # [n_symbols] -> fewest RBs known not to fit
 
 
 class SlotGrid:
@@ -69,6 +82,9 @@ class SlotGrid:
         self.symbol_ticks = num.symbol_ticks
         self._full = (1 << n_rb_total) - 1
         self._area = self.region_len * n_rb_total
+        # the empty memo, shared by every slot until it records an entry:
+        # more RBs than the carrier has, for every burst length
+        self._no_fit_unknown = (n_rb_total + 1,) * (self.region_len + 1)
         self._slots: dict[int, _Slot] = {}
         self._used_area: dict[int, int] = {}
         self._released_before = 0  # slots below this index have been freed
@@ -108,19 +124,9 @@ class SlotGrid:
     def _slot_state(self, idx: int) -> _Slot:
         s = self._slots.get(idx)
         if s is None:
-            s = _Slot(self.region_len, self._area)
+            s = _Slot(self.region_len, self._area, self._no_fit_unknown)
             self._slots[idx] = s
         return s
-
-    def _window_free(self, idx: int, first: int, n_symbols: int) -> int:
-        """Free-RB mask over a symbol window of one slot (region indices)."""
-        s = self._slots.get(idx)
-        if s is None:
-            return self._full
-        occ = 0
-        for m in s.masks[first : first + n_symbols]:
-            occ |= m
-        return ~occ & self._full
 
     def allocate(
         self,
@@ -146,10 +152,14 @@ class SlotGrid:
         area = n_rb * n_symbols
         burst = n_symbols * self.symbol_ticks
         extra = (repeats - 1) * self.slot_ticks
+        slots = self._slots
         slot = earliest_tick // self.slot_ticks
         first_boundary = -1
         for _ in range(scan_limit_slots):
             base = slot * self.slot_ticks
+            s = slots.get(slot)
+            # a burst that cannot fit this slot cannot start in it, repeats or not
+            skip = s is not None and (s.free_area < area or s.no_fit[n_symbols] <= n_rb)
             for sym in starts:
                 tick = base + sym * self.symbol_ticks
                 if tick < earliest_tick:
@@ -158,7 +168,11 @@ class SlotGrid:
                     first_boundary = tick
                 if max_tx_end_tick is not None and tick + burst + extra > max_tx_end_tick:
                     return None, first_boundary
-                rb = self._fit(slot, sym - self.region_start, n_symbols, n_rb, area, repeats)
+                if skip:
+                    # no window of this slot fits; its later starts only
+                    # lie further past the deadline
+                    break
+                rb = self._fit(slot, sym - self.region_start, n_symbols, n_rb, area, repeats, s)
                 if rb is not None:
                     placement = Placement(
                         slot, sym, n_symbols, rb, n_rb, repeats, tick, tick + burst + extra
@@ -168,23 +182,37 @@ class SlotGrid:
                         for r in range(repeats):
                             self.trace.append((slot + r, rb, n_rb, sym, n_symbols, owner))
                     return placement, first_boundary
+            else:
+                # every start of the slot was probed and missed (the scan's
+                # first slot may have skipped starts before earliest_tick)
+                first_tick = base + self.region_start * self.symbol_ticks
+                if repeats == 1 and s is not None and first_tick >= earliest_tick:
+                    no_fit = s.no_fit
+                    s.no_fit = no_fit[:n_symbols] + (n_rb,) + no_fit[n_symbols + 1 :]
             slot += 1
         if first_boundary < 0:
             first_boundary = self.alignment(earliest_tick, n_symbols, full_slot)
         return None, first_boundary
 
     def _fit(
-        self, slot: int, first: int, n_symbols: int, n_rb: int, area: int, repeats: int
+        self, slot: int, first: int, n_symbols: int, n_rb: int, area: int, repeats: int,
+        s: _Slot | None,
     ) -> int | None:
-        free = self._full
-        for r in range(repeats):
-            s = self._slots.get(slot + r)
-            if s is not None and s.free_area < area:
-                return None
-            free &= self._window_free(slot + r, first, n_symbols)
-            if not free:
-                return None
-        runs = _run_starts(free, n_rb)
+        """Lowest free RB of an n_rb x n_symbols window in `slot` (state `s`)
+        and its repeat slots, or None."""
+        occ = 0
+        if s is not None:
+            for m in s.masks[first : first + n_symbols]:
+                occ |= m
+        if repeats > 1:
+            for r in range(1, repeats):
+                t = self._slots.get(slot + r)
+                if t is not None:
+                    if t.free_area < area:
+                        return None
+                    for m in t.masks[first : first + n_symbols]:
+                        occ |= m
+        runs = _run_starts(~occ & self._full, n_rb)
         if not runs:
             return None
         return (runs & -runs).bit_length() - 1
@@ -219,6 +247,7 @@ class SlotGrid:
             for i in range(first, first + p.n_symbols):
                 s.masks[i] &= ~bits
             s.free_area += area
+            s.no_fit = self._no_fit_unknown
             self._used_area[idx] -= area
 
     # -- bookkeeping ----------------------------------------------------------

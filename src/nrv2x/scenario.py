@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .link import LinkProfile, cqi_from_distance
+from .link import DEFAULT_CELL_RADIUS_M, LinkProfile, cqi_from_distance
 from .phy import ConfigurationError, ms_to_ticks
 
 DEFAULT_LANES = 6
-DEFAULT_CELL_RADIUS_M = 866.0
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ from nrv2x.engine import RunConfig, run, run_replication
 from nrv2x.grid import SlotGrid
 from nrv2x.phy import ControlConfig
 
+pytestmark = pytest.mark.acceptance
+
 ACC = dict(horizon_ms=1500.0, warmup_ms=200.0, min_replications=10,
            max_replications=12)
 FAST = dict(horizon_ms=1000.0, warmup_ms=200.0, min_replications=10,

@@ -192,3 +192,26 @@ def test_components_non_negative_and_leg_counts():
         if rows[0]["disposition"] == "delivered":
             # exactly one uplink row plus one downlink row per receiver
             assert len(rows) == 1 + 3
+
+
+def test_overload_replication_pinned():
+    """One short replication of the congested 60 kHz mini7 point (the
+    criterion 8a configuration): counts and latency sum are pinned bit for
+    bit, so an allocator speed-up cannot change results unnoticed."""
+    cfg = RunConfig(scs_khz=60, slot_type="mini7", interval_ms=20.0,
+                    density_veh_km_lane=60, horizon_ms=100.0, warmup_ms=40.0, seed=1)
+    s = run_replication(cfg, np.random.default_rng(cfg.seed))
+    assert (s.n_generated, s.n_delivered, s.n_dropped, s.n_failed) == (1872, 1344, 528, 0)
+    assert float(s.total_ms.sum()) == 27186.175595238095
+
+
+@pytest.mark.parametrize("fields", [
+    dict(density_veh_km_lane=-1.0),
+    dict(warmup_ms=600.0, horizon_ms=600.0),
+    dict(warmup_ms=700.0, horizon_ms=600.0),
+    dict(min_replications=5, max_replications=4),
+], ids=["negative_density", "warmup_equals_horizon", "warmup_past_horizon",
+        "min_above_max_replications"])
+def test_run_config_rejects_bad_values(fields):
+    with pytest.raises(phy.ConfigurationError):
+        RunConfig(**fields)

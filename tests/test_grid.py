@@ -223,3 +223,147 @@ def test_reservation_trace():
     g.allocate(1, g.region_len, 0, True, repeats=2, owner="pkt-8")
     assert trace[0][:3] == (0, 0, 2) and trace[0][5] == "pkt-7"
     assert len(trace) == 3  # the two-repeat burst logs both slots
+
+
+# --- "cannot fit" memo ----------------------------------------------------------
+
+class _OracleGrid:
+    """Cell-set model of one direction, independent of SlotGrid's masks and
+    memo: brute-force first fit with the deadline and scan-limit rules of
+    `SlotGrid.allocate`, plus its release and expiry bookkeeping."""
+
+    def __init__(self, grid):
+        self.g = grid
+        self.cells = set()          # (slot, symbol, rb)
+        self.touched = set()        # slots committed to since they last expired
+        self.released_before = 0
+
+    def _cells(self, slot, sym, n_sym, rb, n_rb):
+        return {(slot, s, b) for s in range(sym, sym + n_sym) for b in range(rb, rb + n_rb)}
+
+    def allocate(self, n_rb, n_symbols, earliest_tick, full_slot, repeats=1,
+                 max_tx_end_tick=None, scan_limit_slots=100_000):
+        g = self.g
+        starts = g.start_symbols(n_symbols, full_slot)
+        burst = n_symbols * g.symbol_ticks + (repeats - 1) * g.slot_ticks
+        first_boundary = -1
+        slot0 = earliest_tick // g.slot_ticks
+        for slot in range(slot0, slot0 + scan_limit_slots):
+            for sym in starts:
+                tick = slot * g.slot_ticks + sym * g.symbol_ticks
+                if tick < earliest_tick:
+                    continue
+                if first_boundary < 0:
+                    first_boundary = tick
+                if max_tx_end_tick is not None and tick + burst > max_tx_end_tick:
+                    return None, first_boundary
+                for rb in range(g.n_rb - n_rb + 1):
+                    if all(self.cells.isdisjoint(self._cells(slot + r, sym, n_symbols, rb, n_rb))
+                           for r in range(repeats)):
+                        for r in range(repeats):
+                            self.cells |= self._cells(slot + r, sym, n_symbols, rb, n_rb)
+                            self.touched.add(slot + r)
+                        return (slot, sym, rb), first_boundary
+        if first_boundary < 0:
+            first_boundary = min(
+                t for slot in range(slot0, slot0 + 2) for sym in starts
+                if (t := slot * g.slot_ticks + sym * g.symbol_ticks) >= earliest_tick
+            )
+        return None, first_boundary
+
+    def release(self, p, not_before_tick=None):
+        g = self.g
+        for r in range(p.repeats):
+            slot = p.slot_idx + r
+            start = slot * g.slot_ticks + p.sym_start * g.symbol_ticks
+            if slot < self.released_before or slot not in self.touched:
+                continue
+            if not_before_tick is not None and start < not_before_tick:
+                continue
+            self.cells -= self._cells(slot, p.sym_start, p.n_symbols, p.rb_start, p.n_rb)
+
+    def release_expired(self, now_tick):
+        horizon = now_tick // self.g.slot_ticks
+        stale = {s for s in self.touched if s < horizon}
+        self.cells = {c for c in self.cells if c[0] not in stale}
+        self.touched -= stale
+        if stale:
+            self.released_before = max(self.released_before, max(stale) + 1)
+        return len(stale)
+
+
+def test_memo_matches_oracle_random_ops():
+    """Random calls on small, dense grids: every result, placement and first
+    boundary alike, equals the memo-free oracle's."""
+    rng = random.Random(11)
+    n_allocs = n_misses = 0
+    for case in range(40):
+        g = make_grid(scs=rng.choice((15, 30, 60)), n_rb=rng.randint(2, 5),
+                      direction=rng.choice(("UL", "DL")))
+        oracle = _OracleGrid(g)
+        live = []
+        now = 0
+        for op in range(150):
+            u = rng.random()
+            if u < 0.7:
+                full = rng.random() < 0.3
+                n_sym = g.region_len if full else rng.randint(1, g.region_len)
+                earliest = max(0, now + rng.randint(-g.slot_ticks, 3 * g.slot_ticks))
+                kwargs = dict(
+                    repeats=rng.choice((1, 1, 1, 2, 3)),
+                    max_tx_end_tick=(None if rng.random() < 0.3
+                                     else earliest + rng.randint(0, 6 * g.slot_ticks)),
+                    scan_limit_slots=rng.choice((1, 2, 3, 5, 100_000)),
+                )
+                args = (rng.randint(1, g.n_rb), n_sym, earliest, full)
+                p, boundary = g.allocate(*args, **kwargs)
+                got = None if p is None else (p.slot_idx, p.sym_start, p.rb_start)
+                assert (got, boundary) == oracle.allocate(*args, **kwargs), (case, op)
+                n_allocs += 1
+                if p is None:
+                    n_misses += 1
+                else:
+                    live.append(p)
+            elif u < 0.9 and live:
+                p = live.pop(rng.randrange(len(live)))
+                not_before = (None if rng.random() < 0.5
+                              else p.start_tick + rng.randint(-g.slot_ticks, 2 * g.slot_ticks))
+                g.release(p, not_before)
+                oracle.release(p, not_before)
+            else:
+                now += rng.randint(0, 2 * g.slot_ticks)
+                assert g.release_expired(now) == oracle.release_expired(now)
+    # the sequences are dense enough to reject often
+    assert n_misses > n_allocs // 10
+
+
+def test_release_clears_memo():
+    """A request rejected in a slot fits there once a placement is released."""
+    g = make_grid(n_rb=4)
+    full, _ = g.allocate(4, g.region_len, 0, True)
+    deadline = g.slot_ticks + g.region_start * g.symbol_ticks  # only slot 0 ends in time
+    rejected = g.allocate(1, g.region_len, 0, True, max_tx_end_tick=deadline)
+    assert rejected == (None, full.start_tick)
+    g.release(full)
+    p, _ = g.allocate(1, g.region_len, 0, True, max_tx_end_tick=deadline)
+    assert (p.slot_idx, p.rb_start) == (0, 0)
+
+
+def test_memo_skips_rejected_slot_without_probing(monkeypatch):
+    g = make_grid(scs=60, n_rb=4)
+    for sym in range(g.region_start, g.region_start + g.region_len):
+        g.allocate(3, 1, sym * g.symbol_ticks, False)  # one RB free per symbol
+    probes = []
+    fit = SlotGrid._fit
+
+    def counting_fit(self, slot, *args):
+        probes.append(slot)
+        return fit(self, slot, *args)
+
+    monkeypatch.setattr(SlotGrid, "_fit", counting_fit)
+    p, _ = g.allocate(2, 4, 0, False)
+    assert p.slot_idx == 1 and probes.count(0) == len(g.start_symbols(4, False))
+    probes.clear()
+    p, _ = g.allocate(3, 4, 0, False)   # wider than the rejected request
+    assert p.slot_idx == 1 and 0 not in probes
+
