@@ -9,10 +9,9 @@ import sys
 from pathlib import Path
 
 from .engine import RunConfig, run
-from .experiment import emit_figure_data, parse_spec, run_sweep, spec_from_mapping
+from .experiment import (_coerce, emit_figure_data, parse_spec, run_sweep,
+                         spec_from_mapping)
 from .phy import ConfigurationError
-
-_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
 def _parse_overrides(pairs: list[str]) -> dict:
@@ -21,15 +20,7 @@ def _parse_overrides(pairs: list[str]) -> dict:
         if "=" not in pair:
             raise ConfigurationError(f"override {pair!r} must look like field=value")
         name, raw = pair.split("=", 1)
-        if name not in _FIELDS:
-            raise ConfigurationError(f"unknown configuration field {name!r}")
-        kind = _FIELDS[name].type
-        if kind == "int":
-            out[name] = int(raw)
-        elif kind == "float":
-            out[name] = float(raw)
-        else:
-            out[name] = raw
+        out[name] = _coerce(name, raw)
     return out
 
 

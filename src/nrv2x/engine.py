@@ -15,6 +15,17 @@ the uplink packet leaves the radio domain once decoded, and its downlink
 counterpart is created against the next slot boundary with the gNB-side
 preparation overlapping that gap; only the per-leg radio latencies are
 summed.
+
+Arrivals are generated for the whole horizon when a replication is set up,
+but only each vehicle's first ``_GEN`` event goes on the heap; when an
+arrival fires it pushes the vehicle's next one.  The heap therefore holds
+O(vehicles + packets in flight) entries rather than every arrival.  Each
+vehicle reserves a block of sequence numbers at setup, one per in-horizon
+arrival: its arrival ``i`` is pushed with sequence number ``base + i + 1``,
+``base`` being the number of arrivals reserved by the vehicles before it,
+and all other events number on after the last block.  The heap keys
+``(tick, seq)`` are thus the ones an eager push of every arrival would
+give, so events pop in the same order.
 """
 
 from __future__ import annotations
@@ -26,7 +37,6 @@ import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from . import control as ctl
 from . import latency as lat
@@ -84,6 +94,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.density_veh_km_lane < 0:
             raise phy.ConfigurationError("density must be non-negative")
+        if scn.vehicle_count(self.density_veh_km_lane, self.lanes, self.cell_radius_m) == 0:
+            raise phy.ConfigurationError(
+                f"density {self.density_veh_km_lane:g} veh/km/lane places no vehicle in the cell")
         if self.warmup_ms >= self.horizon_ms:
             raise phy.ConfigurationError("warmup must end before the horizon")
         if self.min_replications > self.max_replications:
@@ -255,11 +268,17 @@ class _Replication:
         self._uls: list[float] = []
         self._dls: list[float] = []
 
+        # arrival ticks are sorted and end with one past the horizon
+        self._gen_base = [0] * n_ue
+        self._gen_count = [0] * n_ue
         for v in self.vehicles:
             times = self.arrivals[v.id]
-            for i in range(len(times) - 1):
-                if times[i] < self.horizon:
-                    self._push(int(times[i]), _GEN, (v.id, i))
+            n_gen = int(times[:-1].searchsorted(self.horizon))
+            self._gen_base[v.id] = self._seq
+            self._gen_count[v.id] = n_gen
+            if n_gen:
+                heapq.heappush(self._heap, (int(times[0]), self._seq + 1, _GEN, (v.id, 0)))
+            self._seq += n_gen
         flush = phy.ms_to_ticks(_FLUSH_INTERVAL_MS)
         for t in range(flush, self.horizon + 4 * flush, flush):
             self._push(t, _FLUSH, None)
@@ -302,8 +321,12 @@ class _Replication:
 
     def _on_gen(self, now: int, payload) -> None:
         vid, idx = payload
-        times = self.arrivals[vid]
-        pkt = _Packet(vid, now, int(times[idx + 1]), now >= self.warmup,
+        nxt = idx + 1
+        next_tick = int(self.arrivals[vid][nxt])
+        if nxt < self._gen_count[vid]:
+            heapq.heappush(self._heap, (next_tick, self._gen_base[vid] + nxt + 1, _GEN,
+                                        (vid, nxt)))
+        pkt = _Packet(vid, now, next_tick, now >= self.warmup,
                       self._rb_ul[self.vehicles[vid].cqi])
         if pkt.counted:
             self.summary.n_generated += 1
@@ -708,14 +731,20 @@ def aggregate(cfg: RunConfig, reps: list[ReplicationSummary], runtime_s: float,
 
 
 def relative_error(means: list[float]) -> float:
-    """95% CI half-width over replication means divided by their mean."""
+    """95% CI half-width over replication means divided by their mean.
+
+    scipy is imported here, not at module level: loading it costs more than
+    a short replication, and only the stopping rule needs it.
+    """
+    from scipy.special import stdtrit
+
     valid = [m for m in means if not math.isnan(m)]
     if len(valid) < 2 or len(valid) < len(means):
         return math.inf
     mean = float(np.mean(valid))
     if mean == 0:
         return math.inf
-    half = sps.t.ppf(0.975, len(valid) - 1) * np.std(valid, ddof=1) / math.sqrt(len(valid))
+    half = stdtrit(len(valid) - 1, 0.975) * np.std(valid, ddof=1) / math.sqrt(len(valid))
     return float(half / abs(mean))
 
 

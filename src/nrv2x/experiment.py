@@ -36,20 +36,24 @@ _CONFIG_COLUMNS = (
 
 
 def _coerce(name: str, value):
+    """A RunConfig field value from YAML or a command-line string."""
     if name not in _FIELDS:
         raise ConfigurationError(f"unknown configuration field {name!r}")
     target = _FIELDS[name].type
     if target == "int":
         if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
             raise ConfigurationError(f"field {name!r} expects an integer")
-        return int(value)
-    if target == "float":
-        return float(value)
-    if target == "str":
-        if not isinstance(value, str):
+        convert = int
+    elif target == "float":
+        convert = float
+    else:
+        if target == "str" and not isinstance(value, str):
             raise ConfigurationError(f"field {name!r} expects a string")
         return value
-    return value
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"field {name!r} expects {target}, got {value!r}") from None
 
 
 @dataclasses.dataclass(frozen=True)

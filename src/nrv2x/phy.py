@@ -92,13 +92,6 @@ _NRB_TABLE: dict[tuple[int, int], int] = {
 }
 
 
-@dataclass(frozen=True)
-class BandwidthProfile:
-    bw_mhz: int
-    scs_khz: int
-    n_rb_total: int
-
-
 def total_rbs(bw_mhz: int, scs_khz: int) -> int:
     """Transmission-bandwidth RB count for (bandwidth, SCS), per TS 38.104."""
     try:
@@ -107,10 +100,6 @@ def total_rbs(bw_mhz: int, scs_khz: int) -> int:
         raise ConfigurationError(
             f"no RB count defined for {bw_mhz} MHz at {scs_khz} kHz SCS"
         ) from None
-
-
-def bandwidth_profile(bw_mhz: int, scs_khz: int) -> BandwidthProfile:
-    return BandwidthProfile(bw_mhz, scs_khz, total_rbs(bw_mhz, scs_khz))
 
 
 _PROC_TABLE: dict[tuple[int, int], tuple[Fraction, Fraction]] = {

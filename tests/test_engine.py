@@ -1,12 +1,21 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nrv2x import phy
+import nrv2x
+from nrv2x import engine, phy
 from nrv2x.engine import (MetricsReport, ReplicationSummary, RunConfig, aggregate,
                           check_requirement, percentile_with_drops, relative_error,
                           run, run_replication, write_packet_trace)
+
+GOLDEN = Path(__file__).parent / "data" / "golden_reports.json"
 
 FAST = dict(horizon_ms=600.0, warmup_ms=100.0, min_replications=2, max_replications=2)
 
@@ -210,8 +219,74 @@ def test_overload_replication_pinned():
     dict(warmup_ms=600.0, horizon_ms=600.0),
     dict(warmup_ms=700.0, horizon_ms=600.0),
     dict(min_replications=5, max_replications=4),
+    dict(density_veh_km_lane=0.0),
+    dict(density_veh_km_lane=0.01),
 ], ids=["negative_density", "warmup_equals_horizon", "warmup_past_horizon",
-        "min_above_max_replications"])
+        "min_above_max_replications", "zero_density", "density_rounding_to_no_vehicle"])
 def test_run_config_rejects_bad_values(fields):
     with pytest.raises(phy.ConfigurationError):
         RunConfig(**fields)
+
+
+def _bits(row: dict) -> dict:
+    """Report fields keyed for a bitwise comparison; every NaN compares equal."""
+    return {k: (type(v).__name__, v.hex() if isinstance(v, float) else v)
+            for k, v in row.items()}
+
+
+def _golden_cases() -> list[dict]:
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("case", _golden_cases(),
+                         ids=lambda case: case["report"]["config_key"])
+def test_golden_report(case):
+    """Reports pinned bit for bit: any change to a field is a change of the
+    model."""
+    row = run(RunConfig(**case["config"])).to_row()
+    row.pop("runtime_s")
+    assert _bits(row) == _bits(case["report"])
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(nrv2x.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, nrv2x.engine, nrv2x.experiment, nrv2x.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_relative_error_matches_student_t_formula():
+    from scipy import stats
+
+    rng = np.random.default_rng(8)
+    for n in range(2, 66):
+        means = rng.normal(5.0, 0.5, n).tolist()
+        mean = float(np.mean(means))
+        half = stats.t.ppf(0.975, n - 1) * np.std(means, ddof=1) / math.sqrt(n)
+        assert relative_error(means) == float(half / abs(mean))
+
+
+def test_fresh_replication_holds_one_arrival_per_vehicle():
+    cfg = RunConfig(density_veh_km_lane=20, traffic="aperiodic", interval_ms=20.0, **FAST)
+    rep = engine._Replication(cfg, np.random.default_rng(9))
+    gens = Counter(payload[0] for _, _, kind, payload in rep._heap if kind == engine._GEN)
+    assert set(gens) == {v.id for v in rep.vehicles}
+    assert max(gens.values()) == 1
+    # the arrivals' reserved sequence numbers come before every other event
+    reserved = sum(rep._gen_count)
+    assert reserved > len(rep.vehicles)
+    assert all((seq <= reserved) == (kind == engine._GEN) for _, seq, kind, _ in rep._heap)
+
+
+if __name__ == "__main__":
+    # Rewrite the golden reports from the current engine.  Only a change
+    # that declares a model change may do this.
+    cases = _golden_cases()
+    for case in cases:
+        case["report"] = run(RunConfig(**case["config"])).to_row()
+        case["report"].pop("runtime_s")
+    GOLDEN.write_text(json.dumps(cases, indent=1))

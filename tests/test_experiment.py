@@ -3,8 +3,9 @@ import csv
 import pytest
 import yaml
 
+from nrv2x import cli
 from nrv2x.engine import RunConfig
-from nrv2x.experiment import (ExperimentSpec, emit_figure_data, parse_spec,
+from nrv2x.experiment import (ExperimentSpec, _coerce, emit_figure_data, parse_spec,
                               read_results, run_sweep, spec_from_mapping)
 from nrv2x.phy import ConfigurationError
 
@@ -134,3 +135,16 @@ def test_axis_value_order_does_not_change_keys(tmp_path):
                        axes={"mcs_table": ["LEP", "HEP"],
                              "density_veh_km_lane": [10, 20]})
     assert {p.key() for p in a.points()} == {p.key() for p in b.points()}
+
+
+@pytest.mark.parametrize("name, raw", [("k", "abc"), ("k", "2.5"), ("interval_ms", "x")])
+def test_unparsable_field_value_is_a_configuration_error(name, raw):
+    with pytest.raises(ConfigurationError, match=name):
+        _coerce(name, raw)
+
+
+def test_cli_reports_bad_override_without_traceback(capsys):
+    assert cli.main(["run", "--set", "k=abc"]) == 2
+    assert capsys.readouterr().err.startswith("error: field 'k'")
+    assert cli._parse_overrides(["k=4", "interval_ms=20", "slot_type=mini7"]) == {
+        "k": 4, "interval_ms": 20.0, "slot_type": "mini7"}
