@@ -239,7 +239,7 @@ class _Replication:
             for cache, direction in ((self._rb_ul, "UL"), (self._rb_dl, "DL")):
                 try:
                     cache[cqi] = lnk.rbs_for_packet(
-                        bits, mcs, ctx.data_symbols(direction), cfg.layers,
+                        bits, mcs, ctx.n_sym[direction], cfg.layers,
                         cfg.overhead_re_per_rb, max_rb=n_rb_total,
                     )
                 except lnk.AllocationInfeasible:
@@ -532,8 +532,15 @@ class _Replication:
         scheme = self.scheme
         ok = True
         if scheme.retransmission == "harq":
-            leg.pending = int((self.rng.random(leg.pending) < scheme.bler).sum())
-            ok = leg.pending == 0
+            # one scalar draw per receiver still waiting: the same stream
+            # as rng.random(leg.pending), without the array round trip
+            random, bler = self.rng.random, scheme.bler
+            still = 0
+            for _ in range(leg.pending):
+                if random() < bler:
+                    still += 1
+            leg.pending = still
+            ok = still == 0
         elif scheme.retransmission == "k_repetitions":
             ok = bool((self.rng.random(scheme.k) < scheme.bler).sum() < scheme.k)
         elif scheme.mcs_table == "HEP":

@@ -5,8 +5,19 @@ symbols are excluded up front, data allocations are rectangles of consecutive
 RBs x consecutive symbols inside a single slot's data region, and the
 scheduler is first-fit in (slot, start symbol, start RB) order.
 
-Occupancy is a per-symbol bitmask of RBs (python ints), so the consecutive
-free-RB search is a shift-and-AND run computation.
+A live slot's occupancy is one python int.  Data-region symbol ``i``
+(counted from the first data symbol) owns the ``n_rb``-bit field at bits
+``[i * n_rb, (i + 1) * n_rb)``, and bit ``b`` of a field is RB ``b``, so the
+lowest field is the earliest symbol and the lowest bit of a field the lowest
+RB.  An RB mask repeated over ``n`` consecutive symbols is the mask times
+``rep[n] = 1 + 2**n_rb + ... + 2**((n - 1) * n_rb)``; the mask fits in one
+field, so the product has no carries and a commit or a release is a single
+``|=`` or ``&= ~``.  To probe an ``n``-symbol window, the window's fields are
+cut out and folded onto the lowest one by ceil(log2 n) shift-ORs, each
+halving (rounding up) the number of fields still to fold.  The lowest field
+then holds every RB occupied in some symbol of the window, and the
+consecutive free-RB search is a shift-and-AND run computation on its
+complement.
 
 Each live slot also keeps a "cannot fit" memo: for every burst length in
 symbols, the fewest RBs known not to fit in any admissible window of that
@@ -19,17 +30,20 @@ stays true; `release` clears the memo of every slot it frees, and
 `release_expired` drops the memo together with the slot.  Skipping never
 changes a result: the skipped slot still yields its first boundary, its
 deadline check and one step of the scan limit.
+
+A live slot's used area is its data area less its free area; the used area
+of a slot is written down for the utilization metrics only when
+`release_expired` drops the slot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .phy import ConfigurationError, ControlConfig, NumerologyProfile, data_region
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(NamedTuple):
     slot_idx: int
     sym_start: int          # absolute symbol index within the slot
     n_symbols: int
@@ -43,21 +57,31 @@ class Placement:
 def _run_starts(free: int, length: int) -> int:
     """Bits marking the lowest RB of every free run of at least `length`."""
     m = free
-    done = 1
-    while done < length:
-        step = min(done, length - done)
-        m &= m >> step
-        done += step
+    done = 1  # m marks the starts of free runs of `done` RBs
+    while done + done <= length:
+        m &= m >> done
+        done += done
+    if done < length:
+        m &= m >> (length - done)
     return m
 
 
-class _Slot:
-    __slots__ = ("masks", "free_area", "no_fit")
+def _fold_shifts(n_fields: int, width: int) -> tuple[int, ...]:
+    """Right shifts that OR n_fields fields of `width` bits onto the lowest."""
+    shifts = []
+    while n_fields > 1:
+        n_fields = (n_fields + 1) // 2
+        shifts.append(n_fields * width)
+    return tuple(shifts)
 
-    def __init__(self, n_region_symbols: int, area: int, no_fit: tuple[int, ...]):
-        self.masks = [0] * n_region_symbols
+
+class _Slot:
+    __slots__ = ("occ", "free_area", "no_fit")
+
+    def __init__(self, area: int, no_fit: tuple[int, ...]):
+        self.occ = 0            # RB x symbol occupancy, one n_rb-bit field per symbol
         self.free_area = area
-        self.no_fit = no_fit  # [n_symbols] -> fewest RBs known not to fit
+        self.no_fit = no_fit    # [n_symbols] -> fewest RBs known not to fit
 
 
 class SlotGrid:
@@ -82,11 +106,19 @@ class SlotGrid:
         self.symbol_ticks = num.symbol_ticks
         self._full = (1 << n_rb_total) - 1
         self._area = self.region_len * n_rb_total
+        n_fields = range(self.region_len + 1)
+        # [n] -> the lowest bit of each of n consecutive symbol fields
+        self._rep = [sum(1 << (i * n_rb_total) for i in range(n)) for n in n_fields]
+        # [n] -> every bit of the lowest n fields
+        self._window = [rep * self._full for rep in self._rep]
+        # [n] -> shifts folding n fields onto the lowest one
+        self._fold = [_fold_shifts(n, n_rb_total) for n in n_fields]
         # the empty memo, shared by every slot until it records an entry:
         # more RBs than the carrier has, for every burst length
         self._no_fit_unknown = (n_rb_total + 1,) * (self.region_len + 1)
+        self._starts: dict[tuple[int, bool], tuple[int, ...]] = {}
         self._slots: dict[int, _Slot] = {}
-        self._used_area: dict[int, int] = {}
+        self._used_area: dict[int, int] = {}  # slots dropped by release_expired
         self._released_before = 0  # slots below this index have been freed
 
     # -- geometry -------------------------------------------------------------
@@ -94,8 +126,11 @@ class SlotGrid:
     def data_symbols(self) -> int:
         return self.region_len
 
-    def start_symbols(self, n_symbols: int, full_slot: bool) -> list[int]:
+    def start_symbols(self, n_symbols: int, full_slot: bool) -> tuple[int, ...]:
         """Admissible start symbols inside one slot for an n_symbols burst."""
+        starts = self._starts.get((n_symbols, full_slot))
+        if starts is not None:
+            return starts
         if n_symbols > self.region_len:
             raise ConfigurationError(
                 f"{n_symbols} symbols exceed the {self.region_len}-symbol data region"
@@ -103,9 +138,12 @@ class SlotGrid:
         if full_slot:
             if n_symbols != self.region_len:
                 raise ConfigurationError("full-slot bursts span the whole data region")
-            return [self.region_start]
-        last = self.region_start + self.region_len - n_symbols
-        return list(range(self.region_start, last + 1))
+            starts = (self.region_start,)
+        else:
+            last = self.region_start + self.region_len - n_symbols
+            starts = tuple(range(self.region_start, last + 1))
+        self._starts[(n_symbols, full_slot)] = starts
+        return starts
 
     def alignment(self, ready_tick: int, n_symbols: int, full_slot: bool) -> int:
         """First admissible start boundary at or after ready_tick."""
@@ -120,13 +158,6 @@ class SlotGrid:
             slot += 1
 
     # -- allocation -----------------------------------------------------------
-
-    def _slot_state(self, idx: int) -> _Slot:
-        s = self._slots.get(idx)
-        if s is None:
-            s = _Slot(self.region_len, self._area, self._no_fit_unknown)
-            self._slots[idx] = s
-        return s
 
     def allocate(
         self,
@@ -149,19 +180,33 @@ class SlotGrid:
         if n_rb > self.n_rb:
             raise ConfigurationError(f"{n_rb} RBs exceed the {self.n_rb}-RB carrier")
         starts = self.start_symbols(n_symbols, full_slot)
+        slot_ticks = self.slot_ticks
+        symbol_ticks = self.symbol_ticks
+        region_start = self.region_start
         area = n_rb * n_symbols
-        burst = n_symbols * self.symbol_ticks
-        extra = (repeats - 1) * self.slot_ticks
+        burst = n_symbols * symbol_ticks
+        extra = (repeats - 1) * slot_ticks
         slots = self._slots
-        slot = earliest_tick // self.slot_ticks
+        slot = earliest_tick // slot_ticks
+        end_slot = slot + scan_limit_slots
+        # the first slot whose first start ends past the deadline
+        late_slot = end_slot if max_tx_end_tick is None else (
+            (max_tx_end_tick - burst - extra - region_start * symbol_ticks) // slot_ticks + 1)
         first_boundary = -1
-        for _ in range(scan_limit_slots):
-            base = slot * self.slot_ticks
+        while slot < end_slot:
             s = slots.get(slot)
             # a burst that cannot fit this slot cannot start in it, repeats or not
             skip = s is not None and (s.free_area < area or s.no_fit[n_symbols] <= n_rb)
+            if skip and first_boundary >= 0:
+                # past the first boundary, a skipped slot only checks the
+                # deadline at its first start
+                if slot >= late_slot:
+                    return None, first_boundary
+                slot += 1
+                continue
+            base = slot * slot_ticks
             for sym in starts:
-                tick = base + sym * self.symbol_ticks
+                tick = base + sym * symbol_ticks
                 if tick < earliest_tick:
                     continue
                 if first_boundary < 0:
@@ -172,20 +217,25 @@ class SlotGrid:
                     # no window of this slot fits; its later starts only
                     # lie further past the deadline
                     break
-                rb = self._fit(slot, sym - self.region_start, n_symbols, n_rb, area, repeats, s)
+                first = sym - region_start
+                rb = self._fit(slot, first, n_symbols, n_rb, area, repeats, s)
                 if rb is not None:
-                    placement = Placement(
-                        slot, sym, n_symbols, rb, n_rb, repeats, tick, tick + burst + extra
-                    )
-                    self._commit(placement)
+                    cells = (((1 << n_rb) - 1) << rb) * self._rep[n_symbols] << (first * self.n_rb)
+                    for idx in range(slot, slot + repeats):
+                        t = slots.get(idx)
+                        if t is None:
+                            t = slots[idx] = _Slot(self._area, self._no_fit_unknown)
+                        t.occ |= cells
+                        t.free_area -= area
                     if self.trace is not None:
                         for r in range(repeats):
                             self.trace.append((slot + r, rb, n_rb, sym, n_symbols, owner))
-                    return placement, first_boundary
+                    return Placement(slot, sym, n_symbols, rb, n_rb, repeats, tick,
+                                     tick + burst + extra), first_boundary
             else:
                 # every start of the slot was probed and missed (the scan's
                 # first slot may have skipped starts before earliest_tick)
-                first_tick = base + self.region_start * self.symbol_ticks
+                first_tick = base + region_start * symbol_ticks
                 if repeats == 1 and s is not None and first_tick >= earliest_tick:
                     no_fit = s.no_fit
                     s.no_fit = no_fit[:n_symbols] + (n_rb,) + no_fit[n_symbols + 1 :]
@@ -198,44 +248,34 @@ class SlotGrid:
         self, slot: int, first: int, n_symbols: int, n_rb: int, area: int, repeats: int,
         s: _Slot | None,
     ) -> int | None:
-        """Lowest free RB of an n_rb x n_symbols window in `slot` (state `s`)
-        and its repeat slots, or None."""
-        occ = 0
-        if s is not None:
-            for m in s.masks[first : first + n_symbols]:
-                occ |= m
+        """Lowest free RB of an n_rb x n_symbols window starting at region
+        symbol `first` in `slot` (state `s`) and its repeat slots, or None."""
+        occ = 0 if s is None else s.occ
         if repeats > 1:
             for r in range(1, repeats):
                 t = self._slots.get(slot + r)
                 if t is not None:
                     if t.free_area < area:
                         return None
-                    for m in t.masks[first : first + n_symbols]:
-                        occ |= m
+                    occ |= t.occ
+        occ = (occ >> (first * self.n_rb)) & self._window[n_symbols]
+        if not occ:
+            return 0
+        for shift in self._fold[n_symbols]:
+            occ |= occ >> shift
         runs = _run_starts(~occ & self._full, n_rb)
         if not runs:
             return None
         return (runs & -runs).bit_length() - 1
 
-    def _commit(self, p: Placement) -> None:
-        bits = ((1 << p.n_rb) - 1) << p.rb_start
-        first = p.sym_start - self.region_start
-        area = p.n_rb * p.n_symbols
-        for r in range(p.repeats):
-            s = self._slot_state(p.slot_idx + r)
-            for i in range(first, first + p.n_symbols):
-                s.masks[i] |= bits
-            s.free_area -= area
-            self._used_area[p.slot_idx + r] = self._used_area.get(p.slot_idx + r, 0) + area
-
     def release(self, p: Placement, not_before_tick: int | None = None) -> None:
         """Undo a committed placement (superseded packet), repeat slots whose
         transmission has not started by not_before_tick only."""
-        bits = ((1 << p.n_rb) - 1) << p.rb_start
         first = p.sym_start - self.region_start
+        kept = ~((((1 << p.n_rb) - 1) << p.rb_start) * self._rep[p.n_symbols]
+                 << (first * self.n_rb))
         area = p.n_rb * p.n_symbols
-        for r in range(p.repeats):
-            idx = p.slot_idx + r
+        for idx in range(p.slot_idx, p.slot_idx + p.repeats):
             if idx < self._released_before:
                 continue
             start_tick = idx * self.slot_ticks + p.sym_start * self.symbol_ticks
@@ -244,20 +284,21 @@ class SlotGrid:
             s = self._slots.get(idx)
             if s is None:
                 continue
-            for i in range(first, first + p.n_symbols):
-                s.masks[i] &= ~bits
+            s.occ &= kept
             s.free_area += area
             s.no_fit = self._no_fit_unknown
-            self._used_area[idx] -= area
 
     # -- bookkeeping ----------------------------------------------------------
 
     def release_expired(self, now_tick: int) -> int:
-        """Drop live occupancy state for slots fully in the past."""
+        """Drop live occupancy state for slots fully in the past, keeping
+        their used area for the utilization metrics."""
         horizon = now_tick // self.slot_ticks
-        stale = [i for i in self._slots if i + 1 <= horizon]
+        stale = [i for i in self._slots if i < horizon]
+        used = self._used_area
         for i in stale:
-            del self._slots[i]
+            # a slot allocated again after it expired adds to its first life
+            used[i] = used.get(i, 0) + self._area - self._slots.pop(i).free_area
         if stale:
             self._released_before = max(self._released_before, max(stale) + 1)
         return len(stale)
@@ -265,14 +306,15 @@ class SlotGrid:
     def utilization(self, start_tick: int, end_tick: int) -> float:
         """Allocated share of the data capacity over whole slots in a window."""
         first = -(-start_tick // self.slot_ticks)
-        last = end_tick // self.slot_ticks  # exclusive
-        n_slots = last - first
+        n_slots = end_tick // self.slot_ticks - first
         if n_slots <= 0:
             raise ConfigurationError("utilization window shorter than one slot")
-        used = sum(self._used_area.get(i, 0) for i in range(first, last))
-        return used / (n_slots * self._area)
+        return self.used_area_in(start_tick, end_tick) / (n_slots * self._area)
 
     def used_area_in(self, start_tick: int, end_tick: int) -> int:
+        """Allocated RB x symbol area over whole slots in a window."""
         first = -(-start_tick // self.slot_ticks)
-        last = end_tick // self.slot_ticks
-        return sum(self._used_area.get(i, 0) for i in range(first, last))
+        last = end_tick // self.slot_ticks  # exclusive
+        used = sum(a for i, a in self._used_area.items() if first <= i < last)
+        return used + sum(self._area - s.free_area
+                          for i, s in self._slots.items() if first <= i < last)

@@ -76,7 +76,7 @@ class SchemeConfig:
         return TARGET_BLER[self.mcs_table]
 
 
-@dataclass
+@dataclass(slots=True)
 class LatencyBreakdown:
     """Additive components of one leg, in ticks; ms views for reporting."""
 
@@ -146,6 +146,11 @@ class RadioContext:
         self.tt_pucch = ctl.SR_RB_SYMBOLS * num.symbol_ticks
         self.tt_pdcch = control.n_sy_pdcch * num.symbol_ticks
         self._pucch_offset = (num.symbols_per_slot - control.n_sy_pucch) * num.symbol_ticks
+        self.full_slot = scheme.slot_type == "full"
+        fixed = SLOT_SYMBOLS[scheme.slot_type]
+        # data symbols per transport block, by direction
+        self.n_sym = {d: g.data_symbols() if fixed is None else fixed
+                      for d, g in self.grids.items()}
 
     # -- control-channel occasions ---------------------------------------------
 
@@ -159,20 +164,11 @@ class RadioContext:
         arriving during a slot's PDCCH cannot ride it)."""
         return (ready_tick // self.slot_ticks + 1) * self.slot_ticks
 
-    def data_symbols(self, direction: str) -> int:
-        grid = self.grids[direction]
-        fixed = SLOT_SYMBOLS[self.scheme.slot_type]
-        return grid.data_symbols() if fixed is None else fixed
-
-    @property
-    def full_slot(self) -> bool:
-        return self.scheme.slot_type == "full"
-
 
 # -- chain segments -------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class SrTiming:
     ready: int          # after PUCCH preparation
     align: int
@@ -194,7 +190,7 @@ def sr_chain(ctx: RadioContext, start_tick: int, p: float | None = None) -> SrTi
     return SrTiming(ready, occasion - ready, wait, tx_start, done)
 
 
-@dataclass
+@dataclass(slots=True)
 class GrantTiming:
     created: int        # instant the DCI joins the queue
     align: int
@@ -227,7 +223,7 @@ def nack_chain(ctx: RadioContext, direction: str, start_tick: int) -> int:
     return occasion + tt + ctx.prepare_half
 
 
-@dataclass
+@dataclass(slots=True)
 class DataTiming:
     ready: int
     align: int
@@ -250,19 +246,16 @@ def data_chain(
     """Data hop from the instant the transport block is prepared: alignment,
     first-fit allocation, transmission, decode.  Placement is None when
     nothing fits before the deadline."""
-    grid = ctx.grids[direction]
-    n_sym = ctx.data_symbols(direction)
-    ready = ready_tick
-    placement, boundary = grid.allocate(
-        n_rb, n_sym, ready, ctx.full_slot, repeats=repeats,
-        max_tx_end_tick=deadline_tick, scan_limit_slots=scan_limit_slots,
+    n_sym = ctx.n_sym[direction]
+    placement, boundary = ctx.grids[direction].allocate(
+        n_rb, n_sym, ready_tick, ctx.full_slot, repeats, deadline_tick, scan_limit_slots,
     )
-    timing = DataTiming(ready, boundary - ready, 0, n_sym * ctx.symbol_ticks, placement)
-    if placement is not None:
-        timing.wait = placement.start_tick - boundary
-        timing.tx_end = placement.tx_end_tick
-        timing.delivered = placement.tx_end_tick + ctx.decode_half
-    return timing
+    airtime = n_sym * ctx.symbol_ticks
+    if placement is None:
+        return DataTiming(ready_tick, boundary - ready_tick, 0, airtime, None)
+    end = placement.tx_end_tick
+    return DataTiming(ready_tick, boundary - ready_tick, placement.start_tick - boundary,
+                      airtime, placement, end, end + ctx.decode_half)
 
 
 def sched_latency_dl(ctx: RadioContext, packet_ready_tick: int) -> tuple[int, GrantTiming]:

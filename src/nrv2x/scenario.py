@@ -1,5 +1,4 @@
-"""Evaluation world: vehicles on a highway cell, packet generation, and the
-freshness-based drop rule.
+"""Evaluation world: vehicles on a highway cell and packet generation.
 
 The gNB sits at the midpoint of a road segment of twice the cell radius;
 vehicles are placed uniformly along it and keep their position for the whole
@@ -146,30 +145,3 @@ def load_scenario(doc: dict) -> tuple[list[Vehicle], list[np.ndarray]]:
     arrivals = [np.array(a, dtype=np.int64) for a in doc["arrival_ticks"]]
     return vehicles, arrivals
 
-
-class PendingTracker:
-    """At most one pending packet per vehicle: a packet not fully transmitted
-    when the next one is generated is dropped in its favour."""
-
-    def __init__(self):
-        self._pending: dict[int, tuple[int, int | None]] = {}
-
-    def on_arrival(self, vehicle_id: int, packet_id: int, now_tick: int) -> int | None:
-        """Register a new packet; returns the id of a superseded (dropped)
-        pending packet, if any."""
-        dropped = None
-        prev = self._pending.get(vehicle_id)
-        if prev is not None:
-            prev_id, done = prev
-            if done is None or done > now_tick:
-                dropped = prev_id
-        self._pending[vehicle_id] = (packet_id, None)
-        return dropped
-
-    def on_transmitted(self, vehicle_id: int, packet_id: int, done_tick: int) -> None:
-        cur = self._pending.get(vehicle_id)
-        if cur is not None and cur[0] == packet_id:
-            self._pending[vehicle_id] = (packet_id, done_tick)
-
-    def pending_count(self) -> int:
-        return sum(1 for _, done in self._pending.values() if done is None)

@@ -174,7 +174,7 @@ def test_criterion_6_exact_properties():
     if abs(p_fail - 1e-4) > 3 * sigma:
         failures.append(f"HARQ failure rate {p_fail:.2e}")
     # the composition path agrees: forced-failure plans exhaust exactly at n
-    from conftest import make_context
+    from helpers import make_context
     scheme = lat.SchemeConfig(retransmission="harq", harq_max_retx=3)
     ctx = make_context(scheme=scheme)
     bd, timing = lat.latency_semistatic(ctx, "UL", 0, n_rb=2)

@@ -290,3 +290,14 @@ if __name__ == "__main__":
         case["report"] = run(RunConfig(**case["config"])).to_row()
         case["report"].pop("runtime_s")
     GOLDEN.write_text(json.dumps(cases, indent=1))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 31, 2024, 2**40 + 7])
+def test_scalar_draws_continue_the_vector_stream(seed):
+    """n scalar `random()` calls give the n values of one `random(n)` call
+    and leave the generator at the same point: downlink HARQ draws one
+    scalar per pending receiver on this property."""
+    vector, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n in range(1, 7):
+        assert [scalar.random() for _ in range(n)] == vector.random(n).tolist()
+    assert scalar.random() == vector.random()

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from nrv2x.grid import SlotGrid, _run_starts
-from nrv2x.phy import ConfigurationError, ControlConfig, numerology
+from nrv2x.phy import ConfigurationError, ControlConfig, data_region, numerology, total_rbs
 
 CTRL = ControlConfig(24, 1, 1, 1)
 
@@ -367,3 +367,96 @@ def test_memo_skips_rejected_slot_without_probing(monkeypatch):
     p, _ = g.allocate(3, 4, 0, False)   # wider than the rejected request
     assert p.slot_idx == 1 and 0 not in probes
 
+
+
+# --- packed occupancy -----------------------------------------------------------
+
+def test_used_area_tracks_committed_rectangles():
+    """Used area and utilization equal the committed rectangles' area through
+    mixed bursts with repeats, an expiry, and releases after it."""
+    g = make_grid(scs=30, n_rb=5)
+    counted = {}  # slot -> area committed and not released while live
+
+    def check():
+        for start, end in ((0, 8 * g.slot_ticks), (g.slot_ticks // 2, 3 * g.slot_ticks + 5),
+                           (g.slot_ticks, 2 * g.slot_ticks), (3 * g.slot_ticks, 8 * g.slot_ticks)):
+            first, last = -(-start // g.slot_ticks), end // g.slot_ticks
+            expected = sum(a for s, a in counted.items() if first <= s < last)
+            assert g.used_area_in(start, end) == expected
+            assert g.utilization(start, end) == expected / ((last - first) * g.n_rb * g.region_len)
+
+    placements = []
+    for n_rb, n_sym, earliest, full, repeats in (
+        (2, g.region_len, 0, True, 2),
+        (3, 4, 0, False, 1),
+        (1, 7, g.slot_ticks // 3, False, 2),
+        (2, 4, g.slot_ticks, False, 2),
+        (5, g.region_len, 2 * g.slot_ticks, True, 1),
+        (4, 2, 2 * g.slot_ticks, False, 2),
+        (2, g.region_len, 0, True, 2),
+    ):
+        p, _ = g.allocate(n_rb, n_sym, earliest, full, repeats=repeats)
+        placements.append(p)
+        for r in range(p.repeats):
+            counted[p.slot_idx + r] = counted.get(p.slot_idx + r, 0) + p.n_rb * p.n_symbols
+        check()
+    assert g.release_expired(2 * g.slot_ticks) == 2  # slots 0 and 1
+    check()
+    expired = [p for p in placements if p.slot_idx + p.repeats <= 2]
+    straddling = [p for p in placements if p.slot_idx < 2 < p.slot_idx + p.repeats]
+    assert len(expired) == 3 and len(straddling) == 1
+    for p in expired:
+        g.release(p)
+        check()
+    for p in straddling:  # only its live slot is freed
+        g.release(p)
+        counted[2] -= p.n_rb * p.n_symbols
+        check()
+
+
+def _widest_carrier():
+    widths = []
+    for scs in (15, 30, 60):
+        for bw in range(5, 101, 5):
+            try:
+                widths.append((total_rbs(bw, scs), scs))
+            except ConfigurationError:
+                pass
+    return max(widths)
+
+
+@pytest.mark.parametrize("direction", ["UL", "DL"])
+def test_packed_fields_do_not_leak_on_widest_carrier(direction):
+    """Blocks at the extreme bits of the packed occupancy (top RB of the last
+    symbol, RB 0 of the first) stay in their symbol's field."""
+    n_rb, scs = _widest_carrier()
+    g = SlotGrid(numerology(scs), n_rb, CTRL, direction)
+    longest = max(len(data_region(numerology(s), d, CTRL))
+                  for s in (15, 30, 60) for d in ("UL", "DL"))
+    assert g.region_len == longest
+    first_tick = g.region_start * g.symbol_ticks
+    last_tick = (g.region_start + g.region_len - 1) * g.symbol_ticks
+    committed = []
+
+    def place(req_rb, n_sym, earliest, full=False):
+        expected = oracle_first_fit(committed, req_rb, n_sym, earliest, g, full, max_slots=4)
+        p, _ = g.allocate(req_rb, n_sym, earliest, full)
+        assert (p.slot_idx, p.sym_start, p.rb_start) == expected, (req_rb, n_sym, earliest)
+        committed.append(dict(slot=p.slot_idx, sym=p.sym_start, n_sym=p.n_symbols,
+                              rb=p.rb_start, n_rb=p.n_rb, repeats=1))
+        return p
+
+    filler = place(n_rb - 1, 1, last_tick)
+    top = place(1, 1, last_tick)
+    g.release(filler)
+    committed.pop(0)
+    bottom = place(1, 1, first_tick)
+    assert (top.slot_idx, top.sym_start, top.rb_start) == (0, g.region_start + g.region_len - 1,
+                                                           n_rb - 1)
+    assert (bottom.slot_idx, bottom.sym_start, bottom.rb_start) == (0, g.region_start, 0)
+    place(n_rb, 2, last_tick - g.symbol_ticks)      # the top RB blocks slot 0
+    place(n_rb - 1, g.region_len, 0, full=True)     # both blocks narrow slot 0 to n_rb - 2
+    fit = place(n_rb - 2, g.region_len, 0, full=True)
+    assert (fit.slot_idx, fit.rb_start) == (0, 1)
+    place(n_rb, 1, first_tick)
+    place(n_rb - 1, g.region_len - 2, first_tick)

@@ -9,7 +9,7 @@ import pytest
 from nrv2x import latency as lat
 from nrv2x import phy
 from nrv2x.phy import ConfigurationError
-from conftest import make_context
+from helpers import make_context
 
 MS = phy.TICKS_PER_MS
 

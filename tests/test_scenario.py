@@ -79,19 +79,6 @@ def test_nearest_neighbours_match_bruteforce():
         scn.nearest_neighbours(vehicles[:3], 3)
 
 
-def test_pending_tracker_drop_rule():
-    t = scn.PendingTracker()
-    assert t.on_arrival(1, 10, 0) is None
-    t.on_transmitted(1, 10, 500)          # completed before the next arrival
-    assert t.on_arrival(1, 11, 1000) is None
-    # still waiting when the next packet arrives -> dropped
-    assert t.on_arrival(1, 12, 1500) == 11
-    assert t.pending_count() == 1
-    # completion after the next arrival is also a drop
-    t.on_transmitted(1, 12, 3000)
-    assert t.on_arrival(1, 13, 2000) == 12
-
-
 def test_traffic_model_validation():
     with pytest.raises(phy.ConfigurationError):
         scn.TrafficModel("bursty", 20.0)
