@@ -6,6 +6,22 @@ shared state (the DCI queue, the two resource grids) happens in global time
 order.  Replications repeat until the 95% confidence half-width of the mean
 radio latency falls below the relative-error target.
 
+Every hop of a packet is a leg, and every leg runs one state machine.  The
+uplink is leg 0; the downlink hand-over adds one leg for a broadcast, whose
+HARQ group is its count of pending receivers, or one leg per unicast
+receiver.  An attempt is a ``_DATA`` event: the first-fit data chain, then
+an outcome from ``_Replication._attempt_ok``.  A failed HARQ attempt raises
+a ``_NACK``, which leads through a ``_DCI`` (the retransmission's grant or
+assignment) to the next ``_DATA``; the last allowed failure, or an attempt
+that finds no resources, closes the leg.  What depends on direction is data
+in a ``_Hop``: the data chain's deadline and scan limit, the outcome and
+detail of a starved or failed leg, and whether a scheduling request follows
+the NACK (uplink).  A delivered uplink leg hands the packet over to the
+downlink.  The packet resolves with its last downlink leg: dropped if any
+leg was dropped, else failed if any failed, else delivered.  Dynamic
+scheduling puts a per-vehicle signalling process (``_SIG_DCI``,
+``_SIG_DATA``) before the uplink's first attempt.
+
 Two protocol details shape congestion behaviour.  First, a UE runs one
 signalling process: when a fresh packet supersedes a stale one, the
 in-flight scheduling request or grant serves the newest packet rather than
@@ -34,7 +50,8 @@ import heapq
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,9 +62,8 @@ from . import phy
 from . import scenario as scn
 from .grid import SlotGrid
 
-# event kinds, dispatched in the replication loop
-(_GEN, _UL_SIG_DCI, _UL_SIG_DATA, _UL_DATA, _UL_RETX_DCI, _UL_RETX_DATA,
- _UL_NACK, _DL_INGEST, _DL_DCI, _DL_DATA, _DL_NACK, _FLUSH) = range(12)
+# event kinds, dispatched in the replication loop; numbered from 0, _FLUSH last
+(_GEN, _SIG_DCI, _SIG_DATA, _INGEST, _DCI, _DATA, _NACK, _FLUSH) = range(8)
 
 _FLUSH_INTERVAL_MS = 50.0
 
@@ -60,7 +76,12 @@ DISPOSITIONS = {_DELIVERED: "delivered", _DROPPED: "dropped_at_tx",
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One evaluation point: radio scheme plus scenario and stopping rule."""
+    """One evaluation point: radio scheme plus scenario and stopping rule.
+
+    Construction checks every value and builds the radio scheme and traffic
+    model once; they are attributes, not fields, so `asdict` and `key`
+    ignore them.
+    """
 
     scs_khz: int = 30
     bandwidth_mhz: int = 20
@@ -101,23 +122,21 @@ class RunConfig:
             raise phy.ConfigurationError("warmup must end before the horizon")
         if self.min_replications > self.max_replications:
             raise phy.ConfigurationError("min_replications exceeds max_replications")
+        num = phy.numerology(self.scs_khz)
+        phy.total_rbs(self.bandwidth_mhz, self.scs_khz)
+        phy.processing_times(num.mu, self.ue_capability)
+        phy.control_config(self.control_variant)
+        scheme = lat.SchemeConfig(**{f.name: getattr(self, f.name)
+                                     for f in fields(lat.SchemeConfig)})
+        object.__setattr__(self, "_scheme", scheme)
+        object.__setattr__(self, "_traffic",
+                           scn.TrafficModel(self.traffic, self.interval_ms, self.packet_bytes))
 
     def scheme(self) -> lat.SchemeConfig:
-        return lat.SchemeConfig(
-            scheduling=self.scheduling,
-            retransmission=self.retransmission,
-            k=self.k,
-            harq_max_retx=self.harq_max_retx,
-            dl_cast=self.dl_cast,
-            unicast_m=self.unicast_m,
-            mcs_table=self.mcs_table,
-            slot_type=self.slot_type,
-            control_variant=self.control_variant,
-            harq_group_size=self.harq_group_size,
-        )
+        return self._scheme
 
     def traffic_model(self) -> scn.TrafficModel:
-        return scn.TrafficModel(self.traffic, self.interval_ms, self.packet_bytes)
+        return self._traffic
 
     def key(self) -> str:
         """Canonical identifier of the configuration point (seed excluded)."""
@@ -133,52 +152,51 @@ class RunConfig:
         return "-".join(parts)
 
 
+class _Hop(NamedTuple):
+    """What a leg's direction decides; one per direction and replication."""
+
+    direction: str
+    first: Callable       # (now, packet) -> data_chain (repeats, deadline, scan limit)
+    retx: Callable        # the same for a retransmission
+    starved: tuple        # (state, detail) when an attempt finds no resources, by retx
+    error: str            # detail of a leg whose last attempt failed
+    sr_after_nack: bool   # the NACK is followed by a scheduling request
+
+
 class _Leg:
-    __slots__ = ("pkt", "n_rb", "created", "bd", "state", "cancelled", "pending",
+    """One hop of a packet: its uplink (leg 0) or one downlink copy."""
+
+    __slots__ = ("pkt", "hop", "n_rb", "created", "bd", "state", "pending",
                  "placement", "cycle_start")
 
-    def __init__(self, pkt, n_rb, created, pending):
+    def __init__(self, pkt, hop, n_rb, created, pending):
         self.pkt = pkt
+        self.hop = hop
         self.n_rb = n_rb
         self.created = created
-        self.bd = lat.LatencyBreakdown("DL")
+        self.bd = lat.LatencyBreakdown(hop.direction)
         self.state = _PENDING
-        self.cancelled = False
-        self.pending = pending
+        self.pending = pending      # receivers that have not decoded it yet
         self.placement = None
-        self.cycle_start = 0
+        self.cycle_start = 0        # NACK tick of the current retransmission; 0 before
 
 
 class _Packet:
-    __slots__ = ("vehicle", "gen", "deadline", "counted", "n_rb_ul", "bd",
-                 "state", "ul_delivered", "legs", "legs_open", "cycle_start",
-                 "detail")
+    __slots__ = ("vehicle", "gen", "deadline", "counted", "state", "ul", "legs",
+                 "legs_open", "legs_dropped", "legs_failed", "detail")
 
-    def __init__(self, vehicle, gen, deadline, counted, n_rb_ul):
+    def __init__(self, vehicle, gen, deadline, counted):
         self.vehicle = vehicle
         self.gen = gen
         self.deadline = deadline
         self.counted = counted
-        self.n_rb_ul = n_rb_ul
-        self.bd = lat.LatencyBreakdown("UL")
         self.state = _PENDING
-        self.ul_delivered = 0
-        self.legs = None
+        self.ul = None
+        self.legs = ()              # the downlink legs, once handed over
         self.legs_open = 0
-        self.cycle_start = 0
+        self.legs_dropped = 0
+        self.legs_failed = 0
         self.detail = ""
-
-
-class _Chain:
-    """Per-vehicle uplink signalling process (dynamic scheduling)."""
-
-    __slots__ = ("active", "sr_wait", "queue", "grant_done")
-
-    def __init__(self):
-        self.active = False
-        self.sr_wait = 0
-        self.queue = 0
-        self.grant_done = 0
 
 
 @dataclass
@@ -222,7 +240,7 @@ class _Replication:
         ul_grid = SlotGrid(num, n_rb_total, control, "UL")
         dl_grid = SlotGrid(num, n_rb_total, control, "DL")
         self.ctx = lat.RadioContext(
-            num, proc, control, scheme, ul_grid, dl_grid,
+            num, proc, control, scheme.slot_type, ul_grid, dl_grid,
             ctl.DciQueue(control, num.slot_ticks),
             ctl.SrConfig.for_cell(control, n_ue),
             rng,
@@ -256,13 +274,29 @@ class _Replication:
         self.horizon = phy.ms_to_ticks(cfg.horizon_ms)
         stale_span = 2 * phy.ms_to_ticks(cfg.interval_ms)
         self.scan_cap = stale_span // num.slot_ticks + 2
-        self.stale_span = stale_span
+        self._dynamic = scheme.scheduling == "dynamic"
+        self._repeats = repeats = scheme.repeats
+        # attempts after which a failure is final; 0 when nothing is retransmitted
+        self._nack_limit = scheme.harq_max_retx if scheme.retransmission == "harq" else 0
+
+        # Uplink: a first attempt must start before the packet goes stale; a
+        # retransmission sends one copy within the scan cap, with no deadline.
+        # Downlink: every attempt must start within the staleness span plus
+        # two slots, within the scan cap.
+        cap, dl_span = self.scan_cap, stale_span + 2 * num.slot_ticks
+        dl_args = lambda now, pkt: (repeats, now + dl_span, cap)  # noqa: E731
+        self._ul = _Hop("UL", lambda now, pkt: (repeats, pkt.deadline, lat.NO_SCAN_LIMIT),
+                        lambda now, pkt: (1, None, cap),
+                        ((_DROPPED, "expired"), (_FAILED, "retx_starved")), "ul_error", True)
+        self._dl = _Hop("DL", dl_args, dl_args,
+                        ((_DROPPED, "dl_starved"), (_FAILED, "dl_starved")), "dl_error", False)
 
         self._heap: list = []
         self._seq = 0
-        self._pending: list[_Packet | None] = [None] * n_ue
-        self._chains = [_Chain() for _ in range(n_ue)]
-        self._dl_active: dict[int, list[_Leg]] = {}
+        # per vehicle: the uplink leg whose grant request is in flight, if
+        # any, and the newest packet's downlink legs
+        self._waiting: list[_Leg | None] = [None] * n_ue
+        self._dl_active: list = [()] * n_ue
         self.summary = ReplicationSummary()
         self._totals: list[float] = []
         self._uls: list[float] = []
@@ -279,6 +313,8 @@ class _Replication:
             if n_gen:
                 heapq.heappush(self._heap, (int(times[0]), self._seq + 1, _GEN, (v.id, 0)))
             self._seq += n_gen
+        # plain ints: cheaper for the event loop to read than numpy scalars
+        self.arrivals = [times.tolist() for times in self.arrivals]
         flush = phy.ms_to_ticks(_FLUSH_INTERVAL_MS)
         for t in range(flush, self.horizon + 4 * flush, flush):
             self._push(t, _FLUSH, None)
@@ -291,20 +327,8 @@ class _Replication:
 
     def run(self) -> ReplicationSummary:
         heap = self._heap
-        handlers = {
-            _GEN: self._on_gen,
-            _UL_SIG_DCI: self._on_ul_sig_dci,
-            _UL_SIG_DATA: self._on_ul_sig_data,
-            _UL_DATA: self._on_ul_data,
-            _UL_RETX_DCI: self._on_ul_retx_dci,
-            _UL_RETX_DATA: self._on_ul_retx_data,
-            _UL_NACK: self._on_ul_nack,
-            _DL_INGEST: self._on_dl_ingest,
-            _DL_DCI: self._on_dl_dci,
-            _DL_DATA: self._on_dl_data,
-            _DL_NACK: self._on_dl_nack,
-            _FLUSH: self._on_flush,
-        }
+        handlers = (self._on_gen, self._on_sig_dci, self._on_sig_data, self._on_ingest,
+                    self._on_dci, self._on_data, self._on_nack, self._on_flush)
         while heap:
             tick, _, kind, payload = heapq.heappop(heap)
             handlers[kind](tick, payload)
@@ -317,220 +341,97 @@ class _Replication:
         s.util_dl = self.ctx.grids["DL"].utilization(*window)
         return s
 
-    # -- uplink -------------------------------------------------------------------
+    # -- arrivals and uplink signalling -------------------------------------------
 
     def _on_gen(self, now: int, payload) -> None:
         vid, idx = payload
         nxt = idx + 1
-        next_tick = int(self.arrivals[vid][nxt])
+        next_tick = self.arrivals[vid][nxt]
         if nxt < self._gen_count[vid]:
             heapq.heappush(self._heap, (next_tick, self._gen_base[vid] + nxt + 1, _GEN,
                                         (vid, nxt)))
-        pkt = _Packet(vid, now, next_tick, now >= self.warmup,
-                      self._rb_ul[self.vehicles[vid].cqi])
+        pkt = _Packet(vid, now, next_tick, now >= self.warmup)
+        leg = pkt.ul = _Leg(pkt, self._ul, self._rb_ul[self.vehicles[vid].cqi], now, 1)
         if pkt.counted:
             self.summary.n_generated += 1
-        if pkt.n_rb_ul is None:
+        if leg.n_rb is None:
             self.summary.n_unallocatable += pkt.counted
-            self._finish_packet(pkt, _DROPPED, "ul_unallocatable")
+            self._resolve_leg(leg, _DROPPED, "ul_unallocatable")
             return
         ctx = self.ctx
-        if self.scheme.scheduling == "dynamic":
-            prev = self._pending[vid]
-            if prev is not None and prev.state == _PENDING:
-                self._finish_packet(prev, _DROPPED, "superseded")
-            self._pending[vid] = pkt
-            chain = self._chains[vid]
-            if not chain.active:
-                chain.active = True
-                sr = lat.sr_chain(ctx, now)
-                chain.sr_wait = sr.sr_wait
-                self._push(sr.done + ctx.decode_half, _UL_SIG_DCI, vid)
-        else:
-            self._push(now + ctx.prepare_half, _UL_DATA, pkt)
+        if not self._dynamic:
+            self._push(now + ctx.prepare_half, _DATA, leg)
+            return
+        prev = self._waiting[vid]
+        self._waiting[vid] = leg
+        if prev is not None:
+            # the request in flight will serve the newest packet
+            self._resolve_leg(prev, _DROPPED, "superseded")
+            return
+        sr = lat.sr_chain(ctx, now)
+        self._push(sr.done + ctx.decode_half, _SIG_DCI, vid)
 
-    def _on_ul_sig_dci(self, now: int, vid: int) -> None:
-        ctx = self.ctx
-        chain = self._chains[vid]
-        grant = lat.grant_chain(ctx, now)
-        chain.queue = grant.queue
-        chain.grant_done = grant.done
-        self._push(grant.done + ctx.prepare_half, _UL_SIG_DATA, vid)
+    def _on_sig_dci(self, now: int, vid: int) -> None:
+        grant = lat.grant_chain(self.ctx, now)
+        self._push(grant.done + self.ctx.prepare_half, _SIG_DATA, vid)
 
-    def _on_ul_sig_data(self, now: int, vid: int) -> None:
+    def _on_sig_data(self, now: int, vid: int) -> None:
         """The grant issued to this UE serves its newest waiting packet."""
-        ctx = self.ctx
-        chain = self._chains[vid]
-        chain.active = False
-        pkt = self._pending[vid]
-        if pkt is None or pkt.state != _PENDING:
-            return
-        timing = lat.data_chain(
-            ctx, "UL", now, pkt.n_rb_ul, repeats=self.scheme.repeats,
-            deadline_tick=pkt.deadline,
-        )
-        if timing.placement is None:
-            self._pending[vid] = None
-            self._finish_packet(pkt, _DROPPED, "expired")
-            return
-        self._pending[vid] = None
-        bd = pkt.bd
-        bd.tx_proc = min(ctx.prepare_half, now - pkt.gen)
-        bd.sched = (now - pkt.gen) - bd.tx_proc
-        bd.sr_wait = chain.sr_wait
-        bd.queue_wait = chain.queue
-        self._fill_data_parts(bd, timing)
-        self._resolve_attempt(pkt, timing.delivered)
+        leg = self._waiting[vid]
+        self._waiting[vid] = None
+        self._on_data(now, leg)
 
-    def _on_ul_data(self, now: int, pkt: _Packet) -> None:
-        """Semi-static initial transmission from pre-assigned resources."""
-        if pkt.state != _PENDING:
+    # -- the leg state machine ------------------------------------------------------
+
+    def _on_data(self, now: int, leg: _Leg) -> None:
+        """A (re)transmission of the leg from the instant its data is
+        prepared, and its outcome: delivered, a NACK, or failed."""
+        if leg.state != _PENDING:
             return
         ctx = self.ctx
-        timing = lat.data_chain(
-            ctx, "UL", now, pkt.n_rb_ul, repeats=self.scheme.repeats,
-            deadline_tick=pkt.deadline,
-        )
-        if timing.placement is None:
-            self._finish_packet(pkt, _DROPPED, "expired")
-            return
-        bd = pkt.bd
-        bd.tx_proc = ctx.prepare_half
-        self._fill_data_parts(bd, timing)
-        self._resolve_attempt(pkt, timing.delivered)
-
-    def _fill_data_parts(self, bd: lat.LatencyBreakdown, timing: lat.DataTiming) -> None:
-        ctx = self.ctx
-        bd.align = timing.align
-        bd.wait = timing.wait
-        bd.airtime = timing.airtime
-        bd.rx_proc = ctx.decode_half
-        if self.scheme.retransmission == "k_repetitions":
-            bd.retx = (self.scheme.repeats - 1) * ctx.slot_ticks
-            bd.attempts = self.scheme.repeats
-
-    def _resolve_attempt(self, pkt: _Packet, delivered: int) -> None:
-        """Sample the outcome of a completed uplink (re)transmission."""
-        scheme = self.scheme
-        ok = True
-        if scheme.retransmission == "harq":
-            ok = not (self.rng.random() < scheme.bler)
-        elif scheme.retransmission == "k_repetitions":
-            ok = bool((self.rng.random(scheme.k) < scheme.bler).sum() < scheme.k)
-        elif scheme.mcs_table == "HEP":
-            ok = not (self.rng.random() < scheme.bler)
-        if ok:
-            pkt.ul_delivered = delivered
-            self._ingest_dl(pkt)
-            return
-        if scheme.retransmission == "harq" and pkt.bd.attempts <= scheme.harq_max_retx:
-            self._push(delivered, _UL_NACK, pkt)
-        else:
-            self._finish_packet(pkt, _FAILED, "ul_error")
-
-    def _on_ul_nack(self, now: int, pkt: _Packet) -> None:
-        if pkt.state != _PENDING:
-            return
-        ctx = self.ctx
-        pkt.cycle_start = now
-        pkt.bd.attempts += 1
-        nack_done = lat.nack_chain(ctx, "UL", now)
-        sr = lat.sr_chain(ctx, nack_done)
-        self._push(sr.done + ctx.decode_half, _UL_RETX_DCI, pkt)
-
-    def _on_ul_retx_dci(self, now: int, pkt: _Packet) -> None:
-        if pkt.state != _PENDING:
-            return
-        ctx = self.ctx
-        grant = lat.grant_chain(ctx, now)
-        self._push(grant.done + ctx.prepare_half, _UL_RETX_DATA, pkt)
-
-    def _on_ul_retx_data(self, now: int, pkt: _Packet) -> None:
-        if pkt.state != _PENDING:
-            return
-        timing = lat.data_chain(self.ctx, "UL", now, pkt.n_rb_ul,
-                                scan_limit_slots=self.scan_cap)
-        if timing.placement is None:
-            self._finish_packet(pkt, _FAILED, "retx_starved")
-            return
-        pkt.bd.retx += timing.delivered - pkt.cycle_start
-        self._resolve_attempt(pkt, timing.delivered)
-
-    # -- downlink -------------------------------------------------------------------
-
-    def _ingest_dl(self, pkt: _Packet) -> None:
-        """Schedule creation of the downlink counterpart(s) at the hand-over
-        boundary (next slot start, gNB preparation overlapping the gap)."""
-        ctx = self.ctx
-        ready = pkt.ul_delivered + ctx.prepare_half
-        boundary = -(-ready // ctx.slot_ticks) * ctx.slot_ticks
-        self._push(boundary - ctx.prepare_half, _DL_INGEST, pkt)
-
-    def _on_dl_ingest(self, now: int, pkt: _Packet) -> None:
-        vid = pkt.vehicle
-        for leg in self._dl_active.get(vid, ()):
-            if leg.state == _PENDING:
-                leg.cancelled = True
-                if leg.placement is not None:
-                    self.ctx.grids["DL"].release(leg.placement, not_before_tick=now)
-                self._resolve_leg(leg, _DROPPED, "dl_superseded")
-        scheme = self.scheme
-        if scheme.dl_cast == "unicast":
-            cqis = [self.vehicles[r].cqi for r in self.receivers[vid]]
-            pendings = [1] * len(cqis)
-        else:
-            cqis = [self.vehicles[vid].cqi]
-            pendings = [scheme.harq_group_size]
-        legs = [_Leg(pkt, self._rb_dl[cqi], now, pending)
-                for cqi, pending in zip(cqis, pendings)]
-        pkt.legs = legs
-        pkt.legs_open = len(legs)
-        self._dl_active[vid] = legs
-        ctx = self.ctx
-        for leg in legs:
-            if leg.n_rb is None:
-                self.summary.n_unallocatable += pkt.counted
-                self._resolve_leg(leg, _DROPPED, "dl_unallocatable")
-            elif scheme.scheduling == "dynamic":
-                self._push(now + ctx.decode_half, _DL_DCI, leg)
-            else:
-                self._push(now + ctx.prepare_half, _DL_DATA, leg)
-
-    def _on_dl_dci(self, now: int, leg: _Leg) -> None:
-        if leg.state != _PENDING or leg.cancelled:
-            return
-        ctx = self.ctx
-        grant = lat.grant_chain(ctx, now)
-        if leg.cycle_start == 0:
-            leg.bd.sched = grant.done - leg.created
-            leg.bd.queue_wait = grant.queue
-        self._push(grant.done + ctx.prepare_half, _DL_DATA, leg)
-
-    def _on_dl_data(self, now: int, leg: _Leg) -> None:
-        if leg.state != _PENDING or leg.cancelled:
-            return
-        ctx = self.ctx
+        hop = leg.hop
         retx = leg.cycle_start > 0
-        timing = lat.data_chain(
-            ctx, "DL", now, leg.n_rb, repeats=self.scheme.repeats,
-            deadline_tick=now + self.stale_span + 2 * ctx.slot_ticks,
-            scan_limit_slots=self.scan_cap,
-        )
+        repeats, deadline, scan = (hop.retx if retx else hop.first)(now, leg.pkt)
+        timing = lat.data_chain(ctx, hop.direction, now, leg.n_rb, repeats, deadline, scan)
         if timing.placement is None:
-            self._resolve_leg(leg, _FAILED if retx else _DROPPED, "dl_starved")
+            self._resolve_leg(leg, *hop.starved[retx])
             return
         leg.placement = timing.placement
+        bd = leg.bd
         if retx:
-            leg.bd.retx += timing.delivered - leg.cycle_start
+            bd.retx += timing.delivered - leg.cycle_start
         else:
-            bd = leg.bd
-            bd.tx_proc = ctx.prepare_half
-            self._fill_data_parts(bd, timing)
-        self._resolve_dl_attempt(leg, timing.delivered)
+            # signalling, then preparation: cut short for a packet that
+            # superseded another while its request was in flight
+            elapsed = now - leg.created
+            bd.tx_proc = tx_proc = min(ctx.prepare_half, elapsed)
+            bd.sched = elapsed - tx_proc
+            bd.align = timing.align
+            bd.wait = timing.wait
+            bd.airtime = timing.airtime
+            bd.rx_proc = ctx.decode_half
+            if self._repeats > 1:
+                bd.retx = (self._repeats - 1) * ctx.slot_ticks
+                bd.attempts = self._repeats
+        if self._attempt_ok(leg):
+            self._resolve_leg(leg, _DELIVERED, "", timing.delivered)
+        elif bd.attempts <= self._nack_limit:
+            self._push(timing.delivered, _NACK, leg)
+        else:
+            self._resolve_leg(leg, _FAILED, hop.error)
 
-    def _resolve_dl_attempt(self, leg: _Leg, delivered: int) -> None:
+    def _attempt_ok(self, leg: _Leg) -> bool:
+        """Whether a completed (re)transmission of the leg reached every
+        receiver it still has to reach.
+
+        HARQ draws one error per pending receiver and keeps the failed ones
+        pending; k repetitions fail only when all k copies do.  Without a
+        retransmission scheme an error is drawn for the HEP table but never
+        for LEP, although LEP's target BLER is 0.1: such a LEP transmission
+        always arrives.  ROADMAP item 2 holds the decision on that rule.
+        Tests override this method to force outcomes.
+        """
         scheme = self.scheme
-        ok = True
         if scheme.retransmission == "harq":
             # one scalar draw per receiver still waiting: the same stream
             # as rng.random(leg.pending), without the array round trip
@@ -540,80 +441,135 @@ class _Replication:
                 if random() < bler:
                     still += 1
             leg.pending = still
-            ok = still == 0
-        elif scheme.retransmission == "k_repetitions":
-            ok = bool((self.rng.random(scheme.k) < scheme.bler).sum() < scheme.k)
-        elif scheme.mcs_table == "HEP":
-            ok = not (self.rng.random() < scheme.bler)
-        if ok:
-            self._resolve_leg(leg, _DELIVERED, "", delivered)
-            return
-        if scheme.retransmission == "harq" and leg.bd.attempts <= scheme.harq_max_retx:
-            self._push(delivered, _DL_NACK, leg)
-        else:
-            self._resolve_leg(leg, _FAILED, "dl_error")
+            return still == 0
+        if scheme.retransmission == "k_repetitions":
+            return bool((self.rng.random(scheme.k) < scheme.bler).sum() < scheme.k)
+        if scheme.mcs_table == "HEP":
+            return not (self.rng.random() < scheme.bler)
+        return True
 
-    def _on_dl_nack(self, now: int, leg: _Leg) -> None:
-        if leg.state != _PENDING or leg.cancelled:
+    def _on_nack(self, now: int, leg: _Leg) -> None:
+        """The NACK hop, then (uplink) a scheduling request, then the grant."""
+        if leg.state != _PENDING:
             return
         ctx = self.ctx
         leg.cycle_start = now
         leg.bd.attempts += 1
-        nack_done = lat.nack_chain(ctx, "DL", now)
-        self._push(nack_done + ctx.decode_half, _DL_DCI, leg)
+        done = lat.nack_chain(ctx, leg.hop.direction, now)
+        if leg.hop.sr_after_nack:
+            done = lat.sr_chain(ctx, done).done
+        self._push(done + ctx.decode_half, _DCI, leg)
 
-    # -- resolution -------------------------------------------------------------------
+    def _on_dci(self, now: int, leg: _Leg) -> None:
+        """The DCI granting or assigning the leg's next attempt."""
+        if leg.state != _PENDING:
+            return
+        grant = lat.grant_chain(self.ctx, now)
+        self._push(grant.done + self.ctx.prepare_half, _DATA, leg)
 
     def _resolve_leg(self, leg: _Leg, state: int, detail: str,
                      delivered: int = 0) -> None:
+        """Close a pending leg.  A delivered uplink hands its packet over;
+        the packet resolves with its uplink or with its last downlink leg."""
         if leg.state != _PENDING:
             return
         leg.state = state
         pkt = leg.pkt
+        if leg is pkt.ul:
+            if state == _DELIVERED:
+                self._hand_over(pkt, delivered)
+            else:
+                self._finish_packet(pkt, state, detail)
+            return
         pkt.legs_open -= 1
+        if state == _DROPPED:
+            pkt.legs_dropped += 1
+        elif state == _FAILED:
+            pkt.legs_failed += 1
         if detail and not pkt.detail:
             pkt.detail = detail
-        if pkt.legs_open == 0 and pkt.state == _PENDING:
-            states = {l.state for l in pkt.legs}
-            if states == {_DELIVERED}:
-                self._finish_packet(pkt, _DELIVERED, "")
-            elif _DROPPED in states:
-                self._finish_packet(pkt, _DROPPED, pkt.detail)
+        if pkt.legs_open == 0:
+            outcome = (_DROPPED if pkt.legs_dropped else
+                       _FAILED if pkt.legs_failed else _DELIVERED)
+            self._finish_packet(pkt, outcome, pkt.detail)
+
+    # -- downlink hand-over --------------------------------------------------------
+
+    def _hand_over(self, pkt: _Packet, delivered: int) -> None:
+        """Schedule creation of the downlink leg(s) at the hand-over
+        boundary (next slot start, gNB preparation overlapping the gap)."""
+        ctx = self.ctx
+        ready = delivered + ctx.prepare_half
+        boundary = -(-ready // ctx.slot_ticks) * ctx.slot_ticks
+        self._push(boundary - ctx.prepare_half, _INGEST, pkt)
+
+    def _on_ingest(self, now: int, pkt: _Packet) -> None:
+        vid = pkt.vehicle
+        for leg in self._dl_active[vid]:
+            if leg.state == _PENDING:
+                if leg.placement is not None:
+                    self.ctx.grids["DL"].release(leg.placement, not_before_tick=now)
+                self._resolve_leg(leg, _DROPPED, "dl_superseded")
+        if self.receivers is None:
+            legs = (_Leg(pkt, self._dl, self._rb_dl[self.vehicles[vid].cqi], now,
+                         self.scheme.harq_group_size),)
+        else:
+            legs = [_Leg(pkt, self._dl, self._rb_dl[self.vehicles[r].cqi], now, 1)
+                    for r in self.receivers[vid]]
+        pkt.legs = legs
+        pkt.legs_open = len(legs)
+        self._dl_active[vid] = legs
+        ctx = self.ctx
+        kind, tick = ((_DCI, now + ctx.decode_half) if self._dynamic
+                      else (_DATA, now + ctx.prepare_half))
+        for leg in legs:
+            if leg.n_rb is None:
+                self.summary.n_unallocatable += pkt.counted
+                self._resolve_leg(leg, _DROPPED, "dl_unallocatable")
             else:
-                self._finish_packet(pkt, _FAILED, pkt.detail)
+                self._push(tick, kind, leg)
+
+    # -- resolution -------------------------------------------------------------------
 
     def _finish_packet(self, pkt: _Packet, state: int, detail: str) -> None:
-        if pkt.state != _PENDING:
-            return
+        """Record a packet whose legs are all resolved, then unlink them.
+
+        Each leg points back at its packet.  Dropping the packet's links to
+        its legs breaks that cycle, so reference counting frees both once
+        the last event holding a leg is popped; the cycle collector would
+        otherwise walk every finished packet, at a cost comparable to the
+        event loop's own.
+        """
         pkt.state = state
         pkt.detail = pkt.detail or detail
-        if not pkt.counted:
-            return
-        if self.trace_rows is not None:
-            self._trace(pkt)
-        s = self.summary
-        if state == _DELIVERED:
-            s.n_delivered += 1
-            ul = pkt.bd.total_ticks
-            dl = max(l.bd.total_ticks for l in pkt.legs)
-            self._uls.append(phy.ticks_to_ms(ul))
-            self._dls.append(phy.ticks_to_ms(dl))
-            self._totals.append(phy.ticks_to_ms(ul + dl))
-        elif state == _DROPPED:
-            s.n_dropped += 1
-        else:
-            s.n_failed += 1
+        if pkt.counted:
+            if self.trace_rows is not None:
+                self._trace(pkt)
+            s = self.summary
+            if state == _DELIVERED:
+                s.n_delivered += 1
+                ul = pkt.ul.bd.total_ticks
+                dl = max(l.bd.total_ticks for l in pkt.legs)
+                self._uls.append(phy.ticks_to_ms(ul))
+                self._dls.append(phy.ticks_to_ms(dl))
+                self._totals.append(phy.ticks_to_ms(ul + dl))
+            elif state == _DROPPED:
+                s.n_dropped += 1
+            else:
+                s.n_failed += 1
+        pkt.ul = None
+        pkt.legs = ()
 
     def _trace(self, pkt: _Packet) -> None:
         """One breakdown row per leg for the per-packet log."""
         base = {
             "vehicle": pkt.vehicle,
             "gen_ms": phy.ticks_to_ms(pkt.gen),
-            "disposition": DISPOSITIONS[pkt.state] if pkt.state != _PENDING else "pending",
+            "disposition": DISPOSITIONS[pkt.state],
             "detail": pkt.detail,
         }
-        self.trace_rows.append({**base, "leg": 0, **pkt.bd.as_ms_dict()})
-        for i, leg in enumerate(pkt.legs or ()):
+        self.trace_rows.append({**base, "leg": 0, **pkt.ul.bd.as_ms_dict()})
+        for i, leg in enumerate(pkt.legs):
             self.trace_rows.append({**base, "leg": i + 1, **leg.bd.as_ms_dict()})
 
     def _on_flush(self, now: int, _payload) -> None:

@@ -8,7 +8,9 @@ the retransmission schemes append either a fixed repetition tail or
 NACK-triggered cycles rescheduled dynamically on live state.
 
 Control-channel hops charge the decode-side half processing time on their
-transmit side and the prepare-side half on their receive side.
+transmit side and the prepare-side half on their receive side.  This module
+holds the chain segments; the engine composes them event by event, so that
+every touch of the live grids and DCI queue happens in global time order.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .phy import (
 
 SLOT_SYMBOLS = {"full": None, "mini7": 7, "mini4": 4}
 REPETITION_COUNTS = (2, 4, 8)
+NO_SCAN_LIMIT = 100_000   # slots; more than any horizon holds
 
 
 @dataclass(frozen=True)
@@ -89,8 +92,6 @@ class LatencyBreakdown:
     rx_proc: int = 0      # receiver processing (decode)
     retx: int = 0         # everything added by repetitions/retransmissions
     attempts: int = 1
-    sr_wait: int = 0      # diagnostic: SR-opportunity share of sched
-    queue_wait: int = 0   # diagnostic: DCI-queue share of sched
 
     @property
     def total_ticks(self) -> int:
@@ -124,17 +125,13 @@ class RadioContext:
         num: NumerologyProfile,
         proc: ProcessingTimes,
         control: ControlConfig,
-        scheme: SchemeConfig,
+        slot_type: str,
         ul_grid: SlotGrid,
         dl_grid: SlotGrid,
         dci_queue: ctl.DciQueue,
         sr_config: ctl.SrConfig,
         rng: np.random.Generator,
     ):
-        self.num = num
-        self.proc = proc
-        self.control = control
-        self.scheme = scheme
         self.grids = {"UL": ul_grid, "DL": dl_grid}
         self.dci_queue = dci_queue
         self.sr_config = sr_config
@@ -146,8 +143,8 @@ class RadioContext:
         self.tt_pucch = ctl.SR_RB_SYMBOLS * num.symbol_ticks
         self.tt_pdcch = control.n_sy_pdcch * num.symbol_ticks
         self._pucch_offset = (num.symbols_per_slot - control.n_sy_pucch) * num.symbol_ticks
-        self.full_slot = scheme.slot_type == "full"
-        fixed = SLOT_SYMBOLS[scheme.slot_type]
+        self.full_slot = slot_type == "full"
+        fixed = SLOT_SYMBOLS[slot_type]
         # data symbols per transport block, by direction
         self.n_sym = {d: g.data_symbols() if fixed is None else fixed
                       for d, g in self.grids.items()}
@@ -241,7 +238,7 @@ def data_chain(
     n_rb: int,
     repeats: int = 1,
     deadline_tick: int | None = None,
-    scan_limit_slots: int = 100_000,
+    scan_limit_slots: int = NO_SCAN_LIMIT,
 ) -> DataTiming:
     """Data hop from the instant the transport block is prepared: alignment,
     first-fit allocation, transmission, decode.  Placement is None when
@@ -256,162 +253,3 @@ def data_chain(
     end = placement.tx_end_tick
     return DataTiming(ready_tick, boundary - ready_tick, placement.start_tick - boundary,
                       airtime, placement, end, end + ctx.decode_half)
-
-
-def sched_latency_dl(ctx: RadioContext, packet_ready_tick: int) -> tuple[int, GrantTiming]:
-    """Downlink grant-signalling latency: assignment DCI processing,
-    alignment, queueing, transmission, decode.  Returns (ticks, parts)."""
-    grant = grant_chain(ctx, packet_ready_tick + ctx.decode_half)
-    return grant.done - packet_ready_tick, grant
-
-
-def sched_latency_ul(
-    ctx: RadioContext, packet_ready_tick: int, p: float | None = None
-) -> tuple[int, SrTiming, GrantTiming]:
-    """Uplink grant-signalling latency: scheduling request then grant DCI."""
-    sr = sr_chain(ctx, packet_ready_tick, p=p)
-    grant = grant_chain(ctx, sr.done + ctx.decode_half)
-    return grant.done - packet_ready_tick, sr, grant
-
-
-# -- spec-level operations --------------------------------------------------------
-
-
-def latency_semistatic(
-    ctx: RadioContext, direction: str, gen_tick: int, n_rb: int,
-    deadline_tick: int | None = None,
-) -> tuple[LatencyBreakdown, DataTiming]:
-    """Single transmission under pre-assigned (grant-free) scheduling: the
-    scheduling term is zero and the hop is the plain data chain."""
-    timing = data_chain(ctx, direction, gen_tick + ctx.prepare_half, n_rb,
-                        repeats=ctx.scheme.repeats, deadline_tick=deadline_tick)
-    bd = LatencyBreakdown(
-        direction,
-        sched=0,
-        tx_proc=ctx.prepare_half,
-        align=timing.align,
-        wait=timing.wait,
-        airtime=timing.airtime,
-        rx_proc=ctx.decode_half if timing.placement else 0,
-    )
-    if timing.placement and ctx.scheme.retransmission == "k_repetitions":
-        bd.retx = (ctx.scheme.repeats - 1) * ctx.slot_ticks
-        bd.attempts = ctx.scheme.repeats
-    return bd, timing
-
-
-def latency_dynamic(
-    ctx: RadioContext, direction: str, gen_tick: int, n_rb: int,
-    deadline_tick: int | None = None,
-) -> tuple[LatencyBreakdown, DataTiming]:
-    """Single transmission under per-packet grants.
-
-    Uplink: scheduling request then grant DCI then the data chain.  Downlink:
-    assignment DCI then the data chain.  Composed synchronously, so callers
-    that interleave packets must drive the segments event by event instead.
-    """
-    if direction == "UL":
-        sched, sr, grant = sched_latency_ul(ctx, gen_tick)
-        sr_wait = sr.sr_wait
-    else:
-        sched, grant = sched_latency_dl(ctx, gen_tick)
-        sr_wait = 0
-    timing = data_chain(ctx, direction, grant.done + ctx.prepare_half, n_rb,
-                        repeats=ctx.scheme.repeats, deadline_tick=deadline_tick)
-    bd = LatencyBreakdown(
-        direction,
-        sched=sched,
-        tx_proc=ctx.prepare_half,
-        align=timing.align,
-        wait=timing.wait,
-        airtime=timing.airtime,
-        rx_proc=ctx.decode_half if timing.placement else 0,
-        sr_wait=sr_wait,
-        queue_wait=grant.queue,
-    )
-    if timing.placement and ctx.scheme.retransmission == "k_repetitions":
-        bd.retx = (ctx.scheme.repeats - 1) * ctx.slot_ticks
-        bd.attempts = ctx.scheme.repeats
-    return bd, timing
-
-
-def apply_k_repetitions(base: LatencyBreakdown, k: int, slot_ticks: int) -> LatencyBreakdown:
-    """Blind repetition tail: exactly (k-1) slots on top of the base hop."""
-    if k not in REPETITION_COUNTS:
-        raise ConfigurationError(f"repetition count must be one of {REPETITION_COUNTS}")
-    base.retx += (k - 1) * slot_ticks
-    base.attempts = k
-    return base
-
-
-def apply_harq(
-    ctx: RadioContext,
-    base: LatencyBreakdown,
-    timing: DataTiming,
-    direction: str,
-    n_rb: int,
-    bler: float | None = None,
-    max_retx: int | None = None,
-    group_size: int = 1,
-    failure_plan: list[bool] | None = None,
-) -> tuple[LatencyBreakdown, bool, int]:
-    """NACK-triggered retransmissions on live state.
-
-    Each attempt fails independently per intended receiver with the table's
-    error rate; any failing receiver triggers one retransmission serving all.
-    Returns (breakdown, delivered, last_delivery_tick).  failure_plan forces
-    outcomes for deterministic tests (one entry per attempt, True = fail).
-    """
-    bler = ctx.scheme.bler if bler is None else bler
-    max_retx = ctx.scheme.harq_max_retx if max_retx is None else max_retx
-    pending = group_size
-    attempt = 0
-
-    def attempt_fails() -> bool:
-        nonlocal pending
-        if failure_plan is not None:
-            failed = failure_plan[attempt] if attempt < len(failure_plan) else False
-            pending = group_size if failed else 0
-            return failed
-        still = sum(1 for _ in range(pending) if ctx.rng.random() < bler)
-        pending = still
-        return still > 0
-
-    delivered_tick = timing.delivered
-    if not attempt_fails():
-        return base, True, delivered_tick
-    while attempt < max_retx:
-        attempt += 1
-        cycle_start = delivered_tick  # failure known once decode completes
-        nack_done = nack_chain(ctx, direction, cycle_start)
-        if direction == "UL":
-            sr = sr_chain(ctx, nack_done)
-            grant = grant_chain(ctx, sr.done + ctx.decode_half)
-        else:
-            grant = grant_chain(ctx, nack_done + ctx.decode_half)
-        retx_timing = data_chain(ctx, direction, grant.done + ctx.prepare_half, n_rb)
-        if retx_timing.placement is None:
-            base.attempts = attempt + 1
-            return base, False, delivered_tick
-        delivered_tick = retx_timing.delivered
-        base.retx += delivered_tick - cycle_start
-        base.attempts = attempt + 1
-        if not attempt_fails():
-            return base, True, delivered_tick
-    return base, False, delivered_tick
-
-
-def unicast_dl_latency(per_receiver_ticks: list[int], m: int) -> int:
-    """Fan-out completion: the slowest of the m receiver hops."""
-    if len(per_receiver_ticks) != m or m < 1:
-        raise ConfigurationError("need exactly one latency per receiver")
-    return max(per_receiver_ticks)
-
-
-def reliability_bound(bler: float, scheme: SchemeConfig) -> float:
-    """Upper bound on delivery probability from the per-attempt error rate."""
-    if scheme.retransmission == "k_repetitions":
-        return 1.0 - bler ** scheme.k
-    if scheme.retransmission == "harq":
-        return 1.0 - bler ** (scheme.harq_max_retx + 1)
-    return 1.0 - bler

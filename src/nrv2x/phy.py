@@ -54,10 +54,6 @@ class NumerologyProfile:
     def slot_duration_ms(self) -> float:
         return ticks_to_ms(self.slot_ticks)
 
-    @property
-    def symbol_duration_ms(self) -> float:
-        return ticks_to_ms(self.symbol_ticks)
-
 
 def numerology(scs_khz: int, cp: str | None = None) -> NumerologyProfile:
     """Build the profile for an FR1 subcarrier spacing.

@@ -126,22 +126,3 @@ def generate_arrivals(
             break
         t += half + float(rng.exponential(half))
     return np.array(times, dtype=np.int64)
-
-
-def dump_scenario(vehicles: list[Vehicle], arrivals: list[np.ndarray]) -> dict:
-    """JSON-ready snapshot of a generated world, replayable in regressions."""
-    return {
-        "vehicles": [
-            {"id": v.id, "lane": v.lane, "position_m": v.position_m,
-             "distance_m": v.distance_m, "cqi": v.cqi}
-            for v in vehicles
-        ],
-        "arrival_ticks": [a.tolist() for a in arrivals],
-    }
-
-
-def load_scenario(doc: dict) -> tuple[list[Vehicle], list[np.ndarray]]:
-    vehicles = [Vehicle(**v) for v in doc["vehicles"]]
-    arrivals = [np.array(a, dtype=np.int64) for a in doc["arrival_ticks"]]
-    return vehicles, arrivals
-

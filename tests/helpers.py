@@ -7,6 +7,7 @@ resolves to whichever was imported first."""
 import numpy as np
 
 from nrv2x import control as ctl
+from nrv2x import engine
 from nrv2x import latency as lat
 from nrv2x import phy
 from nrv2x.grid import SlotGrid
@@ -20,10 +21,46 @@ def make_context(scs=30, bw=20, scheme=None, control_variant=None, n_ue=50, seed
     control = phy.control_config(control_variant or scheme.control_variant)
     n_rb = phy.total_rbs(bw, scs)
     return lat.RadioContext(
-        num, proc, control, scheme,
+        num, proc, control, scheme.slot_type,
         SlotGrid(num, n_rb, control, "UL"),
         SlotGrid(num, n_rb, control, "DL"),
         ctl.DciQueue(control, num.slot_ticks),
         ctl.SrConfig.for_cell(control, n_ue),
         np.random.default_rng(seed),
     )
+
+
+# A world of one vehicle (one lane, 1.04 vehicles rounded to 1) sending a
+# packet every 100 ms: every hop meets otherwise empty grids and queues.
+ONE_VEHICLE = dict(lanes=1, density_veh_km_lane=0.6, interval_ms=100.0,
+                   horizon_ms=1000.0, warmup_ms=100.0)
+
+
+def replicate(cfg, ok=None, seed=0):
+    """Run one replication with a packet trace; returns (replication, rows).
+
+    With `ok`, every attempt's outcome is `ok(leg)` instead of a random draw.
+    """
+    cls = engine._Replication
+    if ok is not None:
+        class Forced(engine._Replication):
+            def _attempt_ok(self, leg):
+                return ok(leg)
+        cls = Forced
+    rows = []
+    rep = cls(cfg, np.random.default_rng(seed), rows)
+    rep.run()
+    return rep, rows
+
+
+def rows_by_packet(rows) -> dict:
+    """Trace rows grouped per packet, leg 0 (the uplink) first."""
+    out = {}
+    for row in rows:
+        out.setdefault((row["vehicle"], row["gen_ms"]), []).append(row)
+    return out
+
+
+def ticks(ms: float) -> int:
+    """A trace row's millisecond value back on the tick grid."""
+    return round(ms * phy.TICKS_PER_MS)

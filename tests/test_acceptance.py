@@ -14,12 +14,12 @@ from collections import deque
 import numpy as np
 import pytest
 
-from nrv2x import latency as lat
 from nrv2x import link, phy
 from nrv2x.control import DciQueue, SrConfig, sr_wait_slots
 from nrv2x.engine import RunConfig, run, run_replication
 from nrv2x.grid import SlotGrid
 from nrv2x.phy import ControlConfig
+from helpers import ONE_VEHICLE, replicate, rows_by_packet, ticks
 
 pytestmark = pytest.mark.acceptance
 
@@ -143,14 +143,23 @@ def test_criterion_5_broadcast_vs_unicast():
 def test_criterion_6_exact_properties():
     failures = []
 
-    # repetition delta is exactly (k-1) slots, at every numerology
-    for k in (2, 4, 8):
-        for scs in (15, 30, 60):
-            num = phy.numerology(scs)
-            bd = lat.LatencyBreakdown("UL", airtime=7)
-            before = bd.total_ticks
-            lat.apply_k_repetitions(bd, k, num.slot_ticks)
-            if bd.total_ticks - before != (k - 1) * num.slot_ticks:
+    # repetition delta is exactly (k-1) slots, at every numerology: every
+    # hop of a lone vehicle's packet against the same world without
+    # repetitions, read from the trace rows
+    for scs in (15, 30, 60):
+        slot = phy.numerology(scs).slot_ticks
+        _, plain = replicate(RunConfig(scs_khz=scs, **ONE_VEHICLE))
+        plain = rows_by_packet(plain)
+        for k in (2, 4, 8):
+            _, rows = replicate(RunConfig(scs_khz=scs, retransmission="k_repetitions",
+                                          k=k, **ONE_VEHICLE))
+            hops = [(a, b) for key, legs in rows_by_packet(rows).items()
+                    if legs[0]["disposition"] == plain[key][0]["disposition"] == "delivered"
+                    for a, b in zip(legs, plain[key])]
+            if len(hops) < 10 or any(
+                    ticks(a["total_ms"]) - ticks(b["total_ms"]) != (k - 1) * slot
+                    or ticks(a["retx_ms"]) != (k - 1) * slot or a["attempts"] != k
+                    for a, b in hops):
                 failures.append(f"k-rep delta k={k} scs={scs}")
 
     # SR wait distribution uniform over its support
@@ -173,15 +182,16 @@ def test_criterion_6_exact_properties():
     sigma = math.sqrt(1e-4 * (1 - 1e-4) / 1_000_000)
     if abs(p_fail - 1e-4) > 3 * sigma:
         failures.append(f"HARQ failure rate {p_fail:.2e}")
-    # the composition path agrees: forced-failure plans exhaust exactly at n
-    from helpers import make_context
-    scheme = lat.SchemeConfig(retransmission="harq", harq_max_retx=3)
-    ctx = make_context(scheme=scheme)
-    bd, timing = lat.latency_semistatic(ctx, "UL", 0, n_rb=2)
-    _, delivered, _ = lat.apply_harq(ctx, bd, timing, "UL", 2,
-                                     failure_plan=[True] * 4)
-    if delivered:
-        failures.append("HARQ survived 4 forced failures")
+    # the engine agrees: forced failures exhaust at exactly n + 1 attempts,
+    # on the uplink and on the downlink
+    for leg, direction in enumerate(("UL", "DL")):
+        cfg = RunConfig(retransmission="harq", harq_max_retx=3, **ONE_VEHICLE)
+        rep, rows = replicate(cfg, ok=lambda l, d=direction: l.hop.direction != d)
+        packets = rows_by_packet(rows).values()
+        if rep.summary.n_failed != len(packets) or not packets or any(
+                legs[leg]["attempts"] != 4 or legs[0]["detail"] != direction.lower() + "_error"
+                for legs in packets):
+            failures.append(f"{direction} HARQ did not fail at exactly 4 forced failures")
 
     # frame alignment bounded by the slot for every packet in a live run
     for slot_type in ("full", "mini7"):
@@ -194,9 +204,13 @@ def test_criterion_6_exact_properties():
         if bad:
             failures.append(f"{slot_type}: {len(bad)} alignments above one slot")
 
-    # fan-out latency equals the worst leg
-    if lat.unicast_dl_latency([5, 9, 3], 3) != 9:
-        failures.append("fan-out max wrong")
+    # fan-out: a delivered unicast packet's downlink latency is its worst leg
+    rep, rows = replicate(RunConfig(dl_cast="unicast", unicast_m=4, density_veh_km_lane=20,
+                                    horizon_ms=500.0, warmup_ms=100.0), seed=5)
+    worst = [max(r["total_ms"] for r in legs[1:]) for legs in rows_by_packet(rows).values()
+             if legs[0]["disposition"] == "delivered"]
+    if not worst or worst != rep.summary.dl_ms.tolist():
+        failures.append("fan-out latency is not the worst leg")
 
     _line("6 exact properties", not failures, "all checks exact" if not failures
           else "; ".join(failures))

@@ -1,8 +1,10 @@
+import heapq
 import json
 import math
 import os
 import subprocess
 import sys
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from nrv2x import engine, phy
 from nrv2x.engine import (MetricsReport, ReplicationSummary, RunConfig, aggregate,
                           check_requirement, percentile_with_drops, relative_error,
                           run, run_replication, write_packet_trace)
+from helpers import replicate
 
 GOLDEN = Path(__file__).parent / "data" / "golden_reports.json"
 
@@ -203,6 +206,44 @@ def test_components_non_negative_and_leg_counts():
             assert len(rows) == 1 + 3
 
 
+def test_forced_uplink_retransmissions_starve():
+    """An uplink retransmission looks only `scan_cap` slots ahead.  On a
+    carrier overloaded by forced uplink failures some find no room and fail
+    as `retx_starved`, a branch no golden row reaches; the counts are
+    pinned."""
+    n = 4
+    cfg = RunConfig(retransmission="harq", harq_max_retx=n, scheduling="dynamic",
+                    control_variant="conf2", interval_ms=5.0, mcs_table="HEP",
+                    bandwidth_mhz=10, density_veh_km_lane=80, horizon_ms=150.0,
+                    warmup_ms=50.0)
+    rep, rows = replicate(cfg, ok=lambda leg: leg.hop.direction == "DL" or leg.bd.attempts > n)
+    s = rep.summary
+    assert (s.n_delivered, s.n_dropped, s.n_failed) == (172, 16417, 31)
+    starved = [r for r in rows if r["detail"] == "retx_starved"]
+    assert len(starved) == 31
+    assert all(r["leg"] == 0 and r["disposition"] == "delivery_failed"
+               and 2 <= r["attempts"] <= n + 1 for r in starved)
+
+def test_lep_without_retransmission_never_fails():
+    """The rule `_Replication._attempt_ok` states: without a retransmission
+    scheme no LEP transmission is drawn as an error (ROADMAP item 2)."""
+    r = small_run(density_veh_km_lane=40, interval_ms=20.0, seed=9)
+    assert r.n_packets > 10_000
+    assert r.n_failed == 0
+
+
+def test_replications_replay_exactly():
+    """Replication i of a point replays alone from SeedSequence(seed).spawn(i + 1)[i];
+    aggregating the replays gives the point's report bit for bit."""
+    cfg = RunConfig(density_veh_km_lane=20, dl_cast="unicast", unicast_m=2, seed=5, **FAST)
+    reps = [run_replication(cfg, np.random.default_rng(
+        np.random.SeedSequence(cfg.seed).spawn(i + 1)[i])) for i in range(2)]
+    replay = aggregate(cfg, reps, 0.0, relative_error([r.mean_ms for r in reps])).to_row()
+    whole = run(cfg).to_row()
+    replay.pop("runtime_s")
+    whole.pop("runtime_s")
+    assert _bits(replay) == _bits(whole)
+
 def test_overload_replication_pinned():
     """One short replication of the congested 60 kHz mini7 point (the
     criterion 8a configuration): counts and latency sum are pinned bit for
@@ -221,8 +262,16 @@ def test_overload_replication_pinned():
     dict(min_replications=5, max_replications=4),
     dict(density_veh_km_lane=0.0),
     dict(density_veh_km_lane=0.01),
+    dict(retransmission="bogus"),
+    dict(retransmission="k_repetitions", k=3),
+    dict(traffic="bogus"),
+    dict(scs_khz=45),
+    dict(bandwidth_mhz=7),
+    dict(control_variant="conf9"),
 ], ids=["negative_density", "warmup_equals_horizon", "warmup_past_horizon",
-        "min_above_max_replications", "zero_density", "density_rounding_to_no_vehicle"])
+        "min_above_max_replications", "zero_density", "density_rounding_to_no_vehicle",
+        "unknown_retransmission", "bad_repetition_count", "unknown_traffic",
+        "unsupported_scs", "unsupported_bandwidth", "unknown_control_variant"])
 def test_run_config_rejects_bad_values(fields):
     with pytest.raises(phy.ConfigurationError):
         RunConfig(**fields)
@@ -247,6 +296,22 @@ def test_golden_report(case):
     row.pop("runtime_s")
     assert _bits(row) == _bits(case["report"])
 
+
+def test_golden_configurations_pop_every_event_kind(monkeypatch):
+    """The golden rows pin every event handler: together their runs pop each
+    kind the engine defines (kinds are numbered from 0, `_FLUSH` last)."""
+    popped = Counter()
+
+    def heappop(heap):
+        item = heapq.heappop(heap)
+        popped[item[2]] += 1
+        return item
+
+    monkeypatch.setattr(engine, "heapq",
+                        types.SimpleNamespace(heappush=heapq.heappush, heappop=heappop))
+    for case in _golden_cases():
+        run(RunConfig(**case["config"]))
+    assert set(popped) == set(range(engine._FLUSH + 1))
 
 def test_import_loads_no_scipy():
     src = str(Path(nrv2x.__file__).resolve().parents[1])

@@ -1,5 +1,7 @@
-"""Latency composition tests: chain arithmetic, repetition and HARQ algebra,
-fan-out, and reliability bounds."""
+"""Latency composition tests: the chain segments the engine composes (data,
+scheduling request, grant and NACK hops) on a quiescent context, and their
+composition into whole hops, repetitions, HARQ cycles and fan-out on engine
+runs, with outcomes forced where a test needs them."""
 
 import math
 
@@ -8,8 +10,9 @@ import pytest
 
 from nrv2x import latency as lat
 from nrv2x import phy
+from nrv2x.engine import RunConfig
 from nrv2x.phy import ConfigurationError
-from helpers import make_context
+from helpers import ONE_VEHICLE, make_context, replicate, rows_by_packet, ticks
 
 MS = phy.TICKS_PER_MS
 
@@ -35,126 +38,136 @@ def test_breakdown_total_is_component_sum():
 def test_semistatic_empty_grid(ctx):
     # single packet on an empty grid: no resource wait, exact serial chain
     gen = 100
-    bd, timing = lat.latency_semistatic(ctx, "UL", gen, n_rb=2)
-    assert bd.sched == 0 and bd.wait == 0
-    assert bd.tx_proc == ctx.prepare_half
-    assert bd.airtime == 13 * ctx.symbol_ticks
-    assert bd.rx_proc == ctx.decode_half
     ready = gen + ctx.prepare_half
-    assert bd.align == ctx.slot_ticks - ready  # next slot start
+    timing = lat.data_chain(ctx, "UL", ready, n_rb=2)
+    assert timing.wait == 0
+    assert timing.airtime == 13 * ctx.symbol_ticks
+    assert timing.align == ctx.slot_ticks - ready  # next slot start
+    assert timing.placement.start_tick == ready + timing.align
     assert timing.delivered == timing.placement.tx_end_tick + ctx.decode_half
-    assert bd.total_ticks == timing.delivered - gen
+    assert timing.delivered == ready + timing.align + timing.airtime + ctx.decode_half
 
 
 def test_dynamic_exceeds_semistatic_on_same_trace():
-    for direction in ("UL", "DL"):
-        scheme = lat.SchemeConfig(scheduling="dynamic", control_variant="conf3")
-        c1 = make_context(scheme=lat.SchemeConfig(), control_variant="conf3")
-        c2 = make_context(scheme=scheme)
-        bd_s, _ = lat.latency_semistatic(c1, direction, 100, n_rb=2)
-        bd_d, _ = lat.latency_dynamic(c2, direction, 100, n_rb=2)
-        assert bd_d.total_ticks > bd_s.total_ticks
-        assert bd_d.sched > 0
+    """Alone in the cell, every hop of every packet is slower with
+    per-packet grants than with pre-assigned ones on the same arrivals."""
+    _, dyn = replicate(RunConfig(scheduling="dynamic", control_variant="conf3", **ONE_VEHICLE))
+    _, semi = replicate(RunConfig(control_variant="conf3", **ONE_VEHICLE))
+    dyn, semi = rows_by_packet(dyn), rows_by_packet(semi)
+    assert dyn.keys() == semi.keys() and len(dyn) >= 8
+    for key, legs in dyn.items():
+        assert [r["direction"] for r in legs] == ["UL", "DL"]
+        for slow, fast in zip(legs, semi[key]):
+            assert fast["sched_ms"] == 0 < slow["sched_ms"]
+            assert slow["total_ms"] > fast["total_ms"]
 
 
-def test_dynamic_single_ue_conf3_component_chain(ctx_factory=make_context):
-    """Boundary-aligned arrival under ideal control: the scheduling chain is
-    processing halves plus the two control transmit times plus alignment."""
-    ctx = ctx_factory(control_variant="conf3",
-                      scheme=lat.SchemeConfig(scheduling="dynamic",
-                                              control_variant="conf3"))
-    bd, _ = lat.latency_dynamic(ctx, "UL", 0, n_rb=2)
-    sr_ready = ctx.decode_half
-    sr_occ = ctx.pucch_occasion(sr_ready)
-    sr_done = sr_occ + ctx.tt_pucch + ctx.prepare_half
-    dci = sr_done + ctx.decode_half
-    drain = ctx.pdcch_occasion_after(dci)
-    grant_done = drain + ctx.tt_pdcch + ctx.prepare_half
-    assert bd.sched == grant_done  # gen at 0
-    assert bd.sr_wait == 0 and bd.queue_wait == 0
+def test_dynamic_single_ue_conf3_component_chain():
+    """Alone in the cell under ideal control, a packet's uplink scheduling
+    term is the request-plus-grant chain from its arrival: processing
+    halves, the two control transmit times and alignment."""
+    cfg = RunConfig(scheduling="dynamic", control_variant="conf3", **ONE_VEHICLE)
+    rep, rows = replicate(cfg)
+    ctx = rep.ctx
+    packets = rows_by_packet(rows)
+    assert len(packets) >= 8
+    for (_, gen_ms), (ul, dl) in packets.items():
+        gen = ticks(gen_ms)
+        sr_done = ctx.pucch_occasion(gen + ctx.decode_half) + ctx.tt_pucch + ctx.prepare_half
+        grant_done = (ctx.pdcch_occasion_after(sr_done + ctx.decode_half)
+                      + ctx.tt_pdcch + ctx.prepare_half)
+        assert ul["disposition"] == "delivered"
+        assert ticks(ul["sched_ms"]) == grant_done - gen
+        assert 0 < dl["sched_ms"] < ul["sched_ms"]  # no request hop downlink
 
 
 def test_k_repetition_latency_deltas():
-    cases = [(2, 30, 0.5), (4, 15, 3.0), (8, 60, 1.75)]
-    for k, scs, delta_ms in cases:
-        num = phy.numerology(scs)
-        base = lat.LatencyBreakdown("UL", airtime=100)
-        before = base.total_ticks
-        lat.apply_k_repetitions(base, k, num.slot_ticks)
-        assert base.total_ticks - before == (k - 1) * num.slot_ticks
-        assert (base.total_ticks - before) / MS == pytest.approx(delta_ms)
-        assert base.attempts == k
+    """k blind repetitions add exactly (k-1) slots to each hop of a lone
+    vehicle's packet; criterion 6 covers every (k, SCS) pair."""
+    for k, scs, delta_ms in [(2, 30, 0.5), (4, 15, 3.0), (8, 60, 1.75)]:
+        _, plain = replicate(RunConfig(scs_khz=scs, **ONE_VEHICLE))
+        _, reps = replicate(RunConfig(scs_khz=scs, retransmission="k_repetitions", k=k,
+                                      **ONE_VEHICLE))
+        plain, reps = rows_by_packet(plain), rows_by_packet(reps)
+        delivered = [key for key, legs in reps.items()
+                     if legs[0]["disposition"] == plain[key][0]["disposition"] == "delivered"]
+        assert len(delivered) >= 8
+        slot = phy.numerology(scs).slot_ticks
+        for key in delivered:
+            for a, b in zip(reps[key], plain[key]):
+                assert ticks(a["total_ms"]) - ticks(b["total_ms"]) == (k - 1) * slot
+                assert a["retx_ms"] == pytest.approx(delta_ms)
+                assert a["attempts"] == k
     with pytest.raises(ConfigurationError):
-        lat.apply_k_repetitions(lat.LatencyBreakdown("UL"), 3, 336)
+        RunConfig(retransmission="k_repetitions", k=3)
 
 
 def test_k_repetitions_charge_grid(ctx):
-    scheme = lat.SchemeConfig(retransmission="k_repetitions", k=4)
-    ctx = make_context(scheme=scheme)
-    bd, timing = lat.latency_semistatic(ctx, "UL", 0, n_rb=3)
+    timing = lat.data_chain(ctx, "UL", 0, n_rb=3, repeats=4)
     assert timing.placement.repeats == 4
     grid = ctx.grids["UL"]
     start = timing.placement.slot_idx
     area = 3 * 13
-    for r in range(4):
+    for r in range(5):
         lo = (start + r) * grid.slot_ticks
-        assert grid.used_area_in(lo, lo + grid.slot_ticks) == area
-    assert bd.retx == 3 * ctx.slot_ticks
+        assert grid.used_area_in(lo, lo + grid.slot_ticks) == (area if r < 4 else 0)
 
 
-def test_harq_zero_bler_limit(ctx):
-    scheme = lat.SchemeConfig(retransmission="harq", harq_max_retx=3)
-    ctx = make_context(scheme=scheme)
-    bd, timing = lat.latency_semistatic(ctx, "UL", 0, n_rb=2)
-    before = bd.total_ticks
-    bd, delivered, _ = lat.apply_harq(ctx, bd, timing, "UL", 2, bler=1e-12, max_retx=3)
-    assert delivered
-    assert bd.total_ticks == before
-    assert bd.attempts == 1
+def test_harq_zero_bler_limit():
+    """HARQ whose every attempt succeeds reproduces the run without a
+    retransmission scheme, row for row."""
+    base = dict(density_veh_km_lane=20, interval_ms=20.0, horizon_ms=600.0,
+                warmup_ms=100.0)
+    _, harq = replicate(RunConfig(retransmission="harq", harq_max_retx=3, **base),
+                        ok=lambda leg: True, seed=4)
+    _, plain = replicate(RunConfig(**base), seed=4)
+    assert len(harq) > 1000 and harq == plain
+    assert {r["attempts"] for r in harq} == {1}
 
 
 def test_harq_single_forced_failure_cycle():
-    """One forced failure adds exactly one NACK + reschedule + data cycle."""
-    scheme = lat.SchemeConfig(scheduling="semi_static", retransmission="harq",
-                              harq_max_retx=3, control_variant="conf3")
-    ctx = make_context(scheme=scheme, control_variant="conf3")
-    bd, timing = lat.latency_semistatic(ctx, "UL", 0, n_rb=2)
-    base_total = bd.total_ticks
-    fail_known = timing.delivered
-
-    # independent recomputation of the single-cycle delta
-    nack_done = lat.nack_chain(ctx, "UL", fail_known)
-    # replay the sr/grant/data chain on a scratch context with the same state
-    probe = make_context(scheme=scheme, control_variant="conf3")
-    probe.grids["UL"].allocate(2, 13, 0, True)  # mirror the initial placement
-    sr = lat.sr_chain(probe, nack_done, p=0.0)
-    grant = lat.grant_chain(probe, sr.done + probe.decode_half)
-    data = lat.data_chain(probe, "UL", grant.done + probe.prepare_half, 2)
-    expected_delta = data.delivered - fail_known
-
-    bd, delivered, last = lat.apply_harq(
-        ctx, bd, timing, "UL", 2, max_retx=3, failure_plan=[True, False]
-    )
-    assert delivered
-    assert bd.attempts == 2
-    assert bd.total_ticks - base_total == expected_delta
-    assert last == fail_known + expected_delta
+    """One forced uplink failure adds exactly one NACK, request, grant and
+    data cycle, recomputed from the chain segments on a fresh context."""
+    cfg = RunConfig(retransmission="harq", harq_max_retx=3, control_variant="conf3",
+                    **ONE_VEHICLE)
+    rep, rows = replicate(
+        cfg, ok=lambda leg: leg.hop.direction == "DL" or leg.bd.attempts > 1)
+    n_rb = rep._rb_ul[rep.vehicles[0].cqi]
+    packets = rows_by_packet(rows)
+    assert len(packets) >= 8
+    for (_, gen_ms), (ul, dl) in packets.items():
+        gen = ticks(gen_ms)
+        probe = make_context(scheme=cfg.scheme(), control_variant="conf3")
+        first = lat.data_chain(probe, "UL", gen + probe.prepare_half, n_rb)
+        known = first.delivered          # the failure is known once decoded
+        sr = lat.sr_chain(probe, lat.nack_chain(probe, "UL", known), p=0.0)
+        grant = lat.grant_chain(probe, sr.done + probe.decode_half)
+        again = lat.data_chain(probe, "UL", grant.done + probe.prepare_half, n_rb)
+        assert ul["disposition"] == "delivered" and ul["attempts"] == 2
+        assert ticks(ul["total_ms"]) - ticks(ul["retx_ms"]) == known - gen
+        assert ticks(ul["retx_ms"]) == again.delivered - known
+        assert dl["attempts"] == 1 and dl["retx_ms"] == 0
 
 
-def test_harq_exhaustion_marks_failure(ctx):
-    scheme = lat.SchemeConfig(retransmission="harq", harq_max_retx=2)
-    ctx = make_context(scheme=scheme)
-    bd, timing = lat.latency_semistatic(ctx, "UL", 0, n_rb=2)
-    bd, delivered, _ = lat.apply_harq(
-        ctx, bd, timing, "UL", 2, max_retx=2, failure_plan=[True, True, True]
-    )
-    assert not delivered
-    assert bd.attempts == 3  # initial + 2 retransmissions
+def test_harq_exhaustion_marks_failure():
+    """Every attempt in one direction fails: each packet fails there after
+    exactly harq_max_retx + 1 attempts, under either scheduling."""
+    for scheduling in ("semi_static", "dynamic"):
+        for leg, direction in enumerate(("UL", "DL")):
+            cfg = RunConfig(scheduling=scheduling, retransmission="harq", harq_max_retx=2,
+                            **ONE_VEHICLE)
+            rep, rows = replicate(cfg, ok=lambda l, d=direction: l.hop.direction != d)
+            packets = rows_by_packet(rows)
+            assert rep.summary.n_failed == len(packets) >= 8
+            for legs in packets.values():
+                assert len(legs) == 1 + leg
+                assert legs[0]["disposition"] == "delivery_failed"
+                assert legs[0]["detail"] == direction.lower() + "_error"
+                assert legs[leg]["attempts"] == 3  # initial + 2 retransmissions
 
 
 def test_harq_delivery_probability_small_sample():
     # delivery rate over forced-free sampling approximates 1 - bler^(n+1)
-    scheme = lat.SchemeConfig(retransmission="harq", harq_max_retx=3)
     rng = np.random.default_rng(9)
     bler, n = 0.35, 3     # inflated bler so 4 attempts still fail sometimes
     trials = 200_000
@@ -172,25 +185,20 @@ def test_harq_delivery_probability_small_sample():
 
 
 def test_unicast_fanout_max():
-    assert lat.unicast_dl_latency([100], 1) == 100
-    assert lat.unicast_dl_latency([100, 250, 170], 3) == 250
-    with pytest.raises(ConfigurationError):
-        lat.unicast_dl_latency([], 0)
-    with pytest.raises(ConfigurationError):
-        lat.unicast_dl_latency([1, 2], 3)
-    # monotone in receiver count under nested sets
-    legs = [120, 80, 300, 40, 220, 500]
-    values = [max(legs[:m]) for m in range(1, 7)]
-    assert values == sorted(values)
-
-
-def test_reliability_bounds():
-    k4 = lat.SchemeConfig(retransmission="k_repetitions", k=4)
-    assert lat.reliability_bound(0.1, k4) == pytest.approx(0.9999)
-    harq3 = lat.SchemeConfig(retransmission="harq", harq_max_retx=3)
-    assert lat.reliability_bound(0.1, harq3) == pytest.approx(0.9999)
-    single = lat.SchemeConfig(mcs_table="HEP")
-    assert lat.reliability_bound(1e-5, single) == pytest.approx(0.99999)
+    """A delivered packet's downlink latency is its slowest receiver's leg,
+    and its total is uplink plus that downlink."""
+    cfg = RunConfig(dl_cast="unicast", unicast_m=3, density_veh_km_lane=10,
+                    horizon_ms=600.0, warmup_ms=100.0)
+    rep, rows = replicate(cfg, seed=7)
+    s = rep.summary
+    delivered = [legs for legs in rows_by_packet(rows).values()
+                 if legs[0]["disposition"] == "delivered"]
+    assert len(delivered) == s.n_delivered > 100
+    for i, legs in enumerate(delivered):
+        assert [r["leg"] for r in legs] == [0, 1, 2, 3]
+        assert s.dl_ms[i] == max(r["total_ms"] for r in legs[1:])
+        assert s.ul_ms[i] == legs[0]["total_ms"]
+        assert s.total_ms[i] == phy.ticks_to_ms(ticks(s.ul_ms[i]) + ticks(s.dl_ms[i]))
 
 
 def test_nack_chain_directions(ctx):
@@ -214,13 +222,18 @@ def test_frame_alignment_bound_over_offsets(ctx):
 
 
 def test_sched_latency_ops_match_dynamic_chain():
-    scheme = lat.SchemeConfig(scheduling="dynamic", control_variant="conf3")
-    a = make_context(scheme=scheme, control_variant="conf3")
-    b = make_context(scheme=scheme, control_variant="conf3")
-    sched_ul, sr, grant = lat.sched_latency_ul(a, 50, p=0.0)
-    bd, _ = lat.latency_dynamic(b, "UL", 50, n_rb=2)
-    assert bd.sched == sched_ul
-    assert sched_ul == (grant.done - 50)
-    c = make_context(scheme=scheme, control_variant="conf3")
-    sched_dl, _ = lat.sched_latency_dl(c, 50)
-    assert sched_dl < sched_ul  # no request hop in downlink signalling
+    """Under ideal control a grant chain is processing halves, the control
+    transmit times and alignment; downlink signalling lacks the request
+    hop, so it is shorter than uplink signalling."""
+    ctx = make_context(control_variant="conf3")
+    gen = 50
+    sr = lat.sr_chain(ctx, gen, p=0.7)
+    assert sr.sr_wait == 0
+    assert sr.done == ctx.pucch_occasion(gen + ctx.decode_half) + ctx.tt_pucch + ctx.prepare_half
+    ul = lat.grant_chain(ctx, sr.done + ctx.decode_half)
+    assert ul.queue == 0
+    assert ul.done == (ctx.pdcch_occasion_after(sr.done + ctx.decode_half)
+                       + ctx.tt_pdcch + ctx.prepare_half)
+    # the DCI queue takes messages in time order: the downlink one on its own
+    dl = lat.grant_chain(make_context(control_variant="conf3"), gen + ctx.decode_half)
+    assert dl.done < ul.done

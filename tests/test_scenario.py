@@ -85,17 +85,3 @@ def test_traffic_model_validation():
     with pytest.raises(phy.ConfigurationError):
         scn.TrafficModel("periodic", 0.0)
     assert scn.TrafficModel("periodic", 20.0).packet_bits == 2400
-
-
-def test_scenario_dump_roundtrip():
-    import json
-
-    rng = np.random.default_rng(6)
-    prof = link.default_link_profile("HEP")
-    vehicles = scn.place_vehicles(10, prof, rng)
-    model = scn.TrafficModel("aperiodic", 20.0)
-    arrivals = [scn.generate_arrivals(model, 100.0, rng) for _ in vehicles]
-    doc = json.loads(json.dumps(scn.dump_scenario(vehicles, arrivals)))
-    back_v, back_a = scn.load_scenario(doc)
-    assert back_v == vehicles
-    assert all((a == b).all() for a, b in zip(back_a, arrivals))
