@@ -45,11 +45,6 @@ def sr_wait_slots(p: float, sr: SrConfig) -> int:
     return math.ceil(p * sr.n_slots_sr) - 1
 
 
-def sr_wait(p: float, sr: SrConfig, slot_ticks: int) -> int:
-    """Eq. of the SR access delay, in ticks (a multiple of the slot)."""
-    return sr_wait_slots(p, sr) * slot_ticks
-
-
 class DciQueue:
     """FIFO of DCI messages drained once per slot with bounded capacity.
 
@@ -68,7 +63,6 @@ class DciQueue:
         self._tail_slot = -1
         self._tail_count = 0
         self._last_created = -1
-        self.enqueued = 0
 
     def first_eligible_slot(self, created_tick: int) -> int:
         """A DCI cannot ride the PDCCH of the slot it arrives in."""
@@ -79,7 +73,6 @@ class DciQueue:
         if created_tick < self._last_created:
             raise ConfigurationError("DCI messages must be enqueued in time order")
         self._last_created = created_tick
-        self.enqueued += 1
         eligible = self.first_eligible_slot(created_tick)
         if self.ideal:
             return eligible * self.slot_ticks
@@ -91,14 +84,6 @@ class DciQueue:
             self._tail_slot += 1
             self._tail_count = 1
         return self._tail_slot * self.slot_ticks
-
-    def backlog_slots(self, created_tick: int) -> int:
-        """Slots a DCI created now would wait beyond its eligible slot."""
-        eligible = self.first_eligible_slot(created_tick)
-        if self.ideal or self._tail_slot < eligible:
-            return 0
-        extra = 0 if self._tail_count < self.capacity else 1
-        return self._tail_slot - eligible + extra
 
 
 def pdcch_queue_delay(created_tick: int, queue: DciQueue) -> tuple[int, int, int]:

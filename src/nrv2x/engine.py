@@ -50,7 +50,7 @@ import heapq
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -73,30 +73,41 @@ _PENDING, _DELIVERED, _DROPPED, _FAILED = range(4)
 DISPOSITIONS = {_DELIVERED: "delivered", _DROPPED: "dropped_at_tx",
                 _FAILED: "delivery_failed"}
 
+# RunConfig fields that take one of a few values
+_CHOICES = {
+    "scheduling": ("semi_static", "dynamic"),
+    "retransmission": ("none", "k_repetitions", "harq"),
+    "dl_cast": ("broadcast", "unicast"),
+    "mcs_table": tuple(lnk.TARGET_BLER),
+    "slot_type": tuple(lat.SLOT_SYMBOLS),
+    "traffic": ("periodic", "aperiodic"),
+    "layers": (1, 2),
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
     """One evaluation point: radio scheme plus scenario and stopping rule.
 
-    Construction checks every value and builds the radio scheme and traffic
-    model once; they are attributes, not fields, so `asdict` and `key`
-    ignore them.
+    The one configuration record.  Construction checks every value and
+    every combination a replication depends on, so a configuration that
+    constructs also runs.
     """
 
     scs_khz: int = 30
     bandwidth_mhz: int = 20
-    scheduling: str = "semi_static"
-    retransmission: str = "none"
-    k: int = 0
-    harq_max_retx: int = 0
-    dl_cast: str = "broadcast"
-    unicast_m: int = 0
-    mcs_table: str = "LEP"
-    slot_type: str = "full"
-    control_variant: str = "conf1"
-    harq_group_size: int = 1
-    traffic: str = "periodic"
-    interval_ms: float = 100.0
+    scheduling: str = "semi_static"      # semi_static | dynamic
+    retransmission: str = "none"         # none | k_repetitions | harq
+    k: int = 0                           # repetition count (2, 4 or 8)
+    harq_max_retx: int = 0               # max NACK-triggered retransmissions
+    dl_cast: str = "broadcast"           # broadcast | unicast
+    unicast_m: int = 0                   # receivers per packet when unicast
+    mcs_table: str = "LEP"               # LEP | HEP
+    slot_type: str = "full"              # full | mini7 | mini4
+    control_variant: str = "conf1"       # conf1 | conf2 | conf3
+    harq_group_size: int = 1             # intended receivers for multicast HARQ
+    traffic: str = "periodic"            # periodic | aperiodic
+    interval_ms: float = 100.0           # period, or average gap
     density_veh_km_lane: float = 10.0
     packet_bytes: int = 300
     layers: int = 2
@@ -113,30 +124,48 @@ class RunConfig:
     relative_error_target: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.density_veh_km_lane < 0:
-            raise phy.ConfigurationError("density must be non-negative")
-        if scn.vehicle_count(self.density_veh_km_lane, self.lanes, self.cell_radius_m) == 0:
-            raise phy.ConfigurationError(
-                f"density {self.density_veh_km_lane:g} veh/km/lane places no vehicle in the cell")
-        if self.warmup_ms >= self.horizon_ms:
-            raise phy.ConfigurationError("warmup must end before the horizon")
-        if self.min_replications > self.max_replications:
-            raise phy.ConfigurationError("min_replications exceeds max_replications")
+        if not all(map(math.isfinite, (self.interval_ms, self.density_veh_km_lane,
+                                       self.cell_radius_m, self.horizon_ms, self.warmup_ms))):
+            raise phy.ConfigurationError("times, density and cell radius must be finite")
+        for name, allowed in _CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise phy.ConfigurationError(
+                    f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         num = phy.numerology(self.scs_khz)
         phy.total_rbs(self.bandwidth_mhz, self.scs_khz)
         phy.processing_times(num.mu, self.ue_capability)
         phy.control_config(self.control_variant)
-        scheme = lat.SchemeConfig(**{f.name: getattr(self, f.name)
-                                     for f in fields(lat.SchemeConfig)})
-        object.__setattr__(self, "_scheme", scheme)
-        object.__setattr__(self, "_traffic",
-                           scn.TrafficModel(self.traffic, self.interval_ms, self.packet_bytes))
-
-    def scheme(self) -> lat.SchemeConfig:
-        return self._scheme
-
-    def traffic_model(self) -> scn.TrafficModel:
-        return self._traffic
+        lnk.linear_cqi_map(self.cell_radius_m, edge_cqi=self.edge_cqi)
+        n_ue = scn.vehicle_count(self.density_veh_km_lane, self.lanes, self.cell_radius_m)
+        slot = num.slot_ticks
+        for ok, message in (
+            (self.retransmission != "k_repetitions" or self.k in lat.REPETITION_COUNTS,
+             f"repetition count must be one of {lat.REPETITION_COUNTS}"),
+            (self.retransmission != "harq" or self.harq_max_retx >= 1,
+             "harq needs at least one retransmission"),
+            (self.harq_group_size >= 1, "harq group size must be positive"),
+            (self.packet_bytes >= 1, "packet size must be positive"),
+            (self.cell_radius_m > 0, "cell radius must be positive"),
+            (self.lanes >= 1, "a road needs at least one lane"),
+            (self.density_veh_km_lane >= 0, "density must be non-negative"),
+            (n_ue >= 1, f"density {self.density_veh_km_lane:g} veh/km/lane places "
+                        "no vehicle in the cell"),
+            (self.dl_cast != "unicast" or 1 <= self.unicast_m < n_ue,
+             f"unicast needs between 1 and {n_ue - 1} receivers of the {n_ue} "
+             f"vehicles, got {self.unicast_m}"),
+            (phy.ms_to_ticks(self.interval_ms) >= 1, "interval must be positive"),
+            (self.warmup_ms >= 0, "warmup must be non-negative"),
+            # the utilization window needs a whole slot
+            (-(-phy.ms_to_ticks(self.warmup_ms) // slot)
+             < phy.ms_to_ticks(self.horizon_ms) // slot,
+             "warmup must end at least one slot before the horizon"),
+            (self.seed >= 0, "seed must be non-negative"),
+            (1 <= self.max_replications, "max_replications must be positive"),
+            (self.min_replications <= self.max_replications,
+             "min_replications exceeds max_replications"),
+        ):
+            if not ok:
+                raise phy.ConfigurationError(message)
 
     def key(self) -> str:
         """Canonical identifier of the configuration point (seed excluded)."""
@@ -225,13 +254,11 @@ class _Replication:
         self.cfg = cfg
         self.rng = rng
         self.trace_rows = trace_rows
-        scheme = cfg.scheme()
-        self.scheme = scheme
         num = phy.numerology(cfg.scs_khz)
         proc = phy.processing_times(num.mu, cfg.ue_capability)
         control = phy.control_config(cfg.control_variant)
         n_rb_total = phy.total_rbs(cfg.bandwidth_mhz, cfg.scs_khz)
-        profile = lnk.default_link_profile(cfg.mcs_table, cfg.edge_cqi)
+        profile = lnk.default_link_profile(cfg.mcs_table, cfg.edge_cqi, cfg.cell_radius_m)
 
         self.vehicles = scn.place_vehicles(
             cfg.density_veh_km_lane, profile, rng, cfg.lanes, cfg.cell_radius_m
@@ -240,7 +267,7 @@ class _Replication:
         ul_grid = SlotGrid(num, n_rb_total, control, "UL")
         dl_grid = SlotGrid(num, n_rb_total, control, "DL")
         self.ctx = lat.RadioContext(
-            num, proc, control, scheme.slot_type, ul_grid, dl_grid,
+            num, proc, control, cfg.slot_type, ul_grid, dl_grid,
             ctl.DciQueue(control, num.slot_ticks),
             ctl.SrConfig.for_cell(control, n_ue),
             rng,
@@ -248,8 +275,7 @@ class _Replication:
         ctx = self.ctx
 
         # packet footprints per CQI for each direction's data-region length
-        model = cfg.traffic_model()
-        bits = model.packet_bits
+        bits = cfg.packet_bytes * 8
         self._rb_ul: dict[int, int | None] = {}
         self._rb_dl: dict[int, int | None] = {}
         for cqi in {v.cqi for v in self.vehicles}:
@@ -264,20 +290,22 @@ class _Replication:
                     cache[cqi] = None
 
         self.receivers = (
-            scn.nearest_neighbours(self.vehicles, scheme.unicast_m)
-            if scheme.dl_cast == "unicast" else None
+            scn.nearest_neighbours(self.vehicles, cfg.unicast_m)
+            if cfg.dl_cast == "unicast" else None
         )
-        self.arrivals = [scn.generate_arrivals(model, cfg.horizon_ms, rng)
+        self.arrivals = [scn.generate_arrivals(cfg.traffic, cfg.interval_ms, cfg.horizon_ms, rng)
                          for _ in self.vehicles]
 
         self.warmup = phy.ms_to_ticks(cfg.warmup_ms)
         self.horizon = phy.ms_to_ticks(cfg.horizon_ms)
         stale_span = 2 * phy.ms_to_ticks(cfg.interval_ms)
         self.scan_cap = stale_span // num.slot_ticks + 2
-        self._dynamic = scheme.scheduling == "dynamic"
-        self._repeats = repeats = scheme.repeats
+        self._dynamic = cfg.scheduling == "dynamic"
+        self._retx = cfg.retransmission
+        self._repeats = repeats = cfg.k if cfg.retransmission == "k_repetitions" else 1
+        self._bler = lnk.TARGET_BLER[cfg.mcs_table]
         # attempts after which a failure is final; 0 when nothing is retransmitted
-        self._nack_limit = scheme.harq_max_retx if scheme.retransmission == "harq" else 0
+        self._nack_limit = cfg.harq_max_retx if cfg.retransmission == "harq" else 0
 
         # Uplink: a first attempt must start before the packet goes stale; a
         # retransmission sends one copy within the scan cap, with no deadline.
@@ -431,21 +459,21 @@ class _Replication:
         always arrives.  ROADMAP item 2 holds the decision on that rule.
         Tests override this method to force outcomes.
         """
-        scheme = self.scheme
-        if scheme.retransmission == "harq":
+        if self._retx == "harq":
             # one scalar draw per receiver still waiting: the same stream
             # as rng.random(leg.pending), without the array round trip
-            random, bler = self.rng.random, scheme.bler
+            random, bler = self.rng.random, self._bler
             still = 0
             for _ in range(leg.pending):
                 if random() < bler:
                     still += 1
             leg.pending = still
             return still == 0
-        if scheme.retransmission == "k_repetitions":
-            return bool((self.rng.random(scheme.k) < scheme.bler).sum() < scheme.k)
-        if scheme.mcs_table == "HEP":
-            return not (self.rng.random() < scheme.bler)
+        if self._retx == "k_repetitions":
+            k = self._repeats
+            return bool((self.rng.random(k) < self._bler).sum() < k)
+        if self.cfg.mcs_table == "HEP":
+            return not (self.rng.random() < self._bler)
         return True
 
     def _on_nack(self, now: int, leg: _Leg) -> None:
@@ -512,7 +540,7 @@ class _Replication:
                 self._resolve_leg(leg, _DROPPED, "dl_superseded")
         if self.receivers is None:
             legs = (_Leg(pkt, self._dl, self._rb_dl[self.vehicles[vid].cqi], now,
-                         self.scheme.harq_group_size),)
+                         self.cfg.harq_group_size),)
         else:
             legs = [_Leg(pkt, self._dl, self._rb_dl[self.vehicles[r].cqi], now, 1)
                     for r in self.receivers[vid]]
@@ -656,8 +684,6 @@ def aggregate(cfg: RunConfig, reps: list[ReplicationSummary], runtime_s: float,
               rel_err: float) -> MetricsReport:
     """Pool per-packet samples across replications (never averages of
     averages); the confidence interval is over replication means."""
-    if not reps:
-        raise phy.ConfigurationError("nothing to aggregate")
     delivered = np.concatenate([r.total_ms for r in reps])
     uls = np.concatenate([r.ul_ms for r in reps])
     dls = np.concatenate([r.dl_ms for r in reps])

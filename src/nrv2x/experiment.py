@@ -3,10 +3,11 @@ resumable CSV results, and plottable series extraction.
 
 A sweep file holds a ``base`` mapping of RunConfig fields plus an ``axes``
 mapping of field name to value list; the cartesian product of the axes is
-enumerated in a deterministic order.  Every completed point writes one CSV
-row keyed by the point's canonical configuration key, so re-running a sweep
-skips finished points.  A JSON sidecar records the fully resolved
-configuration of every point and the code version for reproducibility.
+enumerated in a deterministic order, and every point is checked before
+any point runs.  Every completed point writes one CSV row keyed by the
+point's canonical configuration key, so re-running a sweep skips finished
+points.  A JSON sidecar records the fully resolved configuration of every
+point and the code version for reproducibility.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import dataclasses
 import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 import yaml
@@ -135,60 +137,48 @@ def _load_done_keys(csv_path: Path) -> set[str]:
         return {row["config_key"] for row in csv.DictReader(fh)}
 
 
-def _run_point(cfg: RunConfig) -> MetricsReport:
-    return run(cfg)
+def _write_sidecar(path: Path, sidecar: dict) -> None:
+    """Replace the sidecar atomically: a reader sees the old or the new one."""
+    tmp = path.with_suffix(".tmp")
+    tmp.write_text(json.dumps(sidecar, indent=1, sort_keys=True))
+    tmp.replace(path)
 
 
-def run_sweep(spec: ExperimentSpec, out_dir: str | Path,
-              progress=None) -> tuple[Path, int]:
-    """Execute every pending sweep point; returns (csv path, failure count).
+def run_sweep(spec: ExperimentSpec, out_dir: str | Path, progress=None) -> Path:
+    """Execute every pending sweep point; returns the CSV path.
 
+    An invalid point raises `ConfigurationError` before any point runs.
     Completed points (config keys already present in the CSV) are skipped,
-    making interrupted sweeps resumable.  Failing points are recorded in the
-    sidecar and do not stop the sweep.
+    and the sidecar is rewritten after every point, so an interrupted sweep
+    resumes where it stopped.
     """
+    points = spec.points()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "results.csv"
     sidecar_path = out / "results.meta.json"
     done = _load_done_keys(csv_path)
-    points = [p for p in spec.points() if p.key() not in done]
+    points = [p for p in points if p.key() not in done]
     new_file = not csv_path.exists()
-    failures: list[tuple[str, str]] = []
-    sidecar = {"version": __version__, "spec": spec.to_mapping(), "points": {}}
+    sidecar = {"version": __version__, "points": {}}
     if sidecar_path.exists():
         sidecar = json.loads(sidecar_path.read_text())
-        sidecar["spec"] = spec.to_mapping()
-
-    def emit(writer, fh, cfg, report):
-        writer.writerow(_row_for(cfg, report))
-        fh.flush()
-        sidecar["points"][cfg.key()] = dataclasses.asdict(cfg)
-        if progress:
-            progress(report)
-
-    with open(csv_path, "a", newline="") as fh:
+    sidecar["spec"] = spec.to_mapping()
+    _write_sidecar(sidecar_path, sidecar)
+    parallel = spec.workers > 1 and len(points) > 1
+    with (ProcessPoolExecutor(spec.workers) if parallel else nullcontext()) as pool, \
+            open(csv_path, "a", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_result_fieldnames())
         if new_file:
             writer.writeheader()
-        if spec.workers > 1 and len(points) > 1:
-            with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-                for cfg, report in zip(points, pool.map(_run_point, points)):
-                    emit(writer, fh, cfg, report)
-        else:
-            for cfg in points:
-                try:
-                    report = _run_point(cfg)
-                except ConfigurationError as exc:
-                    failures.append((cfg.key(), str(exc)))
-                    sidecar["points"][cfg.key()] = {
-                        **dataclasses.asdict(cfg), "error": str(exc)
-                    }
-                    continue
-                emit(writer, fh, cfg, report)
-    sidecar["failures"] = failures
-    sidecar_path.write_text(json.dumps(sidecar, indent=1, sort_keys=True))
-    return csv_path, len(failures)
+        for cfg, report in zip(points, (pool.map if parallel else map)(run, points)):
+            writer.writerow(_row_for(cfg, report))
+            fh.flush()
+            sidecar["points"][cfg.key()] = dataclasses.asdict(cfg)
+            _write_sidecar(sidecar_path, sidecar)
+            if progress:
+                progress(report)
+    return csv_path
 
 
 def read_results(csv_path: str | Path) -> list[dict]:

@@ -87,16 +87,9 @@ class _Slot:
 class SlotGrid:
     """Occupancy state for one direction of one cell."""
 
-    def __init__(
-        self,
-        num: NumerologyProfile,
-        n_rb_total: int,
-        control: ControlConfig,
-        direction: str,
-        trace: list | None = None,
-    ):
+    def __init__(self, num: NumerologyProfile, n_rb_total: int, control: ControlConfig,
+                 direction: str):
         region = data_region(num, direction, control)
-        self.trace = trace
         self.num = num
         self.direction = direction
         self.n_rb = n_rb_total
@@ -122,9 +115,6 @@ class SlotGrid:
         self._released_before = 0  # slots below this index have been freed
 
     # -- geometry -------------------------------------------------------------
-
-    def data_symbols(self) -> int:
-        return self.region_len
 
     def start_symbols(self, n_symbols: int, full_slot: bool) -> tuple[int, ...]:
         """Admissible start symbols inside one slot for an n_symbols burst."""
@@ -168,7 +158,6 @@ class SlotGrid:
         repeats: int = 1,
         max_tx_end_tick: int | None = None,
         scan_limit_slots: int = 100_000,
-        owner=None,
     ) -> tuple[Placement | None, int]:
         """First-fit rectangle at or after earliest_tick.
 
@@ -227,9 +216,6 @@ class SlotGrid:
                             t = slots[idx] = _Slot(self._area, self._no_fit_unknown)
                         t.occ |= cells
                         t.free_area -= area
-                    if self.trace is not None:
-                        for r in range(repeats):
-                            self.trace.append((slot + r, rb, n_rb, sym, n_symbols, owner))
                     return Placement(slot, sym, n_symbols, rb, n_rb, repeats, tick,
                                      tick + burst + extra), first_boundary
             else:

@@ -21,62 +21,11 @@ import numpy as np
 
 from . import control as ctl
 from .grid import Placement, SlotGrid
-from .link import TARGET_BLER
-from .phy import (
-    ConfigurationError,
-    ControlConfig,
-    NumerologyProfile,
-    ProcessingTimes,
-    ticks_to_ms,
-)
+from .phy import ControlConfig, NumerologyProfile, ProcessingTimes, ticks_to_ms
 
 SLOT_SYMBOLS = {"full": None, "mini7": 7, "mini4": 4}
 REPETITION_COUNTS = (2, 4, 8)
 NO_SCAN_LIMIT = 100_000   # slots; more than any horizon holds
-
-
-@dataclass(frozen=True)
-class SchemeConfig:
-    """One full radio configuration."""
-
-    scheduling: str = "semi_static"      # semi_static | dynamic
-    retransmission: str = "none"         # none | k_repetitions | harq
-    k: int = 0                           # repetition count (2, 4 or 8)
-    harq_max_retx: int = 0               # max NACK-triggered retransmissions
-    dl_cast: str = "broadcast"           # broadcast | unicast
-    unicast_m: int = 0                   # receivers per packet when unicast
-    mcs_table: str = "LEP"               # LEP | HEP
-    slot_type: str = "full"              # full | mini7 | mini4
-    control_variant: str = "conf1"       # conf1 | conf2 | conf3
-    harq_group_size: int = 1             # intended receivers for multicast HARQ
-
-    def __post_init__(self):
-        if self.scheduling not in ("semi_static", "dynamic"):
-            raise ConfigurationError(f"unknown scheduling {self.scheduling!r}")
-        if self.retransmission not in ("none", "k_repetitions", "harq"):
-            raise ConfigurationError(f"unknown retransmission {self.retransmission!r}")
-        if self.retransmission == "k_repetitions" and self.k not in REPETITION_COUNTS:
-            raise ConfigurationError(f"repetition count must be one of {REPETITION_COUNTS}")
-        if self.retransmission == "harq" and self.harq_max_retx < 1:
-            raise ConfigurationError("harq needs at least one retransmission")
-        if self.dl_cast not in ("broadcast", "unicast"):
-            raise ConfigurationError(f"unknown cast mode {self.dl_cast!r}")
-        if self.dl_cast == "unicast" and self.unicast_m < 1:
-            raise ConfigurationError("unicast needs at least one receiver")
-        if self.mcs_table not in ("LEP", "HEP"):
-            raise ConfigurationError(f"unknown MCS table {self.mcs_table!r}")
-        if self.slot_type not in SLOT_SYMBOLS:
-            raise ConfigurationError(f"unknown slot type {self.slot_type!r}")
-        if self.harq_group_size < 1:
-            raise ConfigurationError("harq group size must be positive")
-
-    @property
-    def repeats(self) -> int:
-        return self.k if self.retransmission == "k_repetitions" else 1
-
-    @property
-    def bler(self) -> float:
-        return TARGET_BLER[self.mcs_table]
 
 
 @dataclass(slots=True)
@@ -146,7 +95,7 @@ class RadioContext:
         self.full_slot = slot_type == "full"
         fixed = SLOT_SYMBOLS[slot_type]
         # data symbols per transport block, by direction
-        self.n_sym = {d: g.data_symbols() if fixed is None else fixed
+        self.n_sym = {d: g.region_len if fixed is None else fixed
                       for d, g in self.grids.items()}
 
     # -- control-channel occasions ---------------------------------------------
@@ -181,7 +130,7 @@ def sr_chain(ctx: RadioContext, start_tick: int, p: float | None = None) -> SrTi
     occasion = ctx.pucch_occasion(ready)
     if p is None:
         p = float(ctx.rng.random())
-    wait = ctl.sr_wait(p, ctx.sr_config, ctx.slot_ticks)
+    wait = ctl.sr_wait_slots(p, ctx.sr_config) * ctx.slot_ticks
     tx_start = occasion + wait
     done = tx_start + ctx.tt_pucch + ctx.prepare_half
     return SrTiming(ready, occasion - ready, wait, tx_start, done)

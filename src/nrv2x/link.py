@@ -77,19 +77,15 @@ class LinkProfile:
 
     cqi_map is an ordered list of (upper distance bound in metres, cqi);
     bounds are strictly increasing and the last bound is the cell radius.
+    The table's target BLER is `TARGET_BLER[mcs_table]`.
     """
 
     mcs_table: str
-    target_bler: float
     cqi_map: tuple[tuple[float, int], ...]
 
     def __post_init__(self):
         if self.mcs_table not in MCS_TABLES:
             raise ConfigurationError(f"unknown MCS table {self.mcs_table!r}")
-        if self.target_bler != TARGET_BLER[self.mcs_table]:
-            raise ConfigurationError(
-                f"{self.mcs_table} requires target BLER {TARGET_BLER[self.mcs_table]}"
-            )
         bounds = [b for b, _ in self.cqi_map]
         if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
             raise ConfigurationError("cqi_map distance bounds must be strictly increasing")
@@ -114,8 +110,9 @@ def linear_cqi_map(
     return tuple((width * (i + 1), best_cqi - i) for i in range(steps))
 
 
-def default_link_profile(mcs_table: str, edge_cqi: int = DEFAULT_EDGE_CQI) -> LinkProfile:
-    return LinkProfile(mcs_table, TARGET_BLER[mcs_table], linear_cqi_map(edge_cqi=edge_cqi))
+def default_link_profile(mcs_table: str, edge_cqi: int = DEFAULT_EDGE_CQI,
+                         cell_radius_m: float = DEFAULT_CELL_RADIUS_M) -> LinkProfile:
+    return LinkProfile(mcs_table, linear_cqi_map(cell_radius_m, edge_cqi=edge_cqi))
 
 
 def cqi_from_distance(distance_m: float, profile: LinkProfile) -> int:

@@ -16,9 +16,6 @@ from importlib import resources
 
 TICKS_PER_MS = 672
 
-#: cell bandwidths evaluated (MHz)
-SUPPORTED_BW_MHZ = (10, 20, 30, 40, 50)
-
 
 def ticks_to_ms(ticks: int) -> float:
     return ticks / TICKS_PER_MS
@@ -50,37 +47,23 @@ class NumerologyProfile:
     slot_ticks: int
     symbol_ticks: int
 
-    @property
-    def slot_duration_ms(self) -> float:
-        return ticks_to_ms(self.slot_ticks)
 
-
-def numerology(scs_khz: int, cp: str | None = None) -> NumerologyProfile:
+def numerology(scs_khz: int) -> NumerologyProfile:
     """Build the profile for an FR1 subcarrier spacing.
 
     The evaluated set pairs 15/30 kHz with the normal cyclic prefix and
-    60 kHz with the extended one; other pairings are rejected.
+    60 kHz with the extended one.
     """
     mu_by_scs = {15: 0, 30: 1, 60: 2}
     if scs_khz not in mu_by_scs:
         raise ConfigurationError(f"unsupported subcarrier spacing {scs_khz} kHz")
     mu = mu_by_scs[scs_khz]
-    default_cp = "ECP" if scs_khz == 60 else "NCP"
-    cp = cp or default_cp
-    if cp != default_cp:
-        raise ConfigurationError(f"{cp} is not supported with {scs_khz} kHz SCS")
+    cp = "ECP" if scs_khz == 60 else "NCP"
     symbols = 14 if cp == "NCP" else 12
     slot_ticks = TICKS_PER_MS >> mu
     if slot_ticks % symbols:
         raise ConfigurationError("tick grid does not divide the symbol duration")
     return NumerologyProfile(mu, scs_khz, cp, symbols, slot_ticks, slot_ticks // symbols)
-
-
-def slot_duration(mu: int) -> float:
-    """Slot length in ms for numerology index mu (FR1: 0, 1, 2)."""
-    if mu not in (0, 1, 2):
-        raise ConfigurationError(f"numerology index {mu} outside FR1 set")
-    return 1.0 / (1 << mu)
 
 
 _NRB_TABLE: dict[tuple[int, int], int] = {
@@ -117,14 +100,6 @@ class ProcessingTimes:
     mu: int
     decode_ticks: int      # PDSCH processing procedure time
     prepare_ticks: int     # PUSCH preparation procedure time
-
-    @property
-    def t_proc1_ms(self) -> float:
-        return ticks_to_ms(self.decode_ticks)
-
-    @property
-    def t_proc2_ms(self) -> float:
-        return ticks_to_ms(self.prepare_ticks)
 
     @property
     def decode_half(self) -> int:

@@ -28,30 +28,6 @@ class Vehicle:
     cqi: int
 
 
-@dataclass(frozen=True)
-class TrafficModel:
-    """Periodic (fixed period, random phase) or aperiodic traffic.
-
-    Aperiodic gaps are interval/2 plus an exponential of the same mean, so
-    the expected gap equals the interval and no gap is shorter than half of
-    it.
-    """
-
-    kind: str              # "periodic" | "aperiodic"
-    interval_ms: float     # period, or average gap
-    packet_bytes: int = 300
-
-    def __post_init__(self):
-        if self.kind not in ("periodic", "aperiodic"):
-            raise ConfigurationError(f"unknown traffic kind {self.kind!r}")
-        if self.interval_ms <= 0:
-            raise ConfigurationError("interval must be positive")
-
-    @property
-    def packet_bits(self) -> int:
-        return self.packet_bytes * 8
-
-
 def vehicle_count(density_veh_km_lane: float, lanes: int = DEFAULT_LANES,
                   cell_radius_m: float = DEFAULT_CELL_RADIUS_M) -> int:
     return round(density_veh_km_lane * lanes * 2 * cell_radius_m / 1000.0)
@@ -101,24 +77,24 @@ def nearest_neighbours(vehicles: list[Vehicle], m: int) -> list[tuple[int, ...]]
     return out
 
 
-def generate_arrivals(
-    model: TrafficModel,
-    horizon_ms: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def generate_arrivals(kind: str, interval_ms: float, horizon_ms: float,
+                      rng: np.random.Generator) -> np.ndarray:
     """Arrival ticks for one vehicle: every in-horizon arrival plus one past
-    the horizon so the last packet has a staleness deadline."""
-    if horizon_ms <= 0:
-        raise ConfigurationError("horizon must be positive")
+    the horizon so the last packet has a staleness deadline.
+
+    Periodic traffic has a fixed period and a random phase.  Aperiodic gaps
+    are interval/2 plus an exponential of the same mean, so the expected gap
+    equals the interval and no gap is shorter than half of it.
+    """
     horizon = ms_to_ticks(horizon_ms)
-    if model.kind == "periodic":
-        period = ms_to_ticks(model.interval_ms)
+    if kind == "periodic":
+        period = ms_to_ticks(interval_ms)
         phase = int(rng.integers(0, period))
         n = (horizon - phase) // period + 2
         return phase + period * np.arange(n, dtype=np.int64)
     times = []
-    t = float(rng.uniform(0.0, model.interval_ms))
-    half = model.interval_ms / 2.0
+    t = float(rng.uniform(0.0, interval_ms))
+    half = interval_ms / 2.0
     while True:
         tick = ms_to_ticks(t)
         times.append(tick)

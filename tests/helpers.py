@@ -13,15 +13,14 @@ from nrv2x import phy
 from nrv2x.grid import SlotGrid
 
 
-def make_context(scs=30, bw=20, scheme=None, control_variant=None, n_ue=50, seed=0):
+def make_context(scs=30, bw=20, slot_type="full", control_variant="conf1", n_ue=50, seed=0):
     """Quiescent RadioContext for unit-level latency composition tests."""
-    scheme = scheme or lat.SchemeConfig()
     num = phy.numerology(scs)
     proc = phy.processing_times(num.mu, 2)
-    control = phy.control_config(control_variant or scheme.control_variant)
+    control = phy.control_config(control_variant)
     n_rb = phy.total_rbs(bw, scs)
     return lat.RadioContext(
-        num, proc, control, scheme.slot_type,
+        num, proc, control, slot_type,
         SlotGrid(num, n_rb, control, "UL"),
         SlotGrid(num, n_rb, control, "DL"),
         ctl.DciQueue(control, num.slot_ticks),

@@ -199,7 +199,7 @@ def test_criterion_6_exact_properties():
         cfg = RunConfig(slot_type=slot_type, density_veh_km_lane=20,
                         interval_ms=20.0, horizon_ms=500.0, warmup_ms=100.0)
         run_replication(cfg, np.random.default_rng(3), trace_rows=trace)
-        slot_ms = phy.slot_duration(1)
+        slot_ms = phy.ticks_to_ms(phy.numerology(30).slot_ticks)
         bad = [r for r in trace if r["align_ms"] > slot_ms + 1e-12]
         if bad:
             failures.append(f"{slot_type}: {len(bad)} alignments above one slot")

@@ -8,7 +8,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from nrv2x.control import DciQueue, SrConfig, pdcch_queue_delay, sr_wait, sr_wait_slots
+from nrv2x.control import DciQueue, SrConfig, pdcch_queue_delay, sr_wait_slots
 from nrv2x.phy import ControlConfig
 
 CONF1 = ControlConfig(24, 1, 1, 1, "conf1")
@@ -26,10 +26,10 @@ def test_sr_config_from_control():
 
 def test_sr_wait_branches():
     sr = SrConfig(6, 17)
-    assert sr_wait(0.0, sr, SLOT) == 0
+    assert sr_wait_slots(0.0, sr) == 0
     one = SrConfig(6, 1)
     for p in (0.01, 0.5, 0.999, 1.0):
-        assert sr_wait(p, one, SLOT) == 0
+        assert sr_wait_slots(p, one) == 0
     # support bound
     for p in np.linspace(0.001, 1.0, 97):
         w = sr_wait_slots(float(p), sr)
@@ -54,7 +54,7 @@ def test_sr_wait_expectation_closed_form():
 def test_sr_wait_ideal_control():
     sr = SrConfig.for_cell(CONF3, 1000)
     assert sr.ideal
-    assert sr_wait(0.73, sr, SLOT) == 0
+    assert sr_wait_slots(0.73, sr) == 0
 
 
 # --- DCI queue -----------------------------------------------------------------
@@ -96,7 +96,6 @@ def test_conf3_never_queues():
     q = DciQueue(CONF3, SLOT)
     for i in range(50):
         assert q.enqueue(i * 3) == (i * 3) // SLOT * SLOT + SLOT
-        assert q.backlog_slots(i * 3) == 0
 
 
 def test_queue_matches_oracle_random_traces():

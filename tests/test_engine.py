@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nrv2x
 from nrv2x import engine, phy
@@ -75,7 +77,7 @@ def test_alignment_bound_holds_for_every_packet():
         cfg = RunConfig(density_veh_km_lane=20, slot_type=slot_type,
                         interval_ms=20.0, **FAST)
         run_replication(cfg, np.random.default_rng(1), trace_rows=trace)
-        slot_ms = phy.slot_duration(phy.numerology(cfg.scs_khz).mu)
+        slot_ms = phy.ticks_to_ms(phy.numerology(cfg.scs_khz).slot_ticks)
         for row in trace:
             if row["disposition"] == "delivered":
                 assert row["align_ms"] <= slot_ms + 1e-12
@@ -268,13 +270,94 @@ def test_overload_replication_pinned():
     dict(scs_khz=45),
     dict(bandwidth_mhz=7),
     dict(control_variant="conf9"),
+    dict(layers=3),
+    dict(packet_bytes=0),
+    dict(edge_cqi=0),
+    dict(min_replications=0, max_replications=0),
+    dict(dl_cast="unicast", unicast_m=20, density_veh_km_lane=1.0),
+    dict(lanes=-1),
+    dict(cell_radius_m=-10.0),
+    dict(seed=-1),
+    dict(warmup_ms=100.2, horizon_ms=100.4),
+    dict(warmup_ms=-1.0),
+    dict(density_veh_km_lane=math.nan),
 ], ids=["negative_density", "warmup_equals_horizon", "warmup_past_horizon",
         "min_above_max_replications", "zero_density", "density_rounding_to_no_vehicle",
         "unknown_retransmission", "bad_repetition_count", "unknown_traffic",
-        "unsupported_scs", "unsupported_bandwidth", "unknown_control_variant"])
+        "unsupported_scs", "unsupported_bandwidth", "unknown_control_variant",
+        "three_layers", "empty_packet", "edge_cqi_zero", "no_replications",
+        "more_receivers_than_vehicles", "negative_lanes", "negative_radius",
+        "negative_seed", "no_whole_slot_after_warmup", "negative_warmup", "nan_density"])
 def test_run_config_rejects_bad_values(fields):
     with pytest.raises(phy.ConfigurationError):
         RunConfig(**fields)
+
+
+# A small value domain per field: plausible values, which still combine into
+# invalid configurations (too many unicast receivers, HARQ without a
+# retransmission, fewer replications than the minimum), and values invalid
+# on their own, including those that used to fail only inside a run.  Radii
+# reach past the 866 m default.  Worlds stay small: 2 lanes, 100 ms.
+_PLAUSIBLE = dict(
+    scs_khz=[15, 30, 60],
+    bandwidth_mhz=[10, 20],
+    scheduling=["semi_static", "dynamic"],
+    retransmission=["none", "k_repetitions", "harq"],
+    k=[0, 2, 4, 8],
+    harq_max_retx=[0, 1, 3],
+    dl_cast=["broadcast", "unicast"],
+    unicast_m=[0, 1, 4, 20],
+    mcs_table=["LEP", "HEP"],
+    slot_type=["full", "mini7", "mini4"],
+    control_variant=["conf1", "conf2", "conf3"],
+    harq_group_size=[1, 3],
+    traffic=["periodic", "aperiodic"],
+    interval_ms=[5.0, 20.0],
+    density_veh_km_lane=[1.0, 10.0],
+    packet_bytes=[1, 300, 20_000],
+    layers=[1, 2],
+    ue_capability=[1, 2],
+    cell_radius_m=[100.0, 866.0, 1000.0, 1500.0],
+    lanes=[1, 2],
+    overhead_re_per_rb=[0, 12, 200],
+    edge_cqi=[1, 6, 15],
+    horizon_ms=[50.0, 100.0],
+    warmup_ms=[0.0, 20.0],
+    seed=[0, 7],
+    min_replications=[0, 1, 2],
+    max_replications=[1, 2],
+)
+_INVALID = dict(
+    scs_khz=[45], bandwidth_mhz=[7], scheduling=["bogus"], retransmission=["bogus"],
+    k=[3], slot_type=["mini2"], control_variant=["conf9"], harq_group_size=[0],
+    traffic=["bursty"], interval_ms=[0.0, -5.0, 0.0001],
+    density_veh_km_lane=[-1.0, 0.0, 0.1, math.nan], packet_bytes=[0], layers=[0, 3],
+    ue_capability=[0], cell_radius_m=[-10.0, 0.0, math.inf], lanes=[-1, 0],
+    edge_cqi=[0, 16], horizon_ms=[0.0, 0.3], warmup_ms=[-1.0, 60.0], seed=[-1],
+    max_replications=[0],
+)
+
+
+@st.composite
+def _config_fields(draw):
+    """Plausible values with up to two fields set to an invalid value."""
+    fields = {name: draw(st.sampled_from(values)) for name, values in _PLAUSIBLE.items()}
+    for name in draw(st.sets(st.sampled_from(sorted(_INVALID)), max_size=2)):
+        fields[name] = draw(st.sampled_from(_INVALID[name]))
+    return fields
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_config_fields())
+def test_every_config_that_constructs_also_runs(fields):
+    """A configuration either fails at construction with a
+    ConfigurationError or completes a short replication."""
+    try:
+        cfg = RunConfig(**fields)
+    except phy.ConfigurationError:
+        return
+    s = run_replication(cfg, np.random.default_rng(cfg.seed))
+    assert s.n_generated == s.n_delivered + s.n_dropped + s.n_failed
 
 
 def _bits(row: dict) -> dict:

@@ -1,4 +1,5 @@
 import csv
+import json
 
 import pytest
 import yaml
@@ -48,11 +49,44 @@ def test_invalid_combinations_rejected():
     with pytest.raises(ConfigurationError):
         ExperimentSpec(base={"retransmission": "k_repetitions", "k": 3},
                        axes={}).points()
-    # 60 kHz is tied to the extended prefix, so no such RunConfig exists;
     # unsupported SCS values fail at numerology lookup
     with pytest.raises(ConfigurationError):
-        from nrv2x import phy
-        phy.numerology(60, "NCP")
+        ExperimentSpec(base={}, axes={"scs_khz": [30, 120]}).points()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_invalid_point_rejects_the_sweep_before_any_row(tmp_path, workers, capsys):
+    """One invalid point stops a sweep before any point runs, serial or
+    parallel: no row, no sidecar, and the CLI exits 2."""
+    doc = {"base": dict(FAST_BASE), "axes": {"layers": [2, 3]}, "workers": workers}
+    with pytest.raises(ConfigurationError, match="layers"):
+        run_sweep(spec_from_mapping(doc), tmp_path / "api")
+    assert not (tmp_path / "api").exists()
+    out = tmp_path / "cli"
+    assert cli.main(["sweep", "--spec", str(write_spec(tmp_path, doc)),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: layers")
+    assert not out.exists()
+
+
+def test_interrupted_sweep_resumes(tmp_path):
+    """A sweep stopped after its first point keeps that point's row and
+    sidecar entry; the rerun adds each remaining point exactly once."""
+    spec = ExperimentSpec(base=dict(FAST_BASE), axes={"density_veh_km_lane": [10, 20, 30]})
+
+    def interrupt(report):
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(spec, tmp_path, progress=interrupt)
+    meta = json.loads((tmp_path / "results.meta.json").read_text())
+    assert len(read_results(tmp_path / "results.csv")) == len(meta["points"]) == 1
+    csv_path = run_sweep(spec, tmp_path)
+    keys = [r["config_key"] for r in read_results(csv_path)]
+    assert sorted(keys) == sorted(p.key() for p in spec.points())
+    meta = json.loads((tmp_path / "results.meta.json").read_text())
+    assert set(meta["points"]) == set(keys)
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_cartesian_expansion_deterministic():
@@ -72,12 +106,11 @@ def test_empty_axes_single_run():
 def test_sweep_resumable_no_duplicates(tmp_path):
     spec = ExperimentSpec(base=dict(FAST_BASE),
                           axes={"density_veh_km_lane": [10, 20]})
-    csv_path, failures = run_sweep(spec, tmp_path)
-    assert failures == 0
+    csv_path = run_sweep(spec, tmp_path)
     rows = read_results(csv_path)
     assert len(rows) == 2
     # rerun: completed points skipped, no duplicate rows
-    csv_path, _ = run_sweep(spec, tmp_path)
+    csv_path = run_sweep(spec, tmp_path)
     assert len(read_results(csv_path)) == 2
     # extending an axis only adds the new point
     spec2 = ExperimentSpec(base=dict(FAST_BASE),
@@ -91,7 +124,7 @@ def test_sweep_resumable_no_duplicates(tmp_path):
 def test_sweep_rows_keyed_and_typed(tmp_path):
     spec = ExperimentSpec(base=dict(FAST_BASE),
                           axes={"mcs_table": ["LEP", "HEP"]})
-    csv_path, _ = run_sweep(spec, tmp_path)
+    csv_path = run_sweep(spec, tmp_path)
     rows = read_results(csv_path)
     keys = {r["config_key"] for r in rows}
     assert len(keys) == 2
@@ -106,7 +139,7 @@ def test_emit_figure_series(tmp_path):
     spec = ExperimentSpec(base=base,
                           axes={"density_veh_km_lane": [10, 20],
                                 "mcs_table": ["LEP", "HEP"]})
-    csv_path, _ = run_sweep(spec, tmp_path)
+    csv_path = run_sweep(spec, tmp_path)
     written = emit_figure_data(csv_path, "fig4", tmp_path / "series")
     # one series per (mcs_table, interval) pair, one y column
     assert len(written) == 2

@@ -214,17 +214,6 @@ def test_first_fit_deterministic():
     assert run() == run()
 
 
-def test_reservation_trace():
-    trace = []
-    from nrv2x.phy import numerology
-    from nrv2x.grid import SlotGrid
-    g = SlotGrid(numerology(30), 4, CTRL, "UL", trace=trace)
-    g.allocate(2, 4, 0, False, owner="pkt-7")
-    g.allocate(1, g.region_len, 0, True, repeats=2, owner="pkt-8")
-    assert trace[0][:3] == (0, 0, 2) and trace[0][5] == "pkt-7"
-    assert len(trace) == 3  # the two-repeat burst logs both slots
-
-
 # --- "cannot fit" memo ----------------------------------------------------------
 
 class _OracleGrid:

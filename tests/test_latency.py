@@ -3,13 +3,12 @@ scheduling request, grant and NACK hops) on a quiescent context, and their
 composition into whole hops, repetitions, HARQ cycles and fan-out on engine
 runs, with outcomes forced where a test needs them."""
 
-import math
-
 import numpy as np
 import pytest
 
+from nrv2x import engine
 from nrv2x import latency as lat
-from nrv2x import phy
+from nrv2x import link, phy
 from nrv2x.engine import RunConfig
 from nrv2x.phy import ConfigurationError
 from helpers import ONE_VEHICLE, make_context, replicate, rows_by_packet, ticks
@@ -19,13 +18,14 @@ MS = phy.TICKS_PER_MS
 
 def test_scheme_validation():
     with pytest.raises(ConfigurationError):
-        lat.SchemeConfig(retransmission="k_repetitions", k=3)
+        RunConfig(retransmission="k_repetitions", k=3)
     with pytest.raises(ConfigurationError):
-        lat.SchemeConfig(retransmission="harq", harq_max_retx=0)
+        RunConfig(retransmission="harq", harq_max_retx=0)
     with pytest.raises(ConfigurationError):
-        lat.SchemeConfig(dl_cast="unicast", unicast_m=0)
-    ok = lat.SchemeConfig(retransmission="k_repetitions", k=4)
-    assert ok.repeats == 4 and ok.bler == 0.1
+        RunConfig(dl_cast="unicast", unicast_m=0)
+    rep = engine._Replication(RunConfig(retransmission="k_repetitions", k=4, **ONE_VEHICLE),
+                              np.random.default_rng(0))
+    assert rep._repeats == 4 and rep._bler == 0.1
 
 
 def test_breakdown_total_is_component_sum():
@@ -137,7 +137,7 @@ def test_harq_single_forced_failure_cycle():
     assert len(packets) >= 8
     for (_, gen_ms), (ul, dl) in packets.items():
         gen = ticks(gen_ms)
-        probe = make_context(scheme=cfg.scheme(), control_variant="conf3")
+        probe = make_context(slot_type=cfg.slot_type, control_variant="conf3")
         first = lat.data_chain(probe, "UL", gen + probe.prepare_half, n_rb)
         known = first.delivered          # the failure is known once decoded
         sr = lat.sr_chain(probe, lat.nack_chain(probe, "UL", known), p=0.0)
@@ -166,22 +166,36 @@ def test_harq_exhaustion_marks_failure():
                 assert legs[leg]["attempts"] == 3  # initial + 2 retransmissions
 
 
-def test_harq_delivery_probability_small_sample():
-    # delivery rate over forced-free sampling approximates 1 - bler^(n+1)
-    rng = np.random.default_rng(9)
-    bler, n = 0.35, 3     # inflated bler so 4 attempts still fail sometimes
-    trials = 200_000
-    fails = 0
-    for _ in range(trials):
-        ok = False
-        for _ in range(n + 1):
-            if rng.random() >= bler:
-                ok = True
-                break
-        fails += not ok
-    expected = bler ** (n + 1)
-    sigma = math.sqrt(expected * (1 - expected) / trials)
-    assert abs(fails / trials - expected) < 4 * sigma
+@pytest.mark.parametrize("group", [1, 3])
+def test_engine_harq_draws_match_binomial_bounds(group):
+    """The engine's own HARQ draws at the LEP table BLER of 0.1, one
+    retransmission allowed, on a light load with no drops: a leg's first
+    attempt reaches all of its `group` pending receivers with probability
+    0.9**group, a leg fails with probability 1 - 0.99**group, and a packet
+    (one uplink receiver, `group` downlink ones) with 1 - 0.99**(1 + group).
+    Every count lies inside its two-sided 1 - 1e-6 binomial interval."""
+    from scipy.stats import binom
+
+    bler = link.TARGET_BLER["LEP"]
+    cfg = RunConfig(retransmission="harq", harq_max_retx=1, harq_group_size=group,
+                    density_veh_km_lane=10, interval_ms=100.0, horizon_ms=6000.0,
+                    warmup_ms=100.0)
+    rep, rows = replicate(cfg, seed=1)
+    s = rep.summary
+    assert s.n_dropped == 0 and s.n_generated > 5000
+
+    def within(count, n, p):
+        lo, hi = binom.interval(1 - 1e-6, n, p)
+        assert lo <= count <= hi, (count, n, p)
+
+    fail = 1 - (1 - bler ** 2)
+    within(s.n_failed, s.n_generated, 1 - (1 - fail) ** (1 + group))
+    for leg, receivers in ((0, 1), (1, group)):
+        legs = [r for r in rows if r["leg"] == leg]
+        assert {r["attempts"] for r in legs} <= {1, 2}
+        within(sum(r["attempts"] == 1 for r in legs), len(legs), (1 - bler) ** receivers)
+        within(sum(r["detail"] == r["direction"].lower() + "_error" for r in legs), len(legs),
+               1 - (1 - fail) ** receivers)
 
 
 def test_unicast_fanout_max():

@@ -89,7 +89,7 @@ def test_cqi_from_distance_monotone():
 
 
 def test_custom_three_step_map():
-    prof = link.LinkProfile("LEP", 0.1, ((100.0, 9), (200.0, 5), (300.0, 2)))
+    prof = link.LinkProfile("LEP", ((100.0, 9), (200.0, 5), (300.0, 2)))
     assert link.cqi_from_distance(150.0, prof) == 5
 
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from nrv2x import link, phy, scenario as scn
+from nrv2x import engine, link, phy, scenario as scn
+from nrv2x.engine import RunConfig, run_replication
 
 
 def test_vehicle_counts_from_density():
@@ -31,8 +32,7 @@ def test_placement_uniform_and_within_cell():
 
 def test_periodic_arrivals():
     rng = np.random.default_rng(2)
-    model = scn.TrafficModel("periodic", 20.0)
-    times = scn.generate_arrivals(model, 200.0, rng)
+    times = scn.generate_arrivals("periodic", 20.0, 200.0, rng)
     in_horizon = times[times < phy.ms_to_ticks(200.0)]
     assert len(in_horizon) == 10
     gaps = np.diff(times)
@@ -43,8 +43,7 @@ def test_periodic_arrivals():
 
 def test_aperiodic_gap_distribution():
     rng = np.random.default_rng(3)
-    model = scn.TrafficModel("aperiodic", 20.0)
-    times = scn.generate_arrivals(model, 2_000_000.0, rng)
+    times = scn.generate_arrivals("aperiodic", 20.0, 2_000_000.0, rng)
     gaps = np.diff(times) / phy.TICKS_PER_MS
     assert gaps.min() >= 10.0 - 1e-9          # never below half the average
     assert gaps.mean() == pytest.approx(20.0, rel=0.02)
@@ -52,8 +51,7 @@ def test_aperiodic_gap_distribution():
 
 def test_per_vehicle_phases_differ():
     rng = np.random.default_rng(4)
-    model = scn.TrafficModel("periodic", 100.0)
-    phases = {int(scn.generate_arrivals(model, 500.0, rng)[0]) for _ in range(50)}
+    phases = {int(scn.generate_arrivals("periodic", 100.0, 500.0, rng)[0]) for _ in range(50)}
     assert len(phases) > 40
 
 
@@ -80,8 +78,22 @@ def test_nearest_neighbours_match_bruteforce():
 
 
 def test_traffic_model_validation():
-    with pytest.raises(phy.ConfigurationError):
-        scn.TrafficModel("bursty", 20.0)
-    with pytest.raises(phy.ConfigurationError):
-        scn.TrafficModel("periodic", 0.0)
-    assert scn.TrafficModel("periodic", 20.0).packet_bits == 2400
+    """Traffic is checked where it is configured, on the RunConfig: the
+    interval must be at least one tick, or a periodic phase has no range."""
+    for interval in (0.0, -5.0, 0.0001):
+        with pytest.raises(phy.ConfigurationError):
+            RunConfig(interval_ms=interval)
+    assert RunConfig(interval_ms=1 / phy.TICKS_PER_MS).interval_ms > 0
+
+
+@pytest.mark.parametrize("radius", [500.0, 1000.0])
+def test_cqi_map_spans_the_configured_cell(radius):
+    """The distance -> CQI map covers the configured cell radius: vehicles
+    anywhere in the cell get a CQI, and the edge CQI is reached at its edge."""
+    cfg = RunConfig(cell_radius_m=radius, horizon_ms=300.0, warmup_ms=100.0)
+    rep = engine._Replication(cfg, np.random.default_rng(6))
+    assert max(v.distance_m for v in rep.vehicles) <= radius
+    assert {v.cqi for v in rep.vehicles} == set(range(link.DEFAULT_EDGE_CQI, 16))
+    assert link.default_link_profile("LEP", cell_radius_m=radius).cqi_map[-1] == (
+        pytest.approx(radius), link.DEFAULT_EDGE_CQI)
+    run_replication(cfg, np.random.default_rng(6))
