@@ -50,7 +50,7 @@ import heapq
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -124,6 +124,11 @@ class RunConfig:
     relative_error_target: float = 0.01
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # a bool is an int; a float such as 30.0 would give a second key
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise phy.ConfigurationError(f"{f.name} must be an integer, got {value!r}")
         if not all(map(math.isfinite, (self.interval_ms, self.density_veh_km_lane,
                                        self.cell_radius_m, self.horizon_ms, self.warmup_ms))):
             raise phy.ConfigurationError("times, density and cell radius must be finite")

@@ -37,25 +37,32 @@ _CONFIG_COLUMNS = (
 )
 
 
+def _integer(name: str, value) -> int:
+    """An integer from YAML or a command-line string: 2.0 is 2, 2.5 an error."""
+    fractional = isinstance(value, float) and not value.is_integer()
+    if not (isinstance(value, bool) or fractional):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigurationError(f"field {name!r} expects an integer, got {value!r}")
+
+
 def _coerce(name: str, value):
     """A RunConfig field value from YAML or a command-line string."""
     if name not in _FIELDS:
         raise ConfigurationError(f"unknown configuration field {name!r}")
     target = _FIELDS[name].type
     if target == "int":
-        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-            raise ConfigurationError(f"field {name!r} expects an integer")
-        convert = int
-    elif target == "float":
-        convert = float
-    else:
-        if target == "str" and not isinstance(value, str):
-            raise ConfigurationError(f"field {name!r} expects a string")
-        return value
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"field {name!r} expects {target}, got {value!r}") from None
+        return _integer(name, value)
+    if target == "float":
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"field {name!r} expects float, got {value!r}") from None
+    if target == "str" and not isinstance(value, str):
+        raise ConfigurationError(f"field {name!r} expects a string")
+    return value
 
 
 @dataclasses.dataclass(frozen=True)
@@ -108,9 +115,9 @@ def spec_from_mapping(doc: dict) -> ExperimentSpec:
     return ExperimentSpec(
         base=base,
         axes=axes,
-        seed=int(doc.get("seed", 0)),
+        seed=_integer("seed", doc.get("seed", 0)),
         output=str(doc.get("output", "results")),
-        workers=int(doc.get("workers", 1)),
+        workers=_integer("workers", doc.get("workers", 1)),
     )
 
 

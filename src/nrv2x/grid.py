@@ -31,6 +31,24 @@ stays true; `release` clears the memo of every slot it frees, and
 changes a result: the skipped slot still yields its first boundary, its
 deadline check and one step of the scan limit.
 
+Saturated slots form long runs when the grid is overloaded, and each scan
+would walk them again.  For every request shape ``(n_symbols, n_rb)`` the
+grid keeps one interval ``[a, b)`` of consecutive live slots that all skip
+that request.  A scan that meets a skipped slot past its first boundary
+walks the whole skipped stretch, jumping from any slot inside the interval
+straight to ``b``, and merges the stretch into the interval (or replaces
+the interval, if the two neither overlap nor touch).  Once the stretch
+reaches the first slot whose first start ends past the deadline, or the
+end of the scan limit, the scan fails with its first boundary, as the
+slot-by-slot scan does: a skipped slot there fails its deadline check, a
+slot that is not skipped fails it at its first start, and the scan limit
+ends the scan.  So the cost of a scan no longer grows with the backlog,
+and no result changes, since an interval holds only slots the scan would
+skip.  An interval stays true: a commit only adds occupancy, so it never
+invalidates one; `release` frees cells, so it clears every interval; and
+`release_expired` drops the slots below its horizon, so it clips every
+interval to start at the horizon and drops those that end at or below it.
+
 A live slot's used area is its data area less its free area; the used area
 of a slot is written down for the utilization metrics only when
 `release_expired` drops the slot.
@@ -111,6 +129,8 @@ class SlotGrid:
         self._no_fit_unknown = (n_rb_total + 1,) * (self.region_len + 1)
         self._starts: dict[tuple[int, bool], tuple[int, ...]] = {}
         self._slots: dict[int, _Slot] = {}
+        # (n_symbols, n_rb) -> [a, b]: live slots a..b-1 all skipped by that request
+        self._full_runs: dict[tuple[int, int], list[int]] = {}
         self._used_area: dict[int, int] = {}  # slots dropped by release_expired
         self._released_before = 0  # slots below this index have been freed
 
@@ -188,10 +208,28 @@ class SlotGrid:
             skip = s is not None and (s.free_area < area or s.no_fit[n_symbols] <= n_rb)
             if skip and first_boundary >= 0:
                 # past the first boundary, a skipped slot only checks the
-                # deadline at its first start
-                if slot >= late_slot:
-                    return None, first_boundary
+                # deadline at its first start, so the scan fails once a
+                # stretch of skipped slots reaches `stop`: walk the stretch,
+                # jumping over the known run, and remember it
+                stop = min(late_slot, end_slot)
+                run = self._full_runs.get((n_symbols, n_rb))
+                lo = slot
                 slot += 1
+                while slot < stop:
+                    if run is not None and run[0] <= slot < run[1]:
+                        slot = run[1]
+                        continue
+                    t = slots.get(slot)
+                    if t is None or (t.free_area >= area and t.no_fit[n_symbols] > n_rb):
+                        break
+                    slot += 1
+                if run is not None and lo <= run[1] and run[0] <= slot:
+                    run[0] = min(run[0], lo)
+                    run[1] = max(run[1], slot)
+                else:
+                    self._full_runs[(n_symbols, n_rb)] = [lo, slot]
+                if slot >= stop:
+                    return None, first_boundary
                 continue
             base = slot * slot_ticks
             for sym in starts:
@@ -273,6 +311,7 @@ class SlotGrid:
             s.occ &= kept
             s.free_area += area
             s.no_fit = self._no_fit_unknown
+            self._full_runs.clear()
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -287,6 +326,8 @@ class SlotGrid:
             used[i] = used.get(i, 0) + self._area - self._slots.pop(i).free_area
         if stale:
             self._released_before = max(self._released_before, max(stale) + 1)
+            self._full_runs = {shape: [max(a, horizon), b]
+                               for shape, (a, b) in self._full_runs.items() if b > horizon}
         return len(stale)
 
     def utilization(self, start_tick: int, end_tick: int) -> float:

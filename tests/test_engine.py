@@ -281,13 +281,22 @@ def test_overload_replication_pinned():
     dict(warmup_ms=100.2, horizon_ms=100.4),
     dict(warmup_ms=-1.0),
     dict(density_veh_km_lane=math.nan),
+    dict(lanes=1.5),
+    dict(layers=2.0),
+    dict(packet_bytes=300.5),
+    dict(seed=True),
+    dict(retransmission="k_repetitions", k=2.0),
+    dict(scs_khz=30.0),
+    dict(harq_max_retx="1"),
 ], ids=["negative_density", "warmup_equals_horizon", "warmup_past_horizon",
         "min_above_max_replications", "zero_density", "density_rounding_to_no_vehicle",
         "unknown_retransmission", "bad_repetition_count", "unknown_traffic",
         "unsupported_scs", "unsupported_bandwidth", "unknown_control_variant",
         "three_layers", "empty_packet", "edge_cqi_zero", "no_replications",
         "more_receivers_than_vehicles", "negative_lanes", "negative_radius",
-        "negative_seed", "no_whole_slot_after_warmup", "negative_warmup", "nan_density"])
+        "negative_seed", "no_whole_slot_after_warmup", "negative_warmup", "nan_density",
+        "fractional_lanes", "float_layers", "fractional_packet", "bool_seed",
+        "float_repetition_count", "float_scs", "string_retx_count"])
 def test_run_config_rejects_bad_values(fields):
     with pytest.raises(phy.ConfigurationError):
         RunConfig(**fields)

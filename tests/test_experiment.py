@@ -176,6 +176,24 @@ def test_unparsable_field_value_is_a_configuration_error(name, raw):
         _coerce(name, raw)
 
 
+@pytest.mark.parametrize("key, raw", [("workers", "two"), ("workers", 2.7), ("seed", 1.5),
+                                      ("seed", True), ("workers", None)])
+def test_sweep_seed_and_workers_must_be_integers(tmp_path, capsys, key, raw):
+    doc = {"base": dict(FAST_BASE), key: raw}
+    with pytest.raises(ConfigurationError, match=key):
+        spec_from_mapping(doc)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--spec", str(write_spec(tmp_path, doc)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: field {key!r}")
+    assert not out.exists()
+
+
+def test_sweep_accepts_integral_floats():
+    spec = spec_from_mapping({"base": {"k": 2.0}, "seed": 3.0, "workers": 2.0})
+    assert (spec.base["k"], spec.seed, spec.workers) == (2, 3, 2)
+    assert type(spec.seed) is type(spec.workers) is type(spec.base["k"]) is int
+
+
 def test_cli_reports_bad_override_without_traceback(capsys):
     assert cli.main(["run", "--set", "k=abc"]) == 2
     assert capsys.readouterr().err.startswith("error: field 'k'")

@@ -357,6 +357,116 @@ def test_memo_skips_rejected_slot_without_probing(monkeypatch):
     assert p.slot_idx == 1 and 0 not in probes
 
 
+# --- saturated runs -------------------------------------------------------------
+
+def test_saturated_runs_match_oracle_random_ops():
+    """Long stretches of full or nearly full slots, then mixed requests whose
+    deadlines fall before, inside or past a stretch and whose scan limits end
+    inside it, mixed with releases inside a stretch and expiries cutting it:
+    every result equals the oracle's, and scans do jump over long runs."""
+    rng = random.Random(5)
+    longest_run = 0
+    for case in range(10):
+        g = make_grid(scs=rng.choice((15, 30, 60)), n_rb=rng.randint(2, 5),
+                      direction=rng.choice(("UL", "DL")))
+        oracle = _OracleGrid(g)
+        live = []
+        now = 0
+
+        def allocate(*args, **kwargs):
+            p, boundary = g.allocate(*args, **kwargs)
+            got = None if p is None else (p.slot_idx, p.sym_start, p.rb_start)
+            assert (got, boundary) == oracle.allocate(*args, **kwargs), (case, args, kwargs)
+            if p is not None:
+                live.append(p)
+
+        for _ in range(2):
+            first = now // g.slot_ticks + rng.randint(0, 3)
+            length = rng.randint(40, 120)
+            for slot in range(first, first + length):
+                # a slot with one RB left still rejects every wider request
+                allocate(g.n_rb - (rng.random() < 0.3), g.region_len, slot * g.slot_ticks, True)
+            for op in range(50):
+                u = rng.random()
+                if u < 0.8:
+                    full = rng.random() < 0.3
+                    n_sym = g.region_len if full else rng.randint(1, g.region_len)
+                    earliest = max(0, (first + rng.randint(-2, 4)) * g.slot_ticks
+                                   + rng.randint(0, g.slot_ticks - 1))
+                    deadline_slot = rng.choice((None, first + 1, first + rng.randint(2, length),
+                                                first + length + rng.randint(0, 3)))
+                    limit_slot = rng.choice((None, first + rng.randint(1, length)))
+                    kwargs = dict(
+                        repeats=rng.randint(1, 3),
+                        max_tx_end_tick=(None if deadline_slot is None
+                                         else deadline_slot * g.slot_ticks
+                                         + rng.randint(0, g.slot_ticks - 1)),
+                        scan_limit_slots=(100_000 if limit_slot is None
+                                          else max(1, limit_slot - earliest // g.slot_ticks)),
+                    )
+                    allocate(rng.randint(1, g.n_rb), n_sym, earliest, full, **kwargs)
+                    longest_run = max([longest_run] + [b - a for a, b in g._full_runs.values()])
+                elif u < 0.9:
+                    inside = [p for p in live if first <= p.slot_idx < first + length]
+                    if inside:
+                        p = inside[rng.randrange(len(inside))]
+                        live.remove(p)
+                        g.release(p)
+                        oracle.release(p)
+                else:
+                    now = max(now, (first + rng.randint(0, length)) * g.slot_ticks)
+                    assert g.release_expired(now) == oracle.release_expired(now)
+    assert longest_run >= 40
+
+
+def test_known_run_is_jumped_not_walked():
+    """Once a scan has walked a 200-slot saturated stretch, the same request
+    finds the same answer in a handful of slot lookups."""
+    g = make_grid(n_rb=4)
+    for slot in range(1, 201):
+        g.allocate(4, g.region_len, slot * g.slot_ticks, True)
+
+    class CountingSlots(dict):
+        gets = 0
+
+        def get(self, *args):
+            CountingSlots.gets += 1
+            return super().get(*args)
+
+    g._slots = CountingSlots(g._slots)
+    request = (2, 7, g.slot_ticks, False)
+    first = g.allocate(*request, scan_limit_slots=200)
+    assert first == (None, g.slot_ticks + g.region_start * g.symbol_ticks)
+    assert CountingSlots.gets >= 200
+    CountingSlots.gets = 0
+    assert g.allocate(*request, scan_limit_slots=200) == first
+    assert CountingSlots.gets <= 3
+    CountingSlots.gets = 0
+    p, _ = g.allocate(*request)
+    assert p.slot_idx == 201 and CountingSlots.gets <= 5
+    # a scan whose deadline falls inside an unknown stretch stops walking there
+    CountingSlots.gets = 0
+    assert g.allocate(3, 7, g.slot_ticks, False, max_tx_end_tick=11 * g.slot_ticks)[0] is None
+    assert CountingSlots.gets <= 12
+
+
+def test_expiry_clips_known_runs():
+    """Slots dropped by an expiry leave the known run: a slot committed to
+    again after it expired does not lead a scan into the dropped ones."""
+    g = make_grid(n_rb=4)
+    oracle = _OracleGrid(g)
+    full = (4, g.region_len, 0, True)
+    for slot in range(10):
+        g.allocate(4, g.region_len, slot * g.slot_ticks, True)
+        oracle.allocate(4, g.region_len, slot * g.slot_ticks, True)
+    assert g.allocate(*full)[0].slot_idx == oracle.allocate(*full)[0][0] == 10
+    assert g.release_expired(5 * g.slot_ticks) == oracle.release_expired(5 * g.slot_ticks)
+    for _ in range(3):  # slots 0 and 1 again, then slot 2
+        p, boundary = g.allocate(*full)
+        assert ((p.slot_idx, p.sym_start, p.rb_start), boundary) == oracle.allocate(*full)
+    assert p.slot_idx == 2
+
+
 
 # --- packed occupancy -----------------------------------------------------------
 
