@@ -32,16 +32,15 @@ counterpart is created against the next slot boundary with the gNB-side
 preparation overlapping that gap; only the per-leg radio latencies are
 summed.
 
-Arrivals are generated for the whole horizon when a replication is set up,
-but only each vehicle's first ``_GEN`` event goes on the heap; when an
-arrival fires it pushes the vehicle's next one.  The heap therefore holds
-O(vehicles + packets in flight) entries rather than every arrival.  Each
-vehicle reserves a block of sequence numbers at setup, one per in-horizon
-arrival: its arrival ``i`` is pushed with sequence number ``base + i + 1``,
-``base`` being the number of arrivals reserved by the vehicles before it,
-and all other events number on after the last block.  The heap keys
-``(tick, seq)`` are thus the ones an eager push of every arrival would
-give, so events pop in the same order.
+Arrivals never enter the heap.  They are generated for the whole horizon
+when a replication is set up and laid out as one stream, a compact integer
+array of (tick, vehicle, deadline) rows sorted by (tick, vehicle, index),
+the deadline being the vehicle's next arrival.  The loop merges that stream
+with the heap, which holds only in-flight events and the periodic flushes:
+an arrival goes first when its tick is at or before the heap top's, as it
+would had every arrival been pushed up front with a sequence number below
+every other event's.  Events therefore run in the order of one heap keyed
+``(tick, seq)`` over all of them.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -62,10 +62,15 @@ from . import phy
 from . import scenario as scn
 from .grid import SlotGrid
 
-# event kinds, dispatched in the replication loop; numbered from 0, _FLUSH last
-(_GEN, _SIG_DCI, _SIG_DATA, _INGEST, _DCI, _DATA, _NACK, _FLUSH) = range(8)
+# kinds of heap event, dispatched in the replication loop; numbered from 0,
+# _FLUSH last.  Arrivals come from their own stream.
+(_SIG_DCI, _SIG_DATA, _INGEST, _DCI, _DATA, _NACK, _FLUSH) = range(7)
 
 _FLUSH_INTERVAL_MS = 50.0
+# stream rows the loop turns into Python ints at a time: the whole stream as
+# ints would take several times the memory of the array
+_ARRIVAL_CHUNK = 256
+_NO_ARRIVAL = (math.inf, -1, -1)
 
 # packet / leg resolution states
 _PENDING, _DELIVERED, _DROPPED, _FAILED = range(4)
@@ -83,6 +88,8 @@ _CHOICES = {
     "traffic": ("periodic", "aperiodic"),
     "layers": (1, 2),
 }
+# the values a RunConfig field annotated int or float takes, bools aside
+_NUMERIC = {"int": int, "float": (int, float)}
 
 
 @dataclass(frozen=True)
@@ -127,8 +134,11 @@ class RunConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             # a bool is an int; a float such as 30.0 would give a second key
-            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
-                raise phy.ConfigurationError(f"{f.name} must be an integer, got {value!r}")
+            kind = _NUMERIC.get(f.type)
+            if kind and (isinstance(value, bool) or not isinstance(value, kind)):
+                raise phy.ConfigurationError(
+                    f"{f.name} must be {'an integer' if kind is int else 'a number'}, "
+                    f"got {value!r}")
         if not all(map(math.isfinite, (self.interval_ms, self.density_veh_km_lane,
                                        self.cell_radius_m, self.horizon_ms, self.warmup_ms))):
             raise phy.ConfigurationError("times, density and cell radius must be finite")
@@ -166,6 +176,8 @@ class RunConfig:
              "warmup must end at least one slot before the horizon"),
             (self.seed >= 0, "seed must be non-negative"),
             (1 <= self.max_replications, "max_replications must be positive"),
+            # not NaN either: `relative_error(...) < target` would never stop a run
+            (self.relative_error_target > 0, "relative error target must be positive"),
             (self.min_replications <= self.max_replications,
              "min_replications exceeds max_replications"),
         ):
@@ -281,28 +293,38 @@ class _Replication:
 
         # packet footprints per CQI for each direction's data-region length
         bits = cfg.packet_bytes * 8
-        self._rb_ul: dict[int, int | None] = {}
-        self._rb_dl: dict[int, int | None] = {}
+        rbs: dict[tuple[int, str], int | None] = {}
         for cqi in {v.cqi for v in self.vehicles}:
             mcs = lnk.mcs_from_cqi(cqi, cfg.mcs_table)
-            for cache, direction in ((self._rb_ul, "UL"), (self._rb_dl, "DL")):
+            for direction in ("UL", "DL"):
                 try:
-                    cache[cqi] = lnk.rbs_for_packet(
+                    rbs[cqi, direction] = lnk.rbs_for_packet(
                         bits, mcs, ctx.n_sym[direction], cfg.layers,
                         cfg.overhead_re_per_rb, max_rb=n_rb_total,
                     )
                 except lnk.AllocationInfeasible:
-                    cache[cqi] = None
+                    rbs[cqi, direction] = None
+        # per vehicle: the RBs its packet takes, None when it cannot fit
+        self._ul_rbs = [rbs[v.cqi, "UL"] for v in self.vehicles]
+        self._dl_rbs = [rbs[v.cqi, "DL"] for v in self.vehicles]
 
         self.receivers = (
             scn.nearest_neighbours(self.vehicles, cfg.unicast_m)
             if cfg.dl_cast == "unicast" else None
         )
-        self.arrivals = [scn.generate_arrivals(cfg.traffic, cfg.interval_ms, cfg.horizon_ms, rng)
-                         for _ in self.vehicles]
+        times = [scn.generate_arrivals(cfg.traffic, cfg.interval_ms, cfg.horizon_ms, rng)
+                 for _ in self.vehicles]
 
         self.warmup = phy.ms_to_ticks(cfg.warmup_ms)
         self.horizon = phy.ms_to_ticks(cfg.horizon_ms)
+        # The arrival stream: (tick, vehicle, deadline) rows in (tick, vehicle,
+        # index) order.  A vehicle's last arrival lies past the horizon, so an
+        # arrival inside it finds its deadline in the next entry.
+        flat = np.concatenate(times)
+        vehicle = np.repeat(np.arange(n_ue), [len(t) for t in times])
+        gen = np.flatnonzero(flat < self.horizon)
+        order = gen[np.argsort(flat[gen], kind="stable")]
+        self.arrivals = np.column_stack((flat[order], vehicle[order], flat[order + 1]))
         stale_span = 2 * phy.ms_to_ticks(cfg.interval_ms)
         self.scan_cap = stale_span // num.slot_ticks + 2
         self._dynamic = cfg.scheduling == "dynamic"
@@ -324,30 +346,19 @@ class _Replication:
         self._dl = _Hop("DL", dl_args, dl_args,
                         ((_DROPPED, "dl_starved"), (_FAILED, "dl_starved")), "dl_error", False)
 
-        self._heap: list = []
+        self._heap: list = []       # in-flight events and flushes
         self._seq = 0
         # per vehicle: the uplink leg whose grant request is in flight, if
         # any, and the newest packet's downlink legs
         self._waiting: list[_Leg | None] = [None] * n_ue
         self._dl_active: list = [()] * n_ue
         self.summary = ReplicationSummary()
-        self._totals: list[float] = []
-        self._uls: list[float] = []
-        self._dls: list[float] = []
+        # latencies of the delivered packets, in ticks
+        self._totals: list[int] = []
+        self._uls: list[int] = []
+        self._dls: list[int] = []
 
-        # arrival ticks are sorted and end with one past the horizon
-        self._gen_base = [0] * n_ue
-        self._gen_count = [0] * n_ue
-        for v in self.vehicles:
-            times = self.arrivals[v.id]
-            n_gen = int(times[:-1].searchsorted(self.horizon))
-            self._gen_base[v.id] = self._seq
-            self._gen_count[v.id] = n_gen
-            if n_gen:
-                heapq.heappush(self._heap, (int(times[0]), self._seq + 1, _GEN, (v.id, 0)))
-            self._seq += n_gen
-        # plain ints: cheaper for the event loop to read than numpy scalars
-        self.arrivals = [times.tolist() for times in self.arrivals]
+        # the last flush lies past the horizon, so the heap outlasts every arrival
         flush = phy.ms_to_ticks(_FLUSH_INTERVAL_MS)
         for t in range(flush, self.horizon + 4 * flush, flush):
             self._push(t, _FLUSH, None)
@@ -360,15 +371,27 @@ class _Replication:
 
     def run(self) -> ReplicationSummary:
         heap = self._heap
-        handlers = (self._on_gen, self._on_sig_dci, self._on_sig_data, self._on_ingest,
+        heappop = heapq.heappop
+        on_gen = self._on_gen
+        handlers = (self._on_sig_dci, self._on_sig_data, self._on_ingest,
                     self._on_dci, self._on_data, self._on_nack, self._on_flush)
+        rows = self.arrivals
+        arrivals = chain.from_iterable(rows[i:i + _ARRIVAL_CHUNK].tolist()
+                                       for i in range(0, len(rows), _ARRIVAL_CHUNK))
+        at, vid, deadline = next(arrivals, _NO_ARRIVAL)
         while heap:
-            tick, _, kind, payload = heapq.heappop(heap)
+            # an arrival goes before every heap event of its tick
+            if at <= heap[0][0]:
+                on_gen(at, vid, deadline)
+                at, vid, deadline = next(arrivals, _NO_ARRIVAL)
+                continue
+            tick, _, kind, payload = heappop(heap)
             handlers[kind](tick, payload)
         s = self.summary
-        s.total_ms = np.array(self._totals)
-        s.ul_ms = np.array(self._uls)
-        s.dl_ms = np.array(self._dls)
+        # one correctly rounded division per sample, as ticks_to_ms does
+        s.total_ms = np.array(self._totals, dtype=np.int64) / phy.TICKS_PER_MS
+        s.ul_ms = np.array(self._uls, dtype=np.int64) / phy.TICKS_PER_MS
+        s.dl_ms = np.array(self._dls, dtype=np.int64) / phy.TICKS_PER_MS
         window = (self.warmup, self.horizon)
         s.util_ul = self.ctx.grids["UL"].utilization(*window)
         s.util_dl = self.ctx.grids["DL"].utilization(*window)
@@ -376,15 +399,10 @@ class _Replication:
 
     # -- arrivals and uplink signalling -------------------------------------------
 
-    def _on_gen(self, now: int, payload) -> None:
-        vid, idx = payload
-        nxt = idx + 1
-        next_tick = self.arrivals[vid][nxt]
-        if nxt < self._gen_count[vid]:
-            heapq.heappush(self._heap, (next_tick, self._gen_base[vid] + nxt + 1, _GEN,
-                                        (vid, nxt)))
-        pkt = _Packet(vid, now, next_tick, now >= self.warmup)
-        leg = pkt.ul = _Leg(pkt, self._ul, self._rb_ul[self.vehicles[vid].cqi], now, 1)
+    def _on_gen(self, now: int, vid: int, deadline: int) -> None:
+        """A packet arrives; it goes stale at the vehicle's next arrival."""
+        pkt = _Packet(vid, now, deadline, now >= self.warmup)
+        leg = pkt.ul = _Leg(pkt, self._ul, self._ul_rbs[vid], now, 1)
         if pkt.counted:
             self.summary.n_generated += 1
         if leg.n_rb is None:
@@ -401,12 +419,10 @@ class _Replication:
             # the request in flight will serve the newest packet
             self._resolve_leg(prev, _DROPPED, "superseded")
             return
-        sr = lat.sr_chain(ctx, now)
-        self._push(sr.done + ctx.decode_half, _SIG_DCI, vid)
+        self._push(lat.sr_chain(ctx, now)[-1] + ctx.decode_half, _SIG_DCI, vid)
 
     def _on_sig_dci(self, now: int, vid: int) -> None:
-        grant = lat.grant_chain(self.ctx, now)
-        self._push(grant.done + self.ctx.prepare_half, _SIG_DATA, vid)
+        self._push(lat.grant_chain(self.ctx, now)[-1] + self.ctx.prepare_half, _SIG_DATA, vid)
 
     def _on_sig_data(self, now: int, vid: int) -> None:
         """The grant issued to this UE serves its newest waiting packet."""
@@ -425,31 +441,32 @@ class _Replication:
         hop = leg.hop
         retx = leg.cycle_start > 0
         repeats, deadline, scan = (hop.retx if retx else hop.first)(now, leg.pkt)
-        timing = lat.data_chain(ctx, hop.direction, now, leg.n_rb, repeats, deadline, scan)
-        if timing.placement is None:
+        placement, align, wait, delivered = lat.data_chain(
+            ctx, hop.direction, now, leg.n_rb, repeats, deadline, scan)
+        if placement is None:
             self._resolve_leg(leg, *hop.starved[retx])
             return
-        leg.placement = timing.placement
+        leg.placement = placement
         bd = leg.bd
         if retx:
-            bd.retx += timing.delivered - leg.cycle_start
+            bd.retx += delivered - leg.cycle_start
         else:
             # signalling, then preparation: cut short for a packet that
             # superseded another while its request was in flight
             elapsed = now - leg.created
             bd.tx_proc = tx_proc = min(ctx.prepare_half, elapsed)
             bd.sched = elapsed - tx_proc
-            bd.align = timing.align
-            bd.wait = timing.wait
-            bd.airtime = timing.airtime
+            bd.align = align
+            bd.wait = wait
+            bd.airtime = ctx.airtime[hop.direction]
             bd.rx_proc = ctx.decode_half
             if self._repeats > 1:
                 bd.retx = (self._repeats - 1) * ctx.slot_ticks
                 bd.attempts = self._repeats
         if self._attempt_ok(leg):
-            self._resolve_leg(leg, _DELIVERED, "", timing.delivered)
+            self._resolve_leg(leg, _DELIVERED, "", delivered)
         elif bd.attempts <= self._nack_limit:
-            self._push(timing.delivered, _NACK, leg)
+            self._push(delivered, _NACK, leg)
         else:
             self._resolve_leg(leg, _FAILED, hop.error)
 
@@ -490,15 +507,14 @@ class _Replication:
         leg.bd.attempts += 1
         done = lat.nack_chain(ctx, leg.hop.direction, now)
         if leg.hop.sr_after_nack:
-            done = lat.sr_chain(ctx, done).done
+            done = lat.sr_chain(ctx, done)[-1]
         self._push(done + ctx.decode_half, _DCI, leg)
 
     def _on_dci(self, now: int, leg: _Leg) -> None:
         """The DCI granting or assigning the leg's next attempt."""
         if leg.state != _PENDING:
             return
-        grant = lat.grant_chain(self.ctx, now)
-        self._push(grant.done + self.ctx.prepare_half, _DATA, leg)
+        self._push(lat.grant_chain(self.ctx, now)[-1] + self.ctx.prepare_half, _DATA, leg)
 
     def _resolve_leg(self, leg: _Leg, state: int, detail: str,
                      delivered: int = 0) -> None:
@@ -544,11 +560,9 @@ class _Replication:
                     self.ctx.grids["DL"].release(leg.placement, not_before_tick=now)
                 self._resolve_leg(leg, _DROPPED, "dl_superseded")
         if self.receivers is None:
-            legs = (_Leg(pkt, self._dl, self._rb_dl[self.vehicles[vid].cqi], now,
-                         self.cfg.harq_group_size),)
+            legs = (_Leg(pkt, self._dl, self._dl_rbs[vid], now, self.cfg.harq_group_size),)
         else:
-            legs = [_Leg(pkt, self._dl, self._rb_dl[self.vehicles[r].cqi], now, 1)
-                    for r in self.receivers[vid]]
+            legs = [_Leg(pkt, self._dl, self._dl_rbs[r], now, 1) for r in self.receivers[vid]]
         pkt.legs = legs
         pkt.legs_open = len(legs)
         self._dl_active[vid] = legs
@@ -583,9 +597,9 @@ class _Replication:
                 s.n_delivered += 1
                 ul = pkt.ul.bd.total_ticks
                 dl = max(l.bd.total_ticks for l in pkt.legs)
-                self._uls.append(phy.ticks_to_ms(ul))
-                self._dls.append(phy.ticks_to_ms(dl))
-                self._totals.append(phy.ticks_to_ms(ul + dl))
+                self._uls.append(ul)
+                self._dls.append(dl)
+                self._totals.append(ul + dl)
             elif state == _DROPPED:
                 s.n_dropped += 1
             else:

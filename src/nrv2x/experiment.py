@@ -55,7 +55,7 @@ def _coerce(name: str, value):
     target = _FIELDS[name].type
     if target == "int":
         return _integer(name, value)
-    if target == "float":
+    if target == "float" and not isinstance(value, bool):  # RunConfig rejects a bool
         try:
             return float(value)
         except (TypeError, ValueError):
@@ -74,6 +74,10 @@ class ExperimentSpec:
     seed: int = 0
     output: str = "results"
     workers: int = 1
+
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ConfigurationError(f"workers must be at least 1, got {self.workers}")
 
     def points(self) -> list[RunConfig]:
         """Deterministic cartesian expansion of the axes over the base."""

@@ -127,7 +127,8 @@ class SlotGrid:
         # the empty memo, shared by every slot until it records an entry:
         # more RBs than the carrier has, for every burst length
         self._no_fit_unknown = (n_rb_total + 1,) * (self.region_len + 1)
-        self._starts: dict[tuple[int, bool], tuple[int, ...]] = {}
+        # (n_symbols, full_slot) -> allocate's constants for that request shape
+        self._shapes: dict[tuple[int, bool], tuple] = {}
         self._slots: dict[int, _Slot] = {}
         # (n_symbols, n_rb) -> [a, b]: live slots a..b-1 all skipped by that request
         self._full_runs: dict[tuple[int, int], list[int]] = {}
@@ -138,9 +139,6 @@ class SlotGrid:
 
     def start_symbols(self, n_symbols: int, full_slot: bool) -> tuple[int, ...]:
         """Admissible start symbols inside one slot for an n_symbols burst."""
-        starts = self._starts.get((n_symbols, full_slot))
-        if starts is not None:
-            return starts
         if n_symbols > self.region_len:
             raise ConfigurationError(
                 f"{n_symbols} symbols exceed the {self.region_len}-symbol data region"
@@ -148,12 +146,20 @@ class SlotGrid:
         if full_slot:
             if n_symbols != self.region_len:
                 raise ConfigurationError("full-slot bursts span the whole data region")
-            starts = (self.region_start,)
-        else:
-            last = self.region_start + self.region_len - n_symbols
-            starts = tuple(range(self.region_start, last + 1))
-        self._starts[(n_symbols, full_slot)] = starts
-        return starts
+            return (self.region_start,)
+        return tuple(range(self.region_start, self.region_start + self.region_len - n_symbols + 1))
+
+    def _shape(self, n_symbols: int, full_slot: bool) -> tuple:
+        """allocate's constants for one request shape, computed once: each
+        start's (tick offset in the slot, symbol, field shift), the burst in
+        ticks and the multiplier repeating an RB mask over the burst."""
+        shape = self._shapes[(n_symbols, full_slot)] = (
+            tuple((sym * self.symbol_ticks, sym, (sym - self.region_start) * self.n_rb)
+                  for sym in self.start_symbols(n_symbols, full_slot)),
+            n_symbols * self.symbol_ticks,
+            self._rep[n_symbols],
+        )
+        return shape
 
     def alignment(self, ready_tick: int, n_symbols: int, full_slot: bool) -> int:
         """First admissible start boundary at or after ready_tick."""
@@ -188,19 +194,18 @@ class SlotGrid:
         """
         if n_rb > self.n_rb:
             raise ConfigurationError(f"{n_rb} RBs exceed the {self.n_rb}-RB carrier")
-        starts = self.start_symbols(n_symbols, full_slot)
+        starts, burst, rep = (self._shapes.get((n_symbols, full_slot))
+                              or self._shape(n_symbols, full_slot))
+        first_offset = starts[0][0]
         slot_ticks = self.slot_ticks
-        symbol_ticks = self.symbol_ticks
-        region_start = self.region_start
         area = n_rb * n_symbols
-        burst = n_symbols * symbol_ticks
         extra = (repeats - 1) * slot_ticks
         slots = self._slots
         slot = earliest_tick // slot_ticks
         end_slot = slot + scan_limit_slots
         # the first slot whose first start ends past the deadline
         late_slot = end_slot if max_tx_end_tick is None else (
-            (max_tx_end_tick - burst - extra - region_start * symbol_ticks) // slot_ticks + 1)
+            (max_tx_end_tick - burst - extra - first_offset) // slot_ticks + 1)
         first_boundary = -1
         while slot < end_slot:
             s = slots.get(slot)
@@ -232,8 +237,8 @@ class SlotGrid:
                     return None, first_boundary
                 continue
             base = slot * slot_ticks
-            for sym in starts:
-                tick = base + sym * symbol_ticks
+            for offset, sym, shift in starts:
+                tick = base + offset
                 if tick < earliest_tick:
                     continue
                 if first_boundary < 0:
@@ -244,10 +249,9 @@ class SlotGrid:
                     # no window of this slot fits; its later starts only
                     # lie further past the deadline
                     break
-                first = sym - region_start
-                rb = self._fit(slot, first, n_symbols, n_rb, area, repeats, s)
+                rb = self._fit(slot, shift, n_symbols, n_rb, area, repeats, s)
                 if rb is not None:
-                    cells = (((1 << n_rb) - 1) << rb) * self._rep[n_symbols] << (first * self.n_rb)
+                    cells = (((1 << n_rb) - 1) << rb) * rep << shift
                     for idx in range(slot, slot + repeats):
                         t = slots.get(idx)
                         if t is None:
@@ -259,8 +263,7 @@ class SlotGrid:
             else:
                 # every start of the slot was probed and missed (the scan's
                 # first slot may have skipped starts before earliest_tick)
-                first_tick = base + region_start * symbol_ticks
-                if repeats == 1 and s is not None and first_tick >= earliest_tick:
+                if repeats == 1 and s is not None and base + first_offset >= earliest_tick:
                     no_fit = s.no_fit
                     s.no_fit = no_fit[:n_symbols] + (n_rb,) + no_fit[n_symbols + 1 :]
             slot += 1
@@ -269,11 +272,12 @@ class SlotGrid:
         return None, first_boundary
 
     def _fit(
-        self, slot: int, first: int, n_symbols: int, n_rb: int, area: int, repeats: int,
+        self, slot: int, shift: int, n_symbols: int, n_rb: int, area: int, repeats: int,
         s: _Slot | None,
     ) -> int | None:
-        """Lowest free RB of an n_rb x n_symbols window starting at region
-        symbol `first` in `slot` (state `s`) and its repeat slots, or None."""
+        """Lowest free RB of an n_rb x n_symbols window whose first symbol's
+        field starts at bit `shift` in `slot` (state `s`) and its repeat
+        slots, or None."""
         occ = 0 if s is None else s.occ
         if repeats > 1:
             for r in range(1, repeats):
@@ -282,7 +286,7 @@ class SlotGrid:
                     if t.free_area < area:
                         return None
                     occ |= t.occ
-        occ = (occ >> (first * self.n_rb)) & self._window[n_symbols]
+        occ = (occ >> shift) & self._window[n_symbols]
         if not occ:
             return 0
         for shift in self._fold[n_symbols]:

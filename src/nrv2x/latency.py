@@ -11,6 +11,10 @@ Control-channel hops charge the decode-side half processing time on their
 transmit side and the prepare-side half on their receive side.  This module
 holds the chain segments; the engine composes them event by event, so that
 every touch of the live grids and DCI queue happens in global time order.
+A segment returns a plain tuple of ticks that ends with its completion tick
+(`data_chain` leads with the placement), so an attempt builds no record
+object; a transport block's airtime depends only on its direction and is
+kept on the `RadioContext`.
 """
 
 from __future__ import annotations
@@ -94,9 +98,10 @@ class RadioContext:
         self._pucch_offset = (num.symbols_per_slot - control.n_sy_pucch) * num.symbol_ticks
         self.full_slot = slot_type == "full"
         fixed = SLOT_SYMBOLS[slot_type]
-        # data symbols per transport block, by direction
+        # data symbols per transport block, and their airtime, by direction
         self.n_sym = {d: g.region_len if fixed is None else fixed
                       for d, g in self.grids.items()}
+        self.airtime = {d: n * num.symbol_ticks for d, n in self.n_sym.items()}
 
     # -- control-channel occasions ---------------------------------------------
 
@@ -114,42 +119,25 @@ class RadioContext:
 # -- chain segments -------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class SrTiming:
-    ready: int          # after PUCCH preparation
-    align: int
-    sr_wait: int
-    tx_start: int
-    done: int           # gNB has decoded the request
-
-
-def sr_chain(ctx: RadioContext, start_tick: int, p: float | None = None) -> SrTiming:
+def sr_chain(ctx: RadioContext, start_tick: int,
+             p: float | None = None) -> tuple[int, int, int]:
     """Scheduling-request hop on the PUCCH: processing, alignment to the next
-    opportunity, the opportunity-cycle wait, transmit, decode."""
+    opportunity, the opportunity-cycle wait, transmit, decode.  Returns
+    (alignment, opportunity wait, tick the gNB has decoded the request)."""
     ready = start_tick + ctx.decode_half
     occasion = ctx.pucch_occasion(ready)
     if p is None:
         p = float(ctx.rng.random())
     wait = ctl.sr_wait_slots(p, ctx.sr_config) * ctx.slot_ticks
-    tx_start = occasion + wait
-    done = tx_start + ctx.tt_pucch + ctx.prepare_half
-    return SrTiming(ready, occasion - ready, wait, tx_start, done)
+    return occasion - ready, wait, occasion + wait + ctx.tt_pucch + ctx.prepare_half
 
 
-@dataclass(slots=True)
-class GrantTiming:
-    created: int        # instant the DCI joins the queue
-    align: int
-    queue: int
-    done: int           # receiver has decoded the DCI
-
-
-def grant_chain(ctx: RadioContext, created_tick: int) -> GrantTiming:
+def grant_chain(ctx: RadioContext, created_tick: int) -> tuple[int, int, int]:
     """DCI hop on the PDCCH from the instant the message exists: alignment,
-    FIFO queue, transmit, decode.  Mutates the live queue."""
+    FIFO queue, transmit, decode.  Mutates the live queue.  Returns
+    (alignment, queueing, tick the receiver has decoded the DCI)."""
     t_fa, t_q, drain = ctl.pdcch_queue_delay(created_tick, ctx.dci_queue)
-    done = drain + ctx.tt_pdcch + ctx.prepare_half
-    return GrantTiming(created_tick, t_fa, t_q, done)
+    return t_fa, t_q, drain + ctx.tt_pdcch + ctx.prepare_half
 
 
 def nack_chain(ctx: RadioContext, direction: str, start_tick: int) -> int:
@@ -169,17 +157,6 @@ def nack_chain(ctx: RadioContext, direction: str, start_tick: int) -> int:
     return occasion + tt + ctx.prepare_half
 
 
-@dataclass(slots=True)
-class DataTiming:
-    ready: int
-    align: int
-    wait: int
-    airtime: int
-    placement: Placement | None
-    tx_end: int = 0
-    delivered: int = 0
-
-
 def data_chain(
     ctx: RadioContext,
     direction: str,
@@ -188,17 +165,17 @@ def data_chain(
     repeats: int = 1,
     deadline_tick: int | None = None,
     scan_limit_slots: int = NO_SCAN_LIMIT,
-) -> DataTiming:
+) -> tuple[Placement | None, int, int, int]:
     """Data hop from the instant the transport block is prepared: alignment,
-    first-fit allocation, transmission, decode.  Placement is None when
-    nothing fits before the deadline."""
-    n_sym = ctx.n_sym[direction]
+    first-fit allocation, transmission, decode.  Returns (placement,
+    alignment, resource wait, tick the receiver has decoded the block); the
+    placement is None, and the last two 0, when nothing fits before the
+    deadline."""
     placement, boundary = ctx.grids[direction].allocate(
-        n_rb, n_sym, ready_tick, ctx.full_slot, repeats, deadline_tick, scan_limit_slots,
+        n_rb, ctx.n_sym[direction], ready_tick, ctx.full_slot, repeats, deadline_tick,
+        scan_limit_slots,
     )
-    airtime = n_sym * ctx.symbol_ticks
     if placement is None:
-        return DataTiming(ready_tick, boundary - ready_tick, 0, airtime, None)
-    end = placement.tx_end_tick
-    return DataTiming(ready_tick, boundary - ready_tick, placement.start_tick - boundary,
-                      airtime, placement, end, end + ctx.decode_half)
+        return None, boundary - ready_tick, 0, 0
+    return (placement, boundary - ready_tick, placement.start_tick - boundary,
+            placement.tx_end_tick + ctx.decode_half)

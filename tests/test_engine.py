@@ -288,6 +288,13 @@ def test_overload_replication_pinned():
     dict(retransmission="k_repetitions", k=2.0),
     dict(scs_khz=30.0),
     dict(harq_max_retx="1"),
+    dict(relative_error_target=0.0),
+    dict(relative_error_target=-1.0),
+    dict(relative_error_target=math.nan),
+    dict(interval_ms=True),
+    dict(density_veh_km_lane=True),
+    dict(cell_radius_m=False),
+    dict(horizon_ms="600"),
 ], ids=["negative_density", "warmup_equals_horizon", "warmup_past_horizon",
         "min_above_max_replications", "zero_density", "density_rounding_to_no_vehicle",
         "unknown_retransmission", "bad_repetition_count", "unknown_traffic",
@@ -296,7 +303,9 @@ def test_overload_replication_pinned():
         "more_receivers_than_vehicles", "negative_lanes", "negative_radius",
         "negative_seed", "no_whole_slot_after_warmup", "negative_warmup", "nan_density",
         "fractional_lanes", "float_layers", "fractional_packet", "bool_seed",
-        "float_repetition_count", "float_scs", "string_retx_count"])
+        "float_repetition_count", "float_scs", "string_retx_count", "zero_error_target",
+        "negative_error_target", "nan_error_target", "bool_interval", "bool_density",
+        "bool_radius", "string_horizon"])
 def test_run_config_rejects_bad_values(fields):
     with pytest.raises(phy.ConfigurationError):
         RunConfig(**fields)
@@ -427,16 +436,62 @@ def test_relative_error_matches_student_t_formula():
         assert relative_error(means) == float(half / abs(mean))
 
 
-def test_fresh_replication_holds_one_arrival_per_vehicle():
+def test_fresh_replication_heap_holds_only_flushes():
     cfg = RunConfig(density_veh_km_lane=20, traffic="aperiodic", interval_ms=20.0, **FAST)
     rep = engine._Replication(cfg, np.random.default_rng(9))
-    gens = Counter(payload[0] for _, _, kind, payload in rep._heap if kind == engine._GEN)
-    assert set(gens) == {v.id for v in rep.vehicles}
-    assert max(gens.values()) == 1
-    # the arrivals' reserved sequence numbers come before every other event
-    reserved = sum(rep._gen_count)
-    assert reserved > len(rep.vehicles)
-    assert all((seq <= reserved) == (kind == engine._GEN) for _, seq, kind, _ in rep._heap)
+    assert rep._heap and {kind for _, _, kind, _ in rep._heap} == {engine._FLUSH}
+    assert len(rep.arrivals) > len(rep.vehicles)
+
+
+def test_arrival_stream_is_sorted_by_tick_vehicle_index(monkeypatch):
+    """The stream equals a sort of every in-horizon arrival by (tick,
+    vehicle, index), each with its vehicle's next arrival as deadline.  A
+    gap of a fraction of a tick makes ties both between vehicles and within
+    one vehicle."""
+    drawn = []
+    generate = engine.scn.generate_arrivals
+
+    def recording(*args):
+        drawn.append(generate(*args).tolist())
+        return np.array(drawn[-1])
+
+    monkeypatch.setattr(engine.scn, "generate_arrivals", recording)
+    cfg = RunConfig(lanes=1, density_veh_km_lane=2, traffic="aperiodic", interval_ms=0.002,
+                    horizon_ms=2.0, warmup_ms=0.0)
+    rep = engine._Replication(cfg, np.random.default_rng(5))
+    horizon = phy.ms_to_ticks(cfg.horizon_ms)
+    want = sorted((tick, vid, i, times[i + 1]) for vid, times in enumerate(drawn)
+                  for i, tick in enumerate(times) if tick < horizon)
+    assert len(drawn) == len(rep.vehicles) > 1
+    assert rep.arrivals.tolist() == [[tick, vid, nxt] for tick, vid, _, nxt in want]
+    ticks = [(tick, vid) for tick, vid, _, _ in want]
+    assert len({t for t, _ in ticks}) < len(set(ticks)) < len(ticks)
+
+
+def test_arrival_runs_before_heap_events_of_its_tick():
+    """An arrival and an in-flight event due on the same tick: the arrival
+    runs first, as it did when every arrival was pushed up front with a
+    lower sequence number."""
+    log = []
+
+    class Recording(engine._Replication):
+        def _on_gen(self, now, vid, deadline):
+            log.append((now, "arrival"))
+            super()._on_gen(now, vid, deadline)
+
+        def _on_data(self, now, leg):
+            log.append((now, "data"))
+            super()._on_data(now, leg)
+
+    cfg = RunConfig(density_veh_km_lane=40, interval_ms=20.0, **FAST)
+    Recording(cfg, np.random.default_rng(3)).run()
+    assert log == sorted(log, key=lambda e: e[0])
+    kinds: dict[int, list] = {}
+    for tick, kind in log:
+        kinds.setdefault(tick, []).append(kind)
+    shared = [k for k in kinds.values() if len(set(k)) == 2]
+    assert len(shared) > 10
+    assert all(k == sorted(k) for k in shared)   # "arrival" < "data"
 
 
 if __name__ == "__main__":

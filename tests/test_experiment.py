@@ -52,6 +52,9 @@ def test_invalid_combinations_rejected():
     # unsupported SCS values fail at numerology lookup
     with pytest.raises(ConfigurationError):
         ExperimentSpec(base={}, axes={"scs_khz": [30, 120]}).points()
+    # a YAML boolean is not a number of milliseconds
+    with pytest.raises(ConfigurationError, match="interval_ms"):
+        spec_from_mapping({"base": {"interval_ms": True}}).points()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -185,6 +188,21 @@ def test_sweep_seed_and_workers_must_be_integers(tmp_path, capsys, key, raw):
     out = tmp_path / "out"
     assert cli.main(["sweep", "--spec", str(write_spec(tmp_path, doc)), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: field {key!r}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sweep_needs_at_least_one_worker(tmp_path, capsys, workers):
+    doc = {"base": dict(FAST_BASE), "workers": workers}
+    with pytest.raises(ConfigurationError, match="workers"):
+        spec_from_mapping(doc)
+    with pytest.raises(ConfigurationError, match="workers"):
+        ExperimentSpec(base=dict(FAST_BASE), axes={}, workers=workers)
+    out = tmp_path / "out"
+    for spec, flag in ((doc, []), ({"base": dict(FAST_BASE)}, ["--workers", str(workers)])):
+        argv = ["sweep", "--spec", str(write_spec(tmp_path, spec)), *flag, "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: workers must be at least 1")
     assert not out.exists()
 
 

@@ -39,13 +39,14 @@ def test_semistatic_empty_grid(ctx):
     # single packet on an empty grid: no resource wait, exact serial chain
     gen = 100
     ready = gen + ctx.prepare_half
-    timing = lat.data_chain(ctx, "UL", ready, n_rb=2)
-    assert timing.wait == 0
-    assert timing.airtime == 13 * ctx.symbol_ticks
-    assert timing.align == ctx.slot_ticks - ready  # next slot start
-    assert timing.placement.start_tick == ready + timing.align
-    assert timing.delivered == timing.placement.tx_end_tick + ctx.decode_half
-    assert timing.delivered == ready + timing.align + timing.airtime + ctx.decode_half
+    placement, align, wait, delivered = lat.data_chain(ctx, "UL", ready, n_rb=2)
+    airtime = ctx.airtime["UL"]
+    assert wait == 0
+    assert airtime == 13 * ctx.symbol_ticks
+    assert align == ctx.slot_ticks - ready  # next slot start
+    assert placement.start_tick == ready + align
+    assert delivered == placement.tx_end_tick + ctx.decode_half
+    assert delivered == ready + align + airtime + ctx.decode_half
 
 
 def test_dynamic_exceeds_semistatic_on_same_trace():
@@ -103,10 +104,10 @@ def test_k_repetition_latency_deltas():
 
 
 def test_k_repetitions_charge_grid(ctx):
-    timing = lat.data_chain(ctx, "UL", 0, n_rb=3, repeats=4)
-    assert timing.placement.repeats == 4
+    placement = lat.data_chain(ctx, "UL", 0, n_rb=3, repeats=4)[0]
+    assert placement.repeats == 4
     grid = ctx.grids["UL"]
-    start = timing.placement.slot_idx
+    start = placement.slot_idx
     area = 3 * 13
     for r in range(5):
         lo = (start + r) * grid.slot_ticks
@@ -132,20 +133,20 @@ def test_harq_single_forced_failure_cycle():
                     **ONE_VEHICLE)
     rep, rows = replicate(
         cfg, ok=lambda leg: leg.hop.direction == "DL" or leg.bd.attempts > 1)
-    n_rb = rep._rb_ul[rep.vehicles[0].cqi]
+    n_rb = rep._ul_rbs[0]
     packets = rows_by_packet(rows)
     assert len(packets) >= 8
     for (_, gen_ms), (ul, dl) in packets.items():
         gen = ticks(gen_ms)
         probe = make_context(slot_type=cfg.slot_type, control_variant="conf3")
-        first = lat.data_chain(probe, "UL", gen + probe.prepare_half, n_rb)
-        known = first.delivered          # the failure is known once decoded
-        sr = lat.sr_chain(probe, lat.nack_chain(probe, "UL", known), p=0.0)
-        grant = lat.grant_chain(probe, sr.done + probe.decode_half)
-        again = lat.data_chain(probe, "UL", grant.done + probe.prepare_half, n_rb)
+        # the failure is known once the first attempt is decoded
+        known = lat.data_chain(probe, "UL", gen + probe.prepare_half, n_rb)[-1]
+        *_, sr_done = lat.sr_chain(probe, lat.nack_chain(probe, "UL", known), p=0.0)
+        *_, grant_done = lat.grant_chain(probe, sr_done + probe.decode_half)
+        again = lat.data_chain(probe, "UL", grant_done + probe.prepare_half, n_rb)[-1]
         assert ul["disposition"] == "delivered" and ul["attempts"] == 2
         assert ticks(ul["total_ms"]) - ticks(ul["retx_ms"]) == known - gen
-        assert ticks(ul["retx_ms"]) == again.delivered - known
+        assert ticks(ul["retx_ms"]) == again - known
         assert dl["attempts"] == 1 and dl["retx_ms"] == 0
 
 
@@ -241,13 +242,13 @@ def test_sched_latency_ops_match_dynamic_chain():
     hop, so it is shorter than uplink signalling."""
     ctx = make_context(control_variant="conf3")
     gen = 50
-    sr = lat.sr_chain(ctx, gen, p=0.7)
-    assert sr.sr_wait == 0
-    assert sr.done == ctx.pucch_occasion(gen + ctx.decode_half) + ctx.tt_pucch + ctx.prepare_half
-    ul = lat.grant_chain(ctx, sr.done + ctx.decode_half)
-    assert ul.queue == 0
-    assert ul.done == (ctx.pdcch_occasion_after(sr.done + ctx.decode_half)
+    _, sr_wait, sr_done = lat.sr_chain(ctx, gen, p=0.7)
+    assert sr_wait == 0
+    assert sr_done == ctx.pucch_occasion(gen + ctx.decode_half) + ctx.tt_pucch + ctx.prepare_half
+    _, ul_queue, ul_done = lat.grant_chain(ctx, sr_done + ctx.decode_half)
+    assert ul_queue == 0
+    assert ul_done == (ctx.pdcch_occasion_after(sr_done + ctx.decode_half)
                        + ctx.tt_pdcch + ctx.prepare_half)
     # the DCI queue takes messages in time order: the downlink one on its own
-    dl = lat.grant_chain(make_context(control_variant="conf3"), gen + ctx.decode_half)
-    assert dl.done < ul.done
+    dl_done = lat.grant_chain(make_context(control_variant="conf3"), gen + ctx.decode_half)[-1]
+    assert dl_done < ul_done
