@@ -85,14 +85,3 @@ class DciQueue:
             self._tail_count = 1
         return self._tail_slot * self.slot_ticks
 
-
-def pdcch_queue_delay(created_tick: int, queue: DciQueue) -> tuple[int, int, int]:
-    """Queue one DCI and split its wait into alignment and queuing parts.
-
-    Returns (t_fa ticks, t_q ticks, drain slot start tick); t_fa is the time
-    to the next PDCCH opportunity and t_q the whole slots added by the FIFO
-    backlog.
-    """
-    drain = queue.enqueue(created_tick)
-    eligible = queue.first_eligible_slot(created_tick) * queue.slot_ticks
-    return eligible - created_tick, drain - eligible, drain

@@ -78,6 +78,12 @@ _PENDING, _DELIVERED, _DROPPED, _FAILED = range(4)
 DISPOSITIONS = {_DELIVERED: "delivered", _DROPPED: "dropped_at_tx",
                 _FAILED: "delivery_failed"}
 
+# a leg's latency components, in the order of the trace columns: signalling
+# before the data grant is usable, sender processing, alignment to the next
+# admissible start, wait for free resources past it, the transmitted
+# symbols, receiver processing, and what repetitions or retransmissions add
+COMPONENTS = ("sched", "tx_proc", "align", "wait", "airtime", "rx_proc", "retx")
+
 # RunConfig fields that take one of a few values
 _CHOICES = {
     "scheduling": ("semi_static", "dynamic"),
@@ -210,21 +216,27 @@ class _Hop(NamedTuple):
 
 
 class _Leg:
-    """One hop of a packet: its uplink (leg 0) or one downlink copy."""
+    """One hop of a packet: its uplink (leg 0) or one downlink copy.
 
-    __slots__ = ("pkt", "hop", "n_rb", "created", "bd", "state", "pending",
-                 "placement", "cycle_start")
+    Its latency is ``done - created``; `_Replication._components` splits it
+    into the model's additive parts.
+    """
+
+    __slots__ = ("pkt", "hop", "n_rb", "created", "state", "pending", "placement",
+                 "attempts", "first", "align", "wait", "done")
 
     def __init__(self, pkt, hop, n_rb, created, pending):
         self.pkt = pkt
         self.hop = hop
         self.n_rb = n_rb
         self.created = created
-        self.bd = lat.LatencyBreakdown(hop.direction)
         self.state = _PENDING
         self.pending = pending      # receivers that have not decoded it yet
         self.placement = None
-        self.cycle_start = 0        # NACK tick of the current retransmission; 0 before
+        self.attempts = 1
+        # the first attempt's tick, alignment and resource wait, once placed
+        self.first = self.align = self.wait = 0
+        self.done = 0               # decode tick of the latest placed attempt; 0 before
 
 
 class _Packet:
@@ -406,7 +418,6 @@ class _Replication:
         if pkt.counted:
             self.summary.n_generated += 1
         if leg.n_rb is None:
-            self.summary.n_unallocatable += pkt.counted
             self._resolve_leg(leg, _DROPPED, "ul_unallocatable")
             return
         ctx = self.ctx
@@ -419,10 +430,10 @@ class _Replication:
             # the request in flight will serve the newest packet
             self._resolve_leg(prev, _DROPPED, "superseded")
             return
-        self._push(lat.sr_chain(ctx, now)[-1] + ctx.decode_half, _SIG_DCI, vid)
+        self._push(lat.sr_chain(ctx, now) + ctx.decode_half, _SIG_DCI, vid)
 
     def _on_sig_dci(self, now: int, vid: int) -> None:
-        self._push(lat.grant_chain(self.ctx, now)[-1] + self.ctx.prepare_half, _SIG_DATA, vid)
+        self._push(lat.grant_chain(self.ctx, now) + self.ctx.prepare_half, _SIG_DATA, vid)
 
     def _on_sig_data(self, now: int, vid: int) -> None:
         """The grant issued to this UE serves its newest waiting packet."""
@@ -439,7 +450,7 @@ class _Replication:
             return
         ctx = self.ctx
         hop = leg.hop
-        retx = leg.cycle_start > 0
+        retx = leg.done > 0
         repeats, deadline, scan = (hop.retx if retx else hop.first)(now, leg.pkt)
         placement, align, wait, delivered = lat.data_chain(
             ctx, hop.direction, now, leg.n_rb, repeats, deadline, scan)
@@ -447,25 +458,13 @@ class _Replication:
             self._resolve_leg(leg, *hop.starved[retx])
             return
         leg.placement = placement
-        bd = leg.bd
-        if retx:
-            bd.retx += delivered - leg.cycle_start
-        else:
-            # signalling, then preparation: cut short for a packet that
-            # superseded another while its request was in flight
-            elapsed = now - leg.created
-            bd.tx_proc = tx_proc = min(ctx.prepare_half, elapsed)
-            bd.sched = elapsed - tx_proc
-            bd.align = align
-            bd.wait = wait
-            bd.airtime = ctx.airtime[hop.direction]
-            bd.rx_proc = ctx.decode_half
-            if self._repeats > 1:
-                bd.retx = (self._repeats - 1) * ctx.slot_ticks
-                bd.attempts = self._repeats
+        leg.done = delivered
+        if not retx:
+            leg.first, leg.align, leg.wait = now, align, wait
+            leg.attempts = self._repeats
         if self._attempt_ok(leg):
             self._resolve_leg(leg, _DELIVERED, "", delivered)
-        elif bd.attempts <= self._nack_limit:
+        elif leg.attempts <= self._nack_limit:
             self._push(delivered, _NACK, leg)
         else:
             self._resolve_leg(leg, _FAILED, hop.error)
@@ -503,18 +502,17 @@ class _Replication:
         if leg.state != _PENDING:
             return
         ctx = self.ctx
-        leg.cycle_start = now
-        leg.bd.attempts += 1
+        leg.attempts += 1
         done = lat.nack_chain(ctx, leg.hop.direction, now)
         if leg.hop.sr_after_nack:
-            done = lat.sr_chain(ctx, done)[-1]
+            done = lat.sr_chain(ctx, done)
         self._push(done + ctx.decode_half, _DCI, leg)
 
     def _on_dci(self, now: int, leg: _Leg) -> None:
         """The DCI granting or assigning the leg's next attempt."""
         if leg.state != _PENDING:
             return
-        self._push(lat.grant_chain(self.ctx, now)[-1] + self.ctx.prepare_half, _DATA, leg)
+        self._push(lat.grant_chain(self.ctx, now) + self.ctx.prepare_half, _DATA, leg)
 
     def _resolve_leg(self, leg: _Leg, state: int, detail: str,
                      delivered: int = 0) -> None:
@@ -571,7 +569,6 @@ class _Replication:
                       else (_DATA, now + ctx.prepare_half))
         for leg in legs:
             if leg.n_rb is None:
-                self.summary.n_unallocatable += pkt.counted
                 self._resolve_leg(leg, _DROPPED, "dl_unallocatable")
             else:
                 self._push(tick, kind, leg)
@@ -595,17 +592,38 @@ class _Replication:
             s = self.summary
             if state == _DELIVERED:
                 s.n_delivered += 1
-                ul = pkt.ul.bd.total_ticks
-                dl = max(l.bd.total_ticks for l in pkt.legs)
+                ul = pkt.ul.done - pkt.gen
+                dl = max(leg.done for leg in pkt.legs) - pkt.legs[0].created
                 self._uls.append(ul)
                 self._dls.append(dl)
                 self._totals.append(ul + dl)
             elif state == _DROPPED:
                 s.n_dropped += 1
+                # a leg that fits no carrier drops its packet, which counts once
+                s.n_unallocatable += pkt.detail.endswith("_unallocatable")
             else:
                 s.n_failed += 1
         pkt.ul = None
         pkt.legs = ()
+
+    def _components(self, leg: _Leg) -> tuple[int, ...]:
+        """A leg's latency split into the model's additive parts, in ticks, in
+        `COMPONENTS` order; all 0 for a leg never placed.
+
+        Before its first attempt comes signalling, then preparation, cut
+        short for a packet that superseded another while its request was in
+        flight.  What its latest placed attempt adds past the first one's
+        decode, and what the k - 1 repetitions add, is `retx`.
+        """
+        if not leg.done:
+            return (0,) * len(COMPONENTS)
+        ctx = self.ctx
+        elapsed = leg.first - leg.created
+        tx_proc = min(ctx.prepare_half, elapsed)
+        airtime = ctx.airtime[leg.hop.direction]
+        first_decoded = leg.first + leg.align + leg.wait + airtime + ctx.decode_half
+        return (elapsed - tx_proc, tx_proc, leg.align, leg.wait, airtime, ctx.decode_half,
+                leg.done - first_decoded)
 
     def _trace(self, pkt: _Packet) -> None:
         """One breakdown row per leg for the per-packet log."""
@@ -615,9 +633,13 @@ class _Replication:
             "disposition": DISPOSITIONS[pkt.state],
             "detail": pkt.detail,
         }
-        self.trace_rows.append({**base, "leg": 0, **pkt.ul.bd.as_ms_dict()})
-        for i, leg in enumerate(pkt.legs):
-            self.trace_rows.append({**base, "leg": i + 1, **leg.bd.as_ms_dict()})
+        for i, leg in enumerate((pkt.ul, *pkt.legs)):
+            parts = self._components(leg)
+            self.trace_rows.append({
+                **base, "leg": i, "direction": leg.hop.direction,
+                **{f"{name}_ms": phy.ticks_to_ms(t) for name, t in zip(COMPONENTS, parts)},
+                "attempts": leg.attempts, "total_ms": phy.ticks_to_ms(sum(parts)),
+            })
 
     def _on_flush(self, now: int, _payload) -> None:
         self.ctx.grids["UL"].release_expired(now)

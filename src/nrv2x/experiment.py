@@ -80,14 +80,24 @@ class ExperimentSpec:
             raise ConfigurationError(f"workers must be at least 1, got {self.workers}")
 
     def points(self) -> list[RunConfig]:
-        """Deterministic cartesian expansion of the axes over the base."""
+        """Deterministic cartesian expansion of the axes over the base.
+
+        Results and resumption are keyed by `RunConfig.key()`, so two points
+        with one key are rejected: their rows could not be told apart.
+        """
         names = sorted(self.axes)
         out = []
+        keys = set()
         for combo in itertools.product(*(self.axes[n] for n in names)):
             fields = dict(self.base)
             fields.update(dict(zip(names, combo)))
             fields.setdefault("seed", self.seed)
-            out.append(RunConfig(**fields))
+            cfg = RunConfig(**fields)
+            key = cfg.key()
+            if key in keys:
+                raise ConfigurationError(f"two sweep points share the configuration key {key!r}")
+            keys.add(key)
+            out.append(cfg)
         return out
 
     def to_mapping(self) -> dict:

@@ -11,63 +11,24 @@ Control-channel hops charge the decode-side half processing time on their
 transmit side and the prepare-side half on their receive side.  This module
 holds the chain segments; the engine composes them event by event, so that
 every touch of the live grids and DCI queue happens in global time order.
-A segment returns a plain tuple of ticks that ends with its completion tick
-(`data_chain` leads with the placement), so an attempt builds no record
-object; a transport block's airtime depends only on its direction and is
-kept on the `RadioContext`.
+A signalling segment returns its completion tick; `data_chain` returns a
+plain tuple of the placement, the alignment and resource wait, and the
+completion tick, so an attempt builds no record object.  A transport
+block's airtime depends only on its direction and is kept on the
+`RadioContext`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import control as ctl
 from .grid import Placement, SlotGrid
-from .phy import ControlConfig, NumerologyProfile, ProcessingTimes, ticks_to_ms
+from .phy import ControlConfig, NumerologyProfile, ProcessingTimes
 
 SLOT_SYMBOLS = {"full": None, "mini7": 7, "mini4": 4}
 REPETITION_COUNTS = (2, 4, 8)
 NO_SCAN_LIMIT = 100_000   # slots; more than any horizon holds
-
-
-@dataclass(slots=True)
-class LatencyBreakdown:
-    """Additive components of one leg, in ticks; ms views for reporting."""
-
-    direction: str
-    sched: int = 0        # signalling before the data grant is usable
-    tx_proc: int = 0      # sender processing (packet preparation)
-    align: int = 0        # wait to the next admissible start boundary
-    wait: int = 0         # wait for free resources past that boundary
-    airtime: int = 0      # duration of the transmitted symbols
-    rx_proc: int = 0      # receiver processing (decode)
-    retx: int = 0         # everything added by repetitions/retransmissions
-    attempts: int = 1
-
-    @property
-    def total_ticks(self) -> int:
-        return (self.sched + self.tx_proc + self.align + self.wait
-                + self.airtime + self.rx_proc + self.retx)
-
-    @property
-    def total_ms(self) -> float:
-        return ticks_to_ms(self.total_ticks)
-
-    def as_ms_dict(self) -> dict:
-        return {
-            "direction": self.direction,
-            "sched_ms": ticks_to_ms(self.sched),
-            "tx_proc_ms": ticks_to_ms(self.tx_proc),
-            "align_ms": ticks_to_ms(self.align),
-            "wait_ms": ticks_to_ms(self.wait),
-            "airtime_ms": ticks_to_ms(self.airtime),
-            "rx_proc_ms": ticks_to_ms(self.rx_proc),
-            "retx_ms": ticks_to_ms(self.retx),
-            "attempts": self.attempts,
-            "total_ms": self.total_ms,
-        }
 
 
 class RadioContext:
@@ -119,25 +80,22 @@ class RadioContext:
 # -- chain segments -------------------------------------------------------------
 
 
-def sr_chain(ctx: RadioContext, start_tick: int,
-             p: float | None = None) -> tuple[int, int, int]:
+def sr_chain(ctx: RadioContext, start_tick: int, p: float | None = None) -> int:
     """Scheduling-request hop on the PUCCH: processing, alignment to the next
-    opportunity, the opportunity-cycle wait, transmit, decode.  Returns
-    (alignment, opportunity wait, tick the gNB has decoded the request)."""
-    ready = start_tick + ctx.decode_half
-    occasion = ctx.pucch_occasion(ready)
+    opportunity, the opportunity-cycle wait, transmit, decode.  Returns the
+    tick the gNB has decoded the request."""
+    occasion = ctx.pucch_occasion(start_tick + ctx.decode_half)
     if p is None:
         p = float(ctx.rng.random())
     wait = ctl.sr_wait_slots(p, ctx.sr_config) * ctx.slot_ticks
-    return occasion - ready, wait, occasion + wait + ctx.tt_pucch + ctx.prepare_half
+    return occasion + wait + ctx.tt_pucch + ctx.prepare_half
 
 
-def grant_chain(ctx: RadioContext, created_tick: int) -> tuple[int, int, int]:
+def grant_chain(ctx: RadioContext, created_tick: int) -> int:
     """DCI hop on the PDCCH from the instant the message exists: alignment,
-    FIFO queue, transmit, decode.  Mutates the live queue.  Returns
-    (alignment, queueing, tick the receiver has decoded the DCI)."""
-    t_fa, t_q, drain = ctl.pdcch_queue_delay(created_tick, ctx.dci_queue)
-    return t_fa, t_q, drain + ctx.tt_pdcch + ctx.prepare_half
+    FIFO queue, transmit, decode.  Mutates the live queue.  Returns the tick
+    the receiver has decoded the DCI."""
+    return ctx.dci_queue.enqueue(created_tick) + ctx.tt_pdcch + ctx.prepare_half
 
 
 def nack_chain(ctx: RadioContext, direction: str, start_tick: int) -> int:

@@ -209,9 +209,6 @@ def rbs_for_packet(
             hi = mid
         else:
             lo = mid + 1
-    # guard against any residual non-monotonicity of the quantised TBS
-    while lo > 1 and transport_block_size(mcs, lo - 1, n_symbols, layers, overhead_re_per_rb) >= payload_bits:
-        lo -= 1
     return lo
 
 

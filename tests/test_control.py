@@ -8,7 +8,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from nrv2x.control import DciQueue, SrConfig, pdcch_queue_delay, sr_wait_slots
+from nrv2x.control import DciQueue, SrConfig, sr_wait_slots
 from nrv2x.phy import ControlConfig
 
 CONF1 = ControlConfig(24, 1, 1, 1, "conf1")
@@ -119,16 +119,6 @@ def test_fifo_order_preserved():
         t += rng.randint(0, 40)
         drains.append(q.enqueue(t))
     assert drains == sorted(drains)
-
-
-def test_pdcch_queue_delay_split():
-    q = DciQueue(CONF1, SLOT)
-    t_fa, t_q, drain = pdcch_queue_delay(100, q)
-    assert t_fa == SLOT - 100 and t_q == 0 and drain == SLOT
-    for _ in range(4):
-        q.enqueue(110)
-    t_fa, t_q, drain = pdcch_queue_delay(120, q)
-    assert t_fa == SLOT - 120 and t_q == SLOT and drain == 2 * SLOT
 
 
 def test_variant_ordering_on_identical_traces():

@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import json
 import math
@@ -21,6 +22,7 @@ from nrv2x.engine import (MetricsReport, ReplicationSummary, RunConfig, aggregat
 from helpers import replicate
 
 GOLDEN = Path(__file__).parent / "data" / "golden_reports.json"
+GOLDEN_TRACES = Path(__file__).parent / "data" / "golden_trace_digests.json"
 
 FAST = dict(horizon_ms=600.0, warmup_ms=100.0, min_replications=2, max_replications=2)
 
@@ -168,11 +170,18 @@ def test_stopping_rule_runs_at_least_minimum():
 
 
 def test_unallocatable_reported_not_clamped():
-    # 10 MHz at 60 kHz leaves 11 RBs; cell-edge HEP packets cannot fit
-    r = small_run(scs_khz=60, bandwidth_mhz=10, mcs_table="HEP",
-                  density_veh_km_lane=10, seed=5)
-    assert r.n_unallocatable > 0
-    assert r.n_dropped >= r.n_unallocatable > 0
+    """10 MHz at 60 kHz leaves 11 RBs, where cell-edge HEP packets cannot
+    fit.  Each such packet counts once, also a unicast packet with several
+    receivers it cannot fit."""
+    for cast in ({}, {"dl_cast": "unicast", "unicast_m": 3}):
+        cfg = RunConfig(scs_khz=60, bandwidth_mhz=10, mcs_table="HEP", density_veh_km_lane=10,
+                        horizon_ms=300.0, warmup_ms=100.0, **cast)
+        rep, rows = replicate(cfg)
+        s = rep.summary
+        packets = {(r["vehicle"], r["gen_ms"]) for r in rows
+                   if r["detail"].endswith("_unallocatable")}
+        assert s.n_unallocatable == len(packets) > 0
+        assert s.n_dropped >= s.n_unallocatable
 
 
 def test_packet_trace_csv(tmp_path):
@@ -218,7 +227,7 @@ def test_forced_uplink_retransmissions_starve():
                     control_variant="conf2", interval_ms=5.0, mcs_table="HEP",
                     bandwidth_mhz=10, density_veh_km_lane=80, horizon_ms=150.0,
                     warmup_ms=50.0)
-    rep, rows = replicate(cfg, ok=lambda leg: leg.hop.direction == "DL" or leg.bd.attempts > n)
+    rep, rows = replicate(cfg, ok=lambda leg: leg.hop.direction == "DL" or leg.attempts > n)
     s = rep.summary
     assert (s.n_delivered, s.n_dropped, s.n_failed) == (172, 16417, 31)
     starved = [r for r in rows if r["detail"] == "retx_starved"]
@@ -396,6 +405,27 @@ def test_golden_report(case):
     row = run(RunConfig(**case["config"])).to_row()
     row.pop("runtime_s")
     assert _bits(row) == _bits(case["report"])
+
+
+def trace_digest(cfg: RunConfig, n_replications: int) -> str:
+    """SHA-256 over the trace rows, keys and values in order, of the first
+    `n_replications` replications `run(cfg)` would make."""
+    digest = hashlib.sha256()
+    for seed in np.random.SeedSequence(cfg.seed).spawn(n_replications):
+        rows = []
+        run_replication(cfg, np.random.default_rng(seed), trace_rows=rows)
+        for row in rows:
+            digest.update(json.dumps(list(row.items())).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", _golden_cases(),
+                         ids=lambda case: case["report"]["config_key"])
+def test_golden_trace(case):
+    """The per-leg components of the packet trace, which no report field
+    reads, pinned bit for bit on the golden configurations."""
+    expected = json.loads(GOLDEN_TRACES.read_text())[case["report"]["config_key"]]
+    assert trace_digest(RunConfig(**case["config"]), case["report"]["n_replications"]) == expected
 
 
 def test_golden_configurations_pop_every_event_kind(monkeypatch):

@@ -72,6 +72,23 @@ def test_invalid_point_rejects_the_sweep_before_any_row(tmp_path, workers, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("axis", [{"packet_bytes": [100, 300]}, {"harq_group_size": [1, 2]},
+                                  {"density_veh_km_lane": [10, 10.0]}])
+def test_points_sharing_a_key_reject_the_sweep(tmp_path, axis, capsys):
+    """Two points with one configuration key would write rows that resume
+    and the sidecar cannot tell apart: the sweep is rejected before any
+    point runs, and the CLI exits 2 without creating its directory."""
+    doc = {"base": dict(FAST_BASE), "axes": axis}
+    key = RunConfig(**FAST_BASE).key()     # the default density is 10
+    with pytest.raises(ConfigurationError, match=key):
+        spec_from_mapping(doc).points()
+    out = tmp_path / "cli"
+    assert cli.main(["sweep", "--spec", str(write_spec(tmp_path, doc)),
+                     "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_interrupted_sweep_resumes(tmp_path):
     """A sweep stopped after its first point keeps that point's row and
     sidecar entry; the rerun adds each remaining point exactly once."""

@@ -13,8 +13,6 @@ from nrv2x.engine import RunConfig
 from nrv2x.phy import ConfigurationError
 from helpers import ONE_VEHICLE, make_context, replicate, rows_by_packet, ticks
 
-MS = phy.TICKS_PER_MS
-
 
 def test_scheme_validation():
     with pytest.raises(ConfigurationError):
@@ -26,13 +24,6 @@ def test_scheme_validation():
     rep = engine._Replication(RunConfig(retransmission="k_repetitions", k=4, **ONE_VEHICLE),
                               np.random.default_rng(0))
     assert rep._repeats == 4 and rep._bler == 0.1
-
-
-def test_breakdown_total_is_component_sum():
-    bd = lat.LatencyBreakdown("UL", sched=10, tx_proc=20, align=30, wait=40,
-                              airtime=50, rx_proc=60, retx=70)
-    assert bd.total_ticks == 280
-    assert bd.total_ms == pytest.approx(280 / MS)
 
 
 def test_semistatic_empty_grid(ctx):
@@ -132,7 +123,7 @@ def test_harq_single_forced_failure_cycle():
     cfg = RunConfig(retransmission="harq", harq_max_retx=3, control_variant="conf3",
                     **ONE_VEHICLE)
     rep, rows = replicate(
-        cfg, ok=lambda leg: leg.hop.direction == "DL" or leg.bd.attempts > 1)
+        cfg, ok=lambda leg: leg.hop.direction == "DL" or leg.attempts > 1)
     n_rb = rep._ul_rbs[0]
     packets = rows_by_packet(rows)
     assert len(packets) >= 8
@@ -141,8 +132,8 @@ def test_harq_single_forced_failure_cycle():
         probe = make_context(slot_type=cfg.slot_type, control_variant="conf3")
         # the failure is known once the first attempt is decoded
         known = lat.data_chain(probe, "UL", gen + probe.prepare_half, n_rb)[-1]
-        *_, sr_done = lat.sr_chain(probe, lat.nack_chain(probe, "UL", known), p=0.0)
-        *_, grant_done = lat.grant_chain(probe, sr_done + probe.decode_half)
+        sr_done = lat.sr_chain(probe, lat.nack_chain(probe, "UL", known), p=0.0)
+        grant_done = lat.grant_chain(probe, sr_done + probe.decode_half)
         again = lat.data_chain(probe, "UL", grant_done + probe.prepare_half, n_rb)[-1]
         assert ul["disposition"] == "delivered" and ul["attempts"] == 2
         assert ticks(ul["total_ms"]) - ticks(ul["retx_ms"]) == known - gen
@@ -242,13 +233,11 @@ def test_sched_latency_ops_match_dynamic_chain():
     hop, so it is shorter than uplink signalling."""
     ctx = make_context(control_variant="conf3")
     gen = 50
-    _, sr_wait, sr_done = lat.sr_chain(ctx, gen, p=0.7)
-    assert sr_wait == 0
+    sr_done = lat.sr_chain(ctx, gen, p=0.7)
     assert sr_done == ctx.pucch_occasion(gen + ctx.decode_half) + ctx.tt_pucch + ctx.prepare_half
-    _, ul_queue, ul_done = lat.grant_chain(ctx, sr_done + ctx.decode_half)
-    assert ul_queue == 0
+    ul_done = lat.grant_chain(ctx, sr_done + ctx.decode_half)
     assert ul_done == (ctx.pdcch_occasion_after(sr_done + ctx.decode_half)
                        + ctx.tt_pdcch + ctx.prepare_half)
     # the DCI queue takes messages in time order: the downlink one on its own
-    dl_done = lat.grant_chain(make_context(control_variant="conf3"), gen + ctx.decode_half)[-1]
+    dl_done = lat.grant_chain(make_context(control_variant="conf3"), gen + ctx.decode_half)
     assert dl_done < ul_done

@@ -2,6 +2,7 @@
 block sizing oracle (own table copy, written before the main implementation).
 """
 
+import itertools
 import math
 import random
 
@@ -133,6 +134,20 @@ def test_tbs_monotone(idx, n_rb, n_sym, oh):
     assert link.transport_block_size(mcs, n_rb, n_sym, 2, oh) >= base
     if n_sym < 14:
         assert link.transport_block_size(mcs, n_rb, n_sym + 1, 1, oh) >= base
+
+
+def test_tbs_never_falls_as_rbs_grow():
+    """The bisection in rbs_for_packet finds the smallest RB count only
+    because the TBS never falls as RBs are added.  Checked over every RB
+    count of a carrier, for every MCS of both tables, at each data-region
+    length a transport block takes (4 and 7 symbols in a mini-slot, 11 to
+    13 in a full slot)."""
+    for table, n_sym, layers, oh in itertools.product(
+            link.MCS_TABLES.values(), (4, 7, 11, 12, 13), (1, 2), (0, 12, 24)):
+        for mcs in table:
+            sizes = [link.transport_block_size(mcs, n_rb, n_sym, layers, oh)
+                     for n_rb in range(1, 276)]
+            assert sizes == sorted(sizes), (mcs.index, n_sym, layers, oh)
 
 
 def test_rbs_for_packet_inverts_tbs():
