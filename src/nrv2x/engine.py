@@ -32,15 +32,26 @@ counterpart is created against the next slot boundary with the gNB-side
 preparation overlapping that gap; only the per-leg radio latencies are
 summed.
 
-Arrivals never enter the heap.  They are generated for the whole horizon
-when a replication is set up and laid out as one stream, a compact integer
-array of (tick, vehicle, deadline) rows sorted by (tick, vehicle, index),
-the deadline being the vehicle's next arrival.  The loop merges that stream
-with the heap, which holds only in-flight events and the periodic flushes:
-an arrival goes first when its tick is at or before the heap top's, as it
-would had every arrival been pushed up front with a sequence number below
-every other event's.  Events therefore run in the order of one heap keyed
-``(tick, seq)`` over all of them.
+Events are kept in a calendar of per-tick buckets (Brown, "Calendar
+queues", CACM 31(10), 1988): a dict from tick to the ``(kind, payload)``
+pairs due then, in push order, and a heap of the distinct ticks that hold a
+bucket.  A push appends to its tick's bucket and reaches the heap only when
+it opens a new one.  The loop pops a tick and runs its whole bucket.  This
+is the order of one heap over all events keyed by (tick, push order),
+because every handler pushes strictly after the tick it runs at: the
+processing halves are positive, and the hand-over boundary less
+``prepare_half`` is at least the uplink's decode tick, which follows the
+attempt that decodes it.  So no bucket gains an event while, or after, it
+runs.
+
+Arrivals never enter the calendar.  They are generated for the whole
+horizon when a replication is set up and laid out as one stream, a compact
+integer array of (tick, vehicle, deadline) rows sorted by (tick, vehicle,
+index), the deadline being the vehicle's next arrival.  The loop merges
+that stream with the calendar, which holds only in-flight events and the
+periodic flushes: an arrival goes first when its tick is at or before the
+earliest bucket's, as it would had every arrival been pushed up front,
+before every other event.
 """
 
 from __future__ import annotations
@@ -62,8 +73,8 @@ from . import phy
 from . import scenario as scn
 from .grid import SlotGrid
 
-# kinds of heap event, dispatched in the replication loop; numbered from 0,
-# _FLUSH last.  Arrivals come from their own stream.
+# kinds of calendar event, dispatched in the replication loop; numbered from
+# 0, _FLUSH last.  Arrivals come from their own stream.
 (_SIG_DCI, _SIG_DATA, _INGEST, _DCI, _DATA, _NACK, _FLUSH) = range(7)
 
 _FLUSH_INTERVAL_MS = 50.0
@@ -281,7 +292,6 @@ class _Replication:
     def __init__(self, cfg: RunConfig, rng: np.random.Generator,
                  trace_rows: list | None = None):
         self.cfg = cfg
-        self.rng = rng
         self.trace_rows = trace_rows
         num = phy.numerology(cfg.scs_khz)
         proc = phy.processing_times(num.mu, cfg.ue_capability)
@@ -358,8 +368,10 @@ class _Replication:
         self._dl = _Hop("DL", dl_args, dl_args,
                         ((_DROPPED, "dl_starved"), (_FAILED, "dl_starved")), "dl_error", False)
 
-        self._heap: list = []       # in-flight events and flushes
-        self._seq = 0
+        # in-flight events and flushes: tick -> [(kind, payload), ...] in push
+        # order, and a heap of the ticks that hold a bucket
+        self._calendar: dict[int, list] = {}
+        self._heap: list[int] = []
         # per vehicle: the uplink leg whose grant request is in flight, if
         # any, and the newest packet's downlink legs
         self._waiting: list[_Leg | None] = [None] * n_ue
@@ -370,7 +382,7 @@ class _Replication:
         self._uls: list[int] = []
         self._dls: list[int] = []
 
-        # the last flush lies past the horizon, so the heap outlasts every arrival
+        # the last flush lies past the horizon, so the calendar outlasts every arrival
         flush = phy.ms_to_ticks(_FLUSH_INTERVAL_MS)
         for t in range(flush, self.horizon + 4 * flush, flush):
             self._push(t, _FLUSH, None)
@@ -378,11 +390,15 @@ class _Replication:
     # -- event machinery --------------------------------------------------------
 
     def _push(self, tick: int, kind: int, payload) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (tick, self._seq, kind, payload))
+        bucket = self._calendar.get(tick)
+        if bucket is None:
+            self._calendar[tick] = [(kind, payload)]
+            heapq.heappush(self._heap, tick)
+        else:
+            bucket.append((kind, payload))
 
     def run(self) -> ReplicationSummary:
-        heap = self._heap
+        heap, calendar = self._heap, self._calendar
         heappop = heapq.heappop
         on_gen = self._on_gen
         handlers = (self._on_sig_dci, self._on_sig_data, self._on_ingest,
@@ -392,13 +408,14 @@ class _Replication:
                                        for i in range(0, len(rows), _ARRIVAL_CHUNK))
         at, vid, deadline = next(arrivals, _NO_ARRIVAL)
         while heap:
-            # an arrival goes before every heap event of its tick
-            if at <= heap[0][0]:
+            # an arrival goes before every event of its tick
+            if at <= heap[0]:
                 on_gen(at, vid, deadline)
                 at, vid, deadline = next(arrivals, _NO_ARRIVAL)
                 continue
-            tick, _, kind, payload = heappop(heap)
-            handlers[kind](tick, payload)
+            tick = heappop(heap)
+            for kind, payload in calendar.pop(tick):
+                handlers[kind](tick, payload)
         s = self.summary
         # one correctly rounded division per sample, as ticks_to_ms does
         s.total_ms = np.array(self._totals, dtype=np.int64) / phy.TICKS_PER_MS
@@ -481,20 +498,19 @@ class _Replication:
         Tests override this method to force outcomes.
         """
         if self._retx == "harq":
-            # one scalar draw per receiver still waiting: the same stream
-            # as rng.random(leg.pending), without the array round trip
-            random, bler = self.rng.random, self._bler
+            uniform, bler = self.ctx.uniform, self._bler
             still = 0
             for _ in range(leg.pending):
-                if random() < bler:
+                if uniform() < bler:
                     still += 1
             leg.pending = still
             return still == 0
         if self._retx == "k_repetitions":
-            k = self._repeats
-            return bool((self.rng.random(k) < self._bler).sum() < k)
+            # every copy draws; the attempt fails only when all k do
+            uniform = self.ctx.uniform
+            return max([uniform() for _ in range(self._repeats)]) >= self._bler
         if self.cfg.mcs_table == "HEP":
-            return not (self.rng.random() < self._bler)
+            return not (self.ctx.uniform() < self._bler)
         return True
 
     def _on_nack(self, now: int, leg: _Leg) -> None:

@@ -258,8 +258,11 @@ class SlotGrid:
                             t = slots[idx] = _Slot(self._area, self._no_fit_unknown)
                         t.occ |= cells
                         t.free_area -= area
-                    return Placement(slot, sym, n_symbols, rb, n_rb, repeats, tick,
-                                     tick + burst + extra), first_boundary
+                    # tuple.__new__ skips the namedtuple's Python-level
+                    # __new__ and its keyword handling: one call per placement
+                    return tuple.__new__(Placement, (
+                        slot, sym, n_symbols, rb, n_rb, repeats, tick, tick + burst + extra,
+                    )), first_boundary
             else:
                 # every start of the slot was probed and missed (the scan's
                 # first slot may have skipped starts before earliest_tick)

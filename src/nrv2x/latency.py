@@ -16,9 +16,20 @@ plain tuple of the placement, the alignment and resource wait, and the
 completion tick, so an attempt builds no record object.  A transport
 block's airtime depends only on its direction and is kept on the
 `RadioContext`.
+
+Every run-time random draw (the scheduling-request wait here, the error
+of each attempt in the engine) is a uniform read from `RadioContext.uniform`,
+a stream over the replication's generator.  It draws the generator in
+blocks of `UNIFORM_BLOCK` doubles, which give the same values in the same
+order as one ``random()`` call per draw, and it draws nothing before its
+first read.  That read comes after the world (vehicle positions, then the
+arrival stream) is drawn, so the world keeps its draws and a replication
+replays exactly from its seed.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -29,6 +40,9 @@ from .phy import ControlConfig, NumerologyProfile, ProcessingTimes
 SLOT_SYMBOLS = {"full": None, "mini7": 7, "mini4": 4}
 REPETITION_COUNTS = (2, 4, 8)
 NO_SCAN_LIMIT = 100_000   # slots; more than any horizon holds
+# uniforms drawn from the generator at a time: a scalar `random()` costs
+# about twenty times a read from a list of pre-drawn values
+UNIFORM_BLOCK = 256
 
 
 class RadioContext:
@@ -49,7 +63,9 @@ class RadioContext:
         self.grids = {"UL": ul_grid, "DL": dl_grid}
         self.dci_queue = dci_queue
         self.sr_config = sr_config
-        self.rng = rng
+        # () -> the generator's next uniform on [0, 1), drawn lazily in blocks
+        self.uniform = chain.from_iterable(
+            iter(lambda: rng.random(UNIFORM_BLOCK).tolist(), None)).__next__
         self.prepare_half = proc.prepare_half
         self.decode_half = proc.decode_half
         self.slot_ticks = num.slot_ticks
@@ -86,7 +102,7 @@ def sr_chain(ctx: RadioContext, start_tick: int, p: float | None = None) -> int:
     tick the gNB has decoded the request."""
     occasion = ctx.pucch_occasion(start_tick + ctx.decode_half)
     if p is None:
-        p = float(ctx.rng.random())
+        p = ctx.uniform()
     wait = ctl.sr_wait_slots(p, ctx.sr_config) * ctx.slot_ticks
     return occasion + wait + ctx.tt_pucch + ctx.prepare_half
 

@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import types
 from collections import Counter
 from pathlib import Path
 
@@ -15,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nrv2x
-from nrv2x import engine, phy
+from nrv2x import engine, link, phy
+from nrv2x import latency as lat
+from nrv2x import scenario as scn
 from nrv2x.engine import (MetricsReport, ReplicationSummary, RunConfig, aggregate,
                           check_requirement, percentile_with_drops, relative_error,
                           run, run_replication, write_packet_trace)
-from helpers import replicate
+from helpers import make_context, replicate
 
 GOLDEN = Path(__file__).parent / "data" / "golden_reports.json"
 GOLDEN_TRACES = Path(__file__).parent / "data" / "golden_trace_digests.json"
@@ -428,21 +429,121 @@ def test_golden_trace(case):
     assert trace_digest(RunConfig(**case["config"]), case["report"]["n_replications"]) == expected
 
 
-def test_golden_configurations_pop_every_event_kind(monkeypatch):
-    """The golden rows pin every event handler: together their runs pop each
-    kind the engine defines (kinds are numbered from 0, `_FLUSH` last)."""
-    popped = Counter()
+class _Dispatch(dict):
+    """A calendar that tells its replication each bucket the loop takes out
+    to run."""
 
-    def heappop(heap):
-        item = heapq.heappop(heap)
-        popped[item[2]] += 1
-        return item
+    def __init__(self, rep, buckets):
+        super().__init__(buckets)
+        self.rep = rep
 
-    monkeypatch.setattr(engine, "heapq",
-                        types.SimpleNamespace(heappush=heapq.heappush, heappop=heappop))
-    for case in _golden_cases():
-        run(RunConfig(**case["config"]))
-    assert set(popped) == set(range(engine._FLUSH + 1))
+    def pop(self, tick):
+        bucket = super().pop(tick)
+        self.rep.now = tick
+        self.rep.kinds.update(kind for kind, _ in bucket)
+        return bucket
+
+
+class _Watched(engine._Replication):
+    """Records the kind of every event it dispatches, and every push made at
+    or before the tick of the event or arrival that made it."""
+
+    now = -1
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._calendar = _Dispatch(self, self._calendar)
+        self.kinds = Counter()
+        self.early = []
+
+    def _on_gen(self, now, vid, deadline):
+        self.now = now
+        super()._on_gen(now, vid, deadline)
+
+    def _push(self, tick, kind, payload):
+        if tick <= self.now:
+            self.early.append((self.now, tick, kind))
+        super()._push(tick, kind, payload)
+
+
+@pytest.fixture(scope="module")
+def watched_golden_runs() -> list[_Watched]:
+    """Every replication the golden rows run, each as a `_Watched`."""
+    reps = []
+
+    def watched(*args):
+        reps.append(_Watched(*args))
+        return reps[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_Replication", watched)
+        for case in _golden_cases():
+            run(RunConfig(**case["config"]))
+    assert len(reps) == sum(case["report"]["n_replications"] for case in _golden_cases())
+    return reps
+
+
+def test_golden_configurations_pop_every_event_kind(watched_golden_runs):
+    """The golden rows pin every event handler: together their runs dispatch
+    each kind the engine defines (kinds are numbered from 0, `_FLUSH` last)."""
+    dispatched = sum((rep.kinds for rep in watched_golden_runs), Counter())
+    assert set(dispatched) == set(range(engine._FLUSH + 1))
+
+
+def test_every_push_lands_after_the_running_tick(watched_golden_runs):
+    """The calendar runs a tick's bucket whole, so it keeps (tick, push
+    order) only if no event or arrival pushes at or before its own tick."""
+    assert all(rep.kinds and rep.early == [] for rep in watched_golden_runs)
+
+
+class _SeqHeap(engine._Replication):
+    """The loop the calendar replaced: one heap of (tick, seq, kind, payload)
+    over every event, merged with the arrival stream."""
+
+    def __init__(self, *args):
+        self._events = []
+        self._seq = 0
+        super().__init__(*args)
+
+    def _push(self, tick, kind, payload):
+        self._seq += 1
+        heapq.heappush(self._events, (tick, self._seq, kind, payload))
+
+    def run(self):
+        heap = self._events
+        handlers = (self._on_sig_dci, self._on_sig_data, self._on_ingest,
+                    self._on_dci, self._on_data, self._on_nack, self._on_flush)
+        arrivals = iter(self.arrivals.tolist())
+        at, vid, deadline = next(arrivals, engine._NO_ARRIVAL)
+        while heap:
+            if at <= heap[0][0]:
+                self._on_gen(at, vid, deadline)
+                at, vid, deadline = next(arrivals, engine._NO_ARRIVAL)
+                continue
+            tick, _, kind, payload = heapq.heappop(heap)
+            handlers[kind](tick, payload)
+        return self.summary
+
+
+@pytest.mark.parametrize("config", [case["config"] for case in _golden_cases()] + [
+    dict(scs_khz=60, slot_type="mini7", interval_ms=20.0, density_veh_km_lane=60,
+         horizon_ms=100.0, warmup_ms=40.0, seed=1),
+], ids=[case["report"]["config_key"] for case in _golden_cases()] + ["overload_mini7"])
+def test_calendar_replays_the_sequence_heap(config):
+    """The calendar and the (tick, seq) heap run the same events in the
+    same order: every trace row and count agrees."""
+    cfg = RunConfig(**config)
+    seed = np.random.SeedSequence(cfg.seed).spawn(1)[0]
+    out = []
+    for cls in (engine._Replication, _SeqHeap):
+        rows = []
+        rep = cls(cfg, np.random.default_rng(seed), rows)
+        s = rep.run()
+        out.append((rows, (s.n_generated, s.n_delivered, s.n_dropped, s.n_failed,
+                           s.n_unallocatable), (rep._totals, rep._uls, rep._dls)))
+    assert len(out[0][0]) > 100
+    assert out[0] == out[1]
+
 
 def test_import_loads_no_scipy():
     src = str(Path(nrv2x.__file__).resolve().parents[1])
@@ -469,7 +570,9 @@ def test_relative_error_matches_student_t_formula():
 def test_fresh_replication_heap_holds_only_flushes():
     cfg = RunConfig(density_veh_km_lane=20, traffic="aperiodic", interval_ms=20.0, **FAST)
     rep = engine._Replication(cfg, np.random.default_rng(9))
-    assert rep._heap and {kind for _, _, kind, _ in rep._heap} == {engine._FLUSH}
+    assert rep._calendar
+    assert all(bucket == [(engine._FLUSH, None)] for bucket in rep._calendar.values())
+    assert sorted(rep._heap) == sorted(rep._calendar)
     assert len(rep.arrivals) > len(rep.vehicles)
 
 
@@ -537,9 +640,32 @@ if __name__ == "__main__":
 @pytest.mark.parametrize("seed", [0, 1, 31, 2024, 2**40 + 7])
 def test_scalar_draws_continue_the_vector_stream(seed):
     """n scalar `random()` calls give the n values of one `random(n)` call
-    and leave the generator at the same point: downlink HARQ draws one
-    scalar per pending receiver on this property."""
+    and leave the generator at the same point.  The engine's run-time
+    draws rest on this property: `RadioContext.uniform` reads blocks of
+    `random(UNIFORM_BLOCK)` and gives the values one scalar draw each would,
+    a k-repetition attempt has the outcome of one `random(k)` call, and
+    nothing is drawn before the world is."""
     vector, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
     for n in range(1, 7):
         assert [scalar.random() for _ in range(n)] == vector.random(n).tolist()
     assert scalar.random() == vector.random()
+
+    n = 3 * lat.UNIFORM_BLOCK + 5
+    ctx = make_context(seed=seed)
+    assert [ctx.uniform() for _ in range(n)] == np.random.default_rng(seed).random(n).tolist()
+
+    for k in lat.REPETITION_COUNTS:
+        cfg = RunConfig(retransmission="k_repetitions", k=k, traffic="aperiodic",
+                        density_veh_km_lane=10, horizon_ms=300.0, warmup_ms=100.0)
+        rng, world = np.random.default_rng(seed), np.random.default_rng(seed)
+        rep = engine._Replication(cfg, rng)
+        profile = link.default_link_profile(cfg.mcs_table, cfg.edge_cqi, cfg.cell_radius_m)
+        for _ in scn.place_vehicles(cfg.density_veh_km_lane, profile, world, cfg.lanes,
+                                    cfg.cell_radius_m):
+            scn.generate_arrivals(cfg.traffic, cfg.interval_ms, cfg.horizon_ms, world)
+        assert rng.bit_generator.state == world.bit_generator.state
+        # a copy fails often enough for both outcomes to occur at every k
+        rep._bler = bler = 0.9
+        outcomes = [rep._attempt_ok(None) for _ in range(200)]
+        assert outcomes == [bool((world.random(k) < bler).sum() < k) for _ in range(200)]
+        assert 0 < sum(outcomes) < 200
