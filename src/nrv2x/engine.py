@@ -353,6 +353,8 @@ class _Replication:
         self._retx = cfg.retransmission
         self._repeats = repeats = cfg.k if cfg.retransmission == "k_repetitions" else 1
         self._bler = lnk.TARGET_BLER[cfg.mcs_table]
+        # whether an attempt can draw an error at all (the rule is _attempt_ok's)
+        self._lossless = cfg.retransmission == "none" and cfg.mcs_table != "HEP"
         # attempts after which a failure is final; 0 when nothing is retransmitted
         self._nack_limit = cfg.harq_max_retx if cfg.retransmission == "harq" else 0
 
@@ -495,8 +497,12 @@ class _Replication:
         retransmission scheme an error is drawn for the HEP table but never
         for LEP, although LEP's target BLER is 0.1: such a LEP transmission
         always arrives.  ROADMAP item 2 holds the decision on that rule.
-        Tests override this method to force outcomes.
+        Which of these cases applies is decided once per replication, in
+        `__init__` (`_lossless`, `_retx`).  Tests override this method to
+        force outcomes.
         """
+        if self._lossless:
+            return True
         if self._retx == "harq":
             uniform, bler = self.ctx.uniform, self._bler
             still = 0
@@ -509,9 +515,8 @@ class _Replication:
             # every copy draws; the attempt fails only when all k do
             uniform = self.ctx.uniform
             return max([uniform() for _ in range(self._repeats)]) >= self._bler
-        if self.cfg.mcs_table == "HEP":
-            return not (self.ctx.uniform() < self._bler)
-        return True
+        # HEP without a retransmission scheme
+        return not (self.ctx.uniform() < self._bler)
 
     def _on_nack(self, now: int, leg: _Leg) -> None:
         """The NACK hop, then (uplink) a scheduling request, then the grant."""
@@ -609,7 +614,7 @@ class _Replication:
             if state == _DELIVERED:
                 s.n_delivered += 1
                 ul = pkt.ul.done - pkt.gen
-                dl = max(leg.done for leg in pkt.legs) - pkt.legs[0].created
+                dl = max([leg.done for leg in pkt.legs]) - pkt.legs[0].created
                 self._uls.append(ul)
                 self._dls.append(dl)
                 self._totals.append(ul + dl)

@@ -19,6 +19,17 @@ then holds every RB occupied in some symbol of the window, and the
 consecutive free-RB search is a shift-and-AND run computation on its
 complement.
 
+A live slot also keeps ``union``, the RBs occupied in at least one of its
+data symbols: the fields of ``occ`` ORed together.  A window that spans the
+whole data region (every full-slot burst, and a mini-slot burst as long as
+the region) folds every field of the slot, so the fold *is* the union, and
+the fold of a window over a slot and its repeat slots is the OR of their
+unions.  Such a probe reads one ``n_rb``-bit mask per slot instead of
+cutting out and folding every field; any shorter window is folded as
+above.  The union stays true by three rules: a commit ORs the placement's
+RB mask into it in every slot it commits, `release` recomputes it from the
+remaining ``occ``, and `release_expired` drops it together with the slot.
+
 Each live slot also keeps a "cannot fit" memo: for every burst length in
 symbols, the fewest RBs known not to fit in any admissible window of that
 slot.  A first-fit scan that probed every start symbol of a slot and found
@@ -94,10 +105,11 @@ def _fold_shifts(n_fields: int, width: int) -> tuple[int, ...]:
 
 
 class _Slot:
-    __slots__ = ("occ", "free_area", "no_fit")
+    __slots__ = ("occ", "union", "free_area", "no_fit")
 
     def __init__(self, area: int, no_fit: tuple[int, ...]):
         self.occ = 0            # RB x symbol occupancy, one n_rb-bit field per symbol
+        self.union = 0          # RBs occupied in some data symbol: occ's fields ORed
         self.free_area = area
         self.no_fit = no_fit    # [n_symbols] -> fewest RBs known not to fit
 
@@ -251,12 +263,14 @@ class SlotGrid:
                     break
                 rb = self._fit(slot, shift, n_symbols, n_rb, area, repeats, s)
                 if rb is not None:
-                    cells = (((1 << n_rb) - 1) << rb) * rep << shift
+                    mask = ((1 << n_rb) - 1) << rb
+                    cells = mask * rep << shift
                     for idx in range(slot, slot + repeats):
                         t = slots.get(idx)
                         if t is None:
                             t = slots[idx] = _Slot(self._area, self._no_fit_unknown)
                         t.occ |= cells
+                        t.union |= mask
                         t.free_area -= area
                     # tuple.__new__ skips the namedtuple's Python-level
                     # __new__ and its keyword handling: one call per placement
@@ -280,20 +294,24 @@ class SlotGrid:
     ) -> int | None:
         """Lowest free RB of an n_rb x n_symbols window whose first symbol's
         field starts at bit `shift` in `slot` (state `s`) and its repeat
-        slots, or None."""
-        occ = 0 if s is None else s.occ
+        slots, or None.  A window over the whole data region reads the
+        slots' unions; any other folds its fields of their occupancy."""
+        whole = n_symbols == self.region_len
+        occ = 0 if s is None else s.union if whole else s.occ
         if repeats > 1:
             for r in range(1, repeats):
                 t = self._slots.get(slot + r)
                 if t is not None:
                     if t.free_area < area:
                         return None
-                    occ |= t.occ
-        occ = (occ >> shift) & self._window[n_symbols]
+                    occ |= t.union if whole else t.occ
+        if not whole:
+            occ = (occ >> shift) & self._window[n_symbols]
+            if occ:
+                for shift in self._fold[n_symbols]:
+                    occ |= occ >> shift
         if not occ:
             return 0
-        for shift in self._fold[n_symbols]:
-            occ |= occ >> shift
         runs = _run_starts(~occ & self._full, n_rb)
         if not runs:
             return None
@@ -306,6 +324,7 @@ class SlotGrid:
         kept = ~((((1 << p.n_rb) - 1) << p.rb_start) * self._rep[p.n_symbols]
                  << (first * self.n_rb))
         area = p.n_rb * p.n_symbols
+        fold, full = self._fold[self.region_len], self._full
         for idx in range(p.slot_idx, p.slot_idx + p.repeats):
             if idx < self._released_before:
                 continue
@@ -315,7 +334,10 @@ class SlotGrid:
             s = self._slots.get(idx)
             if s is None:
                 continue
-            s.occ &= kept
+            s.occ = occ = s.occ & kept
+            for shift in fold:
+                occ |= occ >> shift
+            s.union = occ & full
             s.free_area += area
             s.no_fit = self._no_fit_unknown
             self._full_runs.clear()

@@ -244,6 +244,34 @@ def test_lep_without_retransmission_never_fails():
     assert r.n_failed == 0
 
 
+@pytest.mark.parametrize("mcs_table", ["LEP", "HEP"])
+@pytest.mark.parametrize("scheme", [("none", 0), ("k_repetitions", 2), ("k_repetitions", 4),
+                                    ("k_repetitions", 8), ("harq", 0)])
+def test_attempt_outcome_draws(scheme, mcs_table):
+    """`_attempt_ok` reads as many uniforms per call as the outcome rule
+    needs, although which rule applies is decided once per replication: none
+    for LEP without retransmissions, one for HEP without, k for k
+    repetitions, and one per pending receiver under HARQ."""
+    retx, k = scheme
+    cfg = RunConfig(retransmission=retx, k=k, harq_max_retx=2 if retx == "harq" else 0,
+                    mcs_table=mcs_table, horizon_ms=300.0, warmup_ms=100.0)
+    rep = engine._Replication(cfg, np.random.default_rng(0))
+    uniform, reads = rep.ctx.uniform, []
+
+    def counting():
+        reads.append(None)
+        return uniform()
+
+    rep.ctx.uniform = counting
+    for pending in (1, 2, 3, 5):
+        leg = engine._Leg(None, rep._dl, 1, 0, pending)
+        reads.clear()
+        rep._attempt_ok(leg)
+        expected = {"none": int(mcs_table == "HEP"), "k_repetitions": k,
+                    "harq": pending}[retx]
+        assert len(reads) == expected, pending
+
+
 def test_replications_replay_exactly():
     """Replication i of a point replays alone from SeedSequence(seed).spawn(i + 1)[i];
     aggregating the replays gives the point's report bit for bit."""

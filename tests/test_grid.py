@@ -326,6 +326,52 @@ def test_memo_matches_oracle_random_ops():
     assert n_misses > n_allocs // 10
 
 
+def test_union_is_fold_of_occupancy_random_ops():
+    """Random full-slot and mini-slot requests with 1-3 repeats, releases
+    with and without a not-before tick, and expiries on small grids: after
+    every operation each live slot's `union` is its occupancy's symbol
+    fields ORed together, and every result equals the oracle's."""
+    rng = random.Random(29)
+    n_whole = 0
+    for case in range(30):
+        g = make_grid(scs=rng.choice((15, 30, 60)), n_rb=rng.randint(2, 6),
+                      direction=rng.choice(("UL", "DL")))
+        oracle = _OracleGrid(g)
+        live = []
+        now = 0
+        for op in range(120):
+            u = rng.random()
+            if u < 0.65:
+                full = rng.random() < 0.5
+                n_sym = g.region_len if full else rng.randint(1, g.region_len)
+                n_whole += n_sym == g.region_len
+                earliest = max(0, now + rng.randint(-g.slot_ticks, 3 * g.slot_ticks))
+                args = (rng.randint(1, g.n_rb), n_sym, earliest, full)
+                kwargs = dict(repeats=rng.randint(1, 3),
+                              max_tx_end_tick=(None if rng.random() < 0.5
+                                               else earliest + rng.randint(0, 5 * g.slot_ticks)))
+                p, boundary = g.allocate(*args, **kwargs)
+                got = None if p is None else (p.slot_idx, p.sym_start, p.rb_start)
+                assert (got, boundary) == oracle.allocate(*args, **kwargs), (case, op)
+                if p is not None:
+                    live.append(p)
+            elif u < 0.9 and live:
+                p = live.pop(rng.randrange(len(live)))
+                not_before = (None if rng.random() < 0.5
+                              else p.start_tick + rng.randint(-g.slot_ticks, 2 * g.slot_ticks))
+                g.release(p, not_before)
+                oracle.release(p, not_before)
+            else:
+                now += rng.randint(0, 2 * g.slot_ticks)
+                assert g.release_expired(now) == oracle.release_expired(now)
+            for idx, s in g._slots.items():
+                fold = 0
+                for sym in range(g.region_len):
+                    fold |= (s.occ >> (sym * g.n_rb)) & g._full
+                assert s.union == fold, (case, op, idx)
+    assert n_whole > 1000
+
+
 def test_release_clears_memo():
     """A request rejected in a slot fits there once a placement is released."""
     g = make_grid(n_rb=4)
