@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from .engine import RunConfig, run
-from .experiment import (_coerce, emit_figure_data, parse_spec, run_sweep,
+from .experiment import (_coerce, emit_figure_data, load_yaml, parse_spec, run_sweep,
                          spec_from_mapping)
 from .phy import ConfigurationError
 
@@ -27,11 +27,7 @@ def _parse_overrides(pairs: list[str]) -> dict:
 def _cmd_run(args) -> int:
     fields = {}
     if args.config:
-        import yaml
-
-        with open(args.config) as fh:
-            doc = yaml.safe_load(fh) or {}
-        spec = spec_from_mapping({"base": doc})
+        spec = spec_from_mapping({"base": load_yaml(args.config)})
         fields.update(spec.base)
     fields.update(_parse_overrides(args.set or []))
     if args.seed is not None:

@@ -17,10 +17,10 @@ that finds no resources, closes the leg.  What depends on direction is data
 in a ``_Hop``: the data chain's deadline and scan limit, the outcome and
 detail of a starved or failed leg, and whether a scheduling request follows
 the NACK (uplink).  A delivered uplink leg hands the packet over to the
-downlink.  The packet resolves with its last downlink leg: dropped if any
-leg was dropped, else failed if any failed, else delivered.  Dynamic
-scheduling puts a per-vehicle signalling process (``_SIG_DCI``,
-``_SIG_DATA``) before the uplink's first attempt.
+downlink.  The packet resolves with its last downlink leg, to its worst
+leg's state: dropped if any leg was dropped, else failed if any failed,
+else delivered.  Dynamic scheduling puts a per-vehicle signalling process
+(``_SIG_DCI``, ``_SIG_DATA``) before the uplink's first attempt.
 
 Two protocol details shape congestion behaviour.  First, a UE runs one
 signalling process: when a fresh packet supersedes a stale one, the
@@ -83,8 +83,9 @@ _FLUSH_INTERVAL_MS = 50.0
 _ARRIVAL_CHUNK = 256
 _NO_ARRIVAL = (math.inf, -1, -1)
 
-# packet / leg resolution states
-_PENDING, _DELIVERED, _DROPPED, _FAILED = range(4)
+# packet / leg resolution states, ordered so that a packet's outcome is its
+# worst leg's
+_PENDING, _DELIVERED, _FAILED, _DROPPED = range(4)
 
 DISPOSITIONS = {_DELIVERED: "delivered", _DROPPED: "dropped_at_tx",
                 _FAILED: "delivery_failed"}
@@ -252,7 +253,7 @@ class _Leg:
 
 class _Packet:
     __slots__ = ("vehicle", "gen", "deadline", "counted", "state", "ul", "legs",
-                 "legs_open", "legs_dropped", "legs_failed", "detail")
+                 "legs_open", "detail")
 
     def __init__(self, vehicle, gen, deadline, counted):
         self.vehicle = vehicle
@@ -263,8 +264,6 @@ class _Packet:
         self.ul = None
         self.legs = ()              # the downlink legs, once handed over
         self.legs_open = 0
-        self.legs_dropped = 0
-        self.legs_failed = 0
         self.detail = ""
 
 
@@ -303,10 +302,11 @@ class _Replication:
             cfg.density_veh_km_lane, profile, rng, cfg.lanes, cfg.cell_radius_m
         )
         n_ue = len(self.vehicles)
-        ul_grid = SlotGrid(num, n_rb_total, control, "UL")
-        dl_grid = SlotGrid(num, n_rb_total, control, "DL")
+        n_symbols = lat.SLOT_SYMBOLS[cfg.slot_type]
         self.ctx = lat.RadioContext(
-            num, proc, control, cfg.slot_type, ul_grid, dl_grid,
+            num, proc, control,
+            SlotGrid(num, n_rb_total, control, "UL", n_symbols),
+            SlotGrid(num, n_rb_total, control, "DL", n_symbols),
             ctl.DciQueue(control, num.slot_ticks),
             ctl.SrConfig.for_cell(control, n_ue),
             rng,
@@ -321,7 +321,7 @@ class _Replication:
             for direction in ("UL", "DL"):
                 try:
                     rbs[cqi, direction] = lnk.rbs_for_packet(
-                        bits, mcs, ctx.n_sym[direction], cfg.layers,
+                        bits, mcs, ctx.grids[direction].n_symbols, cfg.layers,
                         cfg.overhead_re_per_rb, max_rb=n_rb_total,
                     )
                 except lnk.AllocationInfeasible:
@@ -550,16 +550,11 @@ class _Replication:
                 self._finish_packet(pkt, state, detail)
             return
         pkt.legs_open -= 1
-        if state == _DROPPED:
-            pkt.legs_dropped += 1
-        elif state == _FAILED:
-            pkt.legs_failed += 1
+        pkt.state = max(pkt.state, state)
         if detail and not pkt.detail:
             pkt.detail = detail
         if pkt.legs_open == 0:
-            outcome = (_DROPPED if pkt.legs_dropped else
-                       _FAILED if pkt.legs_failed else _DELIVERED)
-            self._finish_packet(pkt, outcome, pkt.detail)
+            self._finish_packet(pkt, pkt.state, pkt.detail)
 
     # -- downlink hand-over --------------------------------------------------------
 

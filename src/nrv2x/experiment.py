@@ -118,6 +118,10 @@ def spec_from_mapping(doc: dict) -> ExperimentSpec:
         raise ConfigurationError(f"unknown sweep keys: {sorted(unknown)}")
     base_doc = doc.get("base") or {}
     axes_doc = doc.get("axes") or {}
+    for name, part in (("base", base_doc), ("axes", axes_doc)):
+        if not isinstance(part, dict):
+            raise ConfigurationError(
+                f"{name} must be a mapping of configuration fields, got {type(part).__name__}")
     base = {name: _coerce(name, value) for name, value in base_doc.items()}
     axes = {}
     for name, values in axes_doc.items():
@@ -135,10 +139,17 @@ def spec_from_mapping(doc: dict) -> ExperimentSpec:
     )
 
 
-def parse_spec(path: str | Path) -> ExperimentSpec:
+def load_yaml(path: str | Path):
+    """A YAML document; one that does not parse is a ConfigurationError."""
     with open(path) as fh:
-        doc = yaml.safe_load(fh)
-    return spec_from_mapping(doc)
+        try:
+            return yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigurationError(f"{path}: not valid YAML ({exc})") from None
+
+
+def parse_spec(path: str | Path) -> ExperimentSpec:
+    return spec_from_mapping(load_yaml(path))
 
 
 def _result_fieldnames() -> list[str]:

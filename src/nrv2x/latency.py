@@ -13,7 +13,8 @@ holds the chain segments; the engine composes them event by event, so that
 every touch of the live grids and DCI queue happens in global time order.
 A signalling segment returns its completion tick; `data_chain` returns a
 plain tuple of the placement, the alignment and resource wait, and the
-completion tick, so an attempt builds no record object.  A transport
+completion tick, so an attempt builds no record object.  Each direction's
+grid is built for the configuration's one burst length, so a transport
 block's airtime depends only on its direction and is kept on the
 `RadioContext`.
 
@@ -37,6 +38,7 @@ from . import control as ctl
 from .grid import Placement, SlotGrid
 from .phy import ControlConfig, NumerologyProfile, ProcessingTimes
 
+# burst length in symbols by slot type; None: the whole data region
 SLOT_SYMBOLS = {"full": None, "mini7": 7, "mini4": 4}
 REPETITION_COUNTS = (2, 4, 8)
 NO_SCAN_LIMIT = 100_000   # slots; more than any horizon holds
@@ -53,7 +55,6 @@ class RadioContext:
         num: NumerologyProfile,
         proc: ProcessingTimes,
         control: ControlConfig,
-        slot_type: str,
         ul_grid: SlotGrid,
         dl_grid: SlotGrid,
         dci_queue: ctl.DciQueue,
@@ -73,12 +74,8 @@ class RadioContext:
         self.tt_pucch = ctl.SR_RB_SYMBOLS * num.symbol_ticks
         self.tt_pdcch = control.n_sy_pdcch * num.symbol_ticks
         self._pucch_offset = (num.symbols_per_slot - control.n_sy_pucch) * num.symbol_ticks
-        self.full_slot = slot_type == "full"
-        fixed = SLOT_SYMBOLS[slot_type]
-        # data symbols per transport block, and their airtime, by direction
-        self.n_sym = {d: g.region_len if fixed is None else fixed
-                      for d, g in self.grids.items()}
-        self.airtime = {d: n * num.symbol_ticks for d, n in self.n_sym.items()}
+        # a transport block's airtime, by direction
+        self.airtime = {d: g.n_symbols * num.symbol_ticks for d, g in self.grids.items()}
 
     # -- control-channel occasions ---------------------------------------------
 
@@ -146,9 +143,7 @@ def data_chain(
     placement is None, and the last two 0, when nothing fits before the
     deadline."""
     placement, boundary = ctx.grids[direction].allocate(
-        n_rb, ctx.n_sym[direction], ready_tick, ctx.full_slot, repeats, deadline_tick,
-        scan_limit_slots,
-    )
+        n_rb, ready_tick, repeats, deadline_tick, scan_limit_slots)
     if placement is None:
         return None, boundary - ready_tick, 0, 0
     return (placement, boundary - ready_tick, placement.start_tick - boundary,

@@ -14,15 +14,17 @@ from nrv2x.grid import SlotGrid
 
 
 def make_context(scs=30, bw=20, slot_type="full", control_variant="conf1", n_ue=50, seed=0):
-    """Quiescent RadioContext for unit-level latency composition tests."""
+    """Quiescent RadioContext for unit-level latency composition tests, its
+    grids built for the slot type's burst length."""
     num = phy.numerology(scs)
     proc = phy.processing_times(num.mu, 2)
     control = phy.control_config(control_variant)
     n_rb = phy.total_rbs(bw, scs)
+    n_symbols = lat.SLOT_SYMBOLS[slot_type]
     return lat.RadioContext(
-        num, proc, control, slot_type,
-        SlotGrid(num, n_rb, control, "UL"),
-        SlotGrid(num, n_rb, control, "DL"),
+        num, proc, control,
+        SlotGrid(num, n_rb, control, "UL", n_symbols),
+        SlotGrid(num, n_rb, control, "DL", n_symbols),
         ctl.DciQueue(control, num.slot_ticks),
         ctl.SrConfig.for_cell(control, n_ue),
         np.random.default_rng(seed),

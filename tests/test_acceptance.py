@@ -226,19 +226,21 @@ def test_criterion_7_oracle_equivalence():
     from test_grid import oracle_first_fit
     rng = random.Random(29)
     mismatches = 0
+    num, control = phy.numerology(30), ControlConfig(24, 1, 1, 1)
+    region_len = len(phy.data_region(num, "UL", control))
     for _ in range(10_000):
-        grid = SlotGrid(phy.numerology(30), 4, ControlConfig(24, 1, 1, 1), "UL")
+        # one burst length per grid, region-long (the full slot) included
+        grid = SlotGrid(num, 4, control, "UL", rng.randint(1, region_len))
         committed = []
         for _ in range(rng.randint(0, 5)):
-            p, _ = grid.allocate(rng.randint(1, 4), rng.randint(1, 6),
-                                 rng.randint(0, 2 * grid.slot_ticks), False)
+            p, _ = grid.allocate(rng.randint(1, 4), rng.randint(0, 2 * grid.slot_ticks))
             committed.append(dict(slot=p.slot_idx, sym=p.sym_start,
                                   n_sym=p.n_symbols, rb=p.rb_start,
                                   n_rb=p.n_rb, repeats=1))
-        n_rb, n_sym = rng.randint(1, 4), rng.randint(1, 6)
+        n_rb = rng.randint(1, 4)
         earliest = rng.randint(0, 2 * grid.slot_ticks)
-        want = oracle_first_fit(committed, n_rb, n_sym, earliest, grid, False)
-        p, _ = grid.allocate(n_rb, n_sym, earliest, False)
+        want = oracle_first_fit(committed, n_rb, earliest, grid)
+        p, _ = grid.allocate(n_rb, earliest)
         if (p.slot_idx, p.sym_start, p.rb_start) != want:
             mismatches += 1
     if mismatches:

@@ -229,6 +229,39 @@ def test_sweep_accepts_integral_floats():
     assert type(spec.seed) is type(spec.workers) is type(spec.base["k"]) is int
 
 
+@pytest.mark.parametrize("text, message", [
+    ("base: [1, 2]\n", "base must be a mapping"),
+    ("axes: [1]\n", "axes must be a mapping"),
+    ("base: {a: [}\n", "not valid YAML"),
+])
+def test_malformed_sweep_file_is_a_configuration_error(tmp_path, capsys, text, message):
+    """A sweep file whose base or axes is not a mapping, or that does not
+    parse, is rejected: the CLI exits 2 with `error:` and creates nothing."""
+    path = tmp_path / "sweep.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match=message):
+        parse_spec(path)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--spec", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("- 1\n- 2\n", "base must be a mapping"),
+    ("seed: [}\n", "not valid YAML"),
+])
+def test_malformed_run_config_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "run.yaml"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_cli_reports_bad_override_without_traceback(capsys):
     assert cli.main(["run", "--set", "k=abc"]) == 2
     assert capsys.readouterr().err.startswith("error: field 'k'")

@@ -10,19 +10,32 @@ from nrv2x.phy import ConfigurationError, ControlConfig, data_region, numerology
 CTRL = ControlConfig(24, 1, 1, 1)
 
 
-def make_grid(scs=30, n_rb=8, direction="UL", ctrl=CTRL):
-    return SlotGrid(numerology(scs), n_rb, ctrl, direction)
+def make_grid(scs=30, n_rb=8, direction="UL", ctrl=CTRL, n_symbols=None):
+    return SlotGrid(numerology(scs), n_rb, ctrl, direction, n_symbols)
+
+
+def region_len(scs=30, direction="UL", ctrl=CTRL):
+    return len(data_region(numerology(scs), direction, ctrl))
+
+
+def random_grid(rng, n_rb, full_share):
+    """A grid of a random numerology and direction whose bursts span the
+    whole data region with probability `full_share`, else 1 to the
+    region's length symbols."""
+    scs, direction = rng.choice((15, 30, 60)), rng.choice(("UL", "DL"))
+    n_sym = None if rng.random() < full_share else rng.randint(1, region_len(scs, direction))
+    return make_grid(scs=scs, n_rb=n_rb, direction=direction, n_symbols=n_sym)
 
 
 # --- independent oracle -------------------------------------------------------
 
-def oracle_first_fit(committed, n_rb, n_symbols, earliest_tick, grid, full_slot,
-                     repeats=1, max_slots=64):
-    """Enumerate every candidate rectangle in (slot, symbol, RB) order and
-    return the first that does not overlap any committed rectangle."""
-    starts = grid.start_symbols(n_symbols, full_slot)
+def oracle_first_fit(committed, n_rb, earliest_tick, grid, repeats=1, max_slots=64):
+    """Enumerate every candidate rectangle of the grid's burst length in
+    (slot, symbol, RB) order and return the first that does not overlap any
+    committed rectangle."""
+    n_symbols = grid.n_symbols
     for slot in range(earliest_tick // grid.slot_ticks, earliest_tick // grid.slot_ticks + max_slots):
-        for sym in starts:
+        for sym in grid.start_symbols:
             tick = slot * grid.slot_ticks + sym * grid.symbol_ticks
             if tick < earliest_tick:
                 continue
@@ -60,34 +73,34 @@ def test_run_starts():
 
 
 def test_alignment_identity_and_bound():
-    g = make_grid()
-    # ready exactly on an admissible boundary -> zero wait
-    tick = 5 * g.slot_ticks
-    assert g.alignment(tick, g.region_len, True) == tick
-    # worst case bounded by the slot duration for every offset
-    for off in range(0, g.slot_ticks, 7):
-        ready = 3 * g.slot_ticks + off
-        for n_sym, full in ((g.region_len, True), (7, False), (4, False)):
-            b = g.alignment(ready, n_sym, full)
+    for n_sym in (None, 7, 4):
+        g = make_grid(n_symbols=n_sym)
+        # ready exactly on an admissible boundary -> zero wait
+        tick = 5 * g.slot_ticks
+        assert g.alignment(tick) == tick
+        # worst case bounded by the slot duration for every offset
+        for off in range(0, g.slot_ticks, 7):
+            ready = 3 * g.slot_ticks + off
+            b = g.alignment(ready)
             assert 0 <= b - ready <= g.slot_ticks
 
 
 def test_alignment_matches_enumeration():
     """Derived check: enumerate every tick offset over one frame against a
     straight-line boundary calculator."""
-    g = make_grid(scs=30, n_rb=4)
-    starts = g.start_symbols(7, False)
-    boundaries = sorted(
-        s * g.slot_ticks + sym * g.symbol_ticks for s in range(22) for sym in starts
-    )
-    for ready in range(0, 20 * g.slot_ticks, 3):
-        expected = next(b for b in boundaries if b >= ready)
-        assert g.alignment(ready, 7, False) == expected
+    for n_sym in (None, 7, 4):
+        g = make_grid(scs=30, n_rb=4, n_symbols=n_sym)
+        boundaries = sorted(
+            s * g.slot_ticks + sym * g.symbol_ticks for s in range(22) for sym in g.start_symbols
+        )
+        for ready in range(0, 20 * g.slot_ticks, 3):
+            expected = next(b for b in boundaries if b >= ready)
+            assert g.alignment(ready) == expected
 
 
 def test_empty_grid_zero_wait():
     g = make_grid()
-    p, boundary = g.allocate(4, g.region_len, 2 * g.slot_ticks, True)
+    p, boundary = g.allocate(4, 2 * g.slot_ticks)
     assert p is not None
     assert p.start_tick == boundary == 2 * g.slot_ticks
     assert p.rb_start == 0
@@ -97,39 +110,37 @@ def test_occupied_slots_lower_bound():
     g = make_grid(n_rb=4)
     # fill the next 3 slots completely
     for s in range(3):
-        p, _ = g.allocate(4, g.region_len, s * g.slot_ticks, True)
+        p, _ = g.allocate(4, s * g.slot_ticks)
         assert p is not None and p.slot_idx == s
-    p, boundary = g.allocate(1, g.region_len, 0, True)
+    p, boundary = g.allocate(1, 0)
     assert p.start_tick - boundary >= 3 * g.slot_ticks
 
 
 def test_first_fit_matches_bruteforce_randomised():
     rng = random.Random(3)
     for case in range(300):
-        g = make_grid(scs=30, n_rb=4)
+        g = make_grid(scs=30, n_rb=4, n_symbols=rng.randint(1, 6))
         committed = []
         for _ in range(rng.randint(0, 6)):
             n_rb = rng.randint(1, 4)
-            n_sym = rng.randint(1, 6)
             earliest = rng.randint(0, 2 * g.slot_ticks)
-            p, _ = g.allocate(n_rb, n_sym, earliest, False)
+            p, _ = g.allocate(n_rb, earliest)
             committed.append(
                 dict(slot=p.slot_idx, sym=p.sym_start, n_sym=p.n_symbols,
                      rb=p.rb_start, n_rb=p.n_rb, repeats=1)
             )
         n_rb = rng.randint(1, 4)
-        n_sym = rng.randint(1, 6)
         earliest = rng.randint(0, 2 * g.slot_ticks)
-        expected = oracle_first_fit(committed, n_rb, n_sym, earliest, g, False)
-        p, _ = g.allocate(n_rb, n_sym, earliest, False)
+        expected = oracle_first_fit(committed, n_rb, earliest, g)
+        p, _ = g.allocate(n_rb, earliest)
         assert (p.slot_idx, p.sym_start, p.rb_start) == expected, f"case {case}"
 
 
 def test_repeats_need_consecutive_slots():
     g = make_grid(n_rb=4)
     # occupy all of slot 1 so a 2-repeat burst cannot straddle it
-    g.allocate(4, g.region_len, 1 * g.slot_ticks, True)
-    p, _ = g.allocate(2, g.region_len, 0, True, repeats=2)
+    g.allocate(4, 1 * g.slot_ticks)
+    p, _ = g.allocate(2, 0, repeats=2)
     assert p.slot_idx == 2
     assert p.tx_end_tick == 3 * g.slot_ticks + g.region_len * g.symbol_ticks
     # both repeat slots are charged
@@ -137,33 +148,37 @@ def test_repeats_need_consecutive_slots():
 
 
 def test_no_overlap_invariant_random_ops():
+    """Random requests, each on the grid of its burst length: no cell of a
+    grid is committed twice, and its used area is its rectangles' area."""
     rng = random.Random(17)
-    g = make_grid(scs=60, n_rb=6)
-    placements = []
+    grids = {n: make_grid(scs=60, n_rb=6, n_symbols=n) for n in range(1, region_len(60) + 1)}
+    placements = {n: [] for n in grids}
     for _ in range(200):
         n_rb = rng.randint(1, 6)
-        n_sym = rng.randint(1, g.region_len)
-        p, _ = g.allocate(n_rb, n_sym, rng.randint(0, 6 * g.slot_ticks), False,
+        n_sym = rng.randint(1, len(grids))
+        g = grids[n_sym]
+        p, _ = g.allocate(n_rb, rng.randint(0, 6 * g.slot_ticks),
                           repeats=rng.choice((1, 1, 1, 2)))
-        placements.append(p)
-    seen = set()
-    for p in placements:
-        for r in range(p.repeats):
-            for sym in range(p.sym_start, p.sym_start + p.n_symbols):
-                for rb in range(p.rb_start, p.rb_start + p.n_rb):
-                    cell = (p.slot_idx + r, sym, rb)
-                    assert cell not in seen
-                    seen.add(cell)
-    # conservation: total used area equals sum of committed rectangles
-    total = sum(p.repeats * p.n_rb * p.n_symbols for p in placements)
-    assert g.used_area_in(0, 10_000 * g.slot_ticks) == total
+        placements[n_sym].append(p)
+    for n_sym, g in grids.items():
+        seen = set()
+        for p in placements[n_sym]:
+            for r in range(p.repeats):
+                for sym in range(p.sym_start, p.sym_start + p.n_symbols):
+                    for rb in range(p.rb_start, p.rb_start + p.n_rb):
+                        cell = (p.slot_idx + r, sym, rb)
+                        assert cell not in seen
+                        seen.add(cell)
+        # conservation: total used area equals sum of committed rectangles
+        total = sum(p.repeats * p.n_rb * p.n_symbols for p in placements[n_sym])
+        assert g.used_area_in(0, 10_000 * g.slot_ticks) == total
 
 
 def test_deadline_prevents_commit():
     g = make_grid(n_rb=4)
-    g.allocate(4, g.region_len, 0, True)  # slot 0 full
+    g.allocate(4, 0)  # slot 0 full
     deadline = 1 * g.slot_ticks  # nothing can finish before slot 0 ends
-    p, boundary = g.allocate(1, g.region_len, 0, True, max_tx_end_tick=deadline)
+    p, boundary = g.allocate(1, 0, max_tx_end_tick=deadline)
     assert p is None
     assert boundary == 0
     assert g.used_area_in(g.slot_ticks, 3 * g.slot_ticks) == 0
@@ -171,20 +186,20 @@ def test_deadline_prevents_commit():
 
 def test_release_and_utilization():
     g = make_grid(n_rb=4)
-    p, _ = g.allocate(2, g.region_len, 0, True)
+    p, _ = g.allocate(2, 0)
     window = (0, 4 * g.slot_ticks)
     assert g.utilization(*window) == pytest.approx(2 * g.region_len / (4 * 4 * g.region_len))
     g.release(p)
     assert g.utilization(*window) == 0.0
     # fully packed slot -> utilization 1 over that slot
-    g.allocate(4, g.region_len, 0, True)
+    g.allocate(4, 0)
     assert g.utilization(0, g.slot_ticks) == 1.0
 
 
 def test_release_expired_counts():
     g = make_grid(n_rb=4)
     for s in range(4):
-        g.allocate(1, g.region_len, s * g.slot_ticks, True)
+        g.allocate(1, s * g.slot_ticks)
     assert g.release_expired(0) == 0
     assert g.release_expired(2 * g.slot_ticks) == 2
     assert g.release_expired(10 * g.slot_ticks) == 2
@@ -192,22 +207,22 @@ def test_release_expired_counts():
     assert g.used_area_in(0, 4 * g.slot_ticks) == 4 * g.region_len
 
 
-def test_full_slot_rejects_partial_length():
+def test_grid_rejects_bursts_it_cannot_hold():
     g = make_grid()
+    assert g.n_symbols == g.region_len and g.start_symbols == (g.region_start,)
+    for n_sym in (g.region_len + 1, 0):
+        with pytest.raises(ConfigurationError):
+            make_grid(n_symbols=n_sym)
     with pytest.raises(ConfigurationError):
-        g.allocate(1, 7, 0, True)
-    with pytest.raises(ConfigurationError):
-        g.allocate(g.n_rb + 1, g.region_len, 0, True)
-    with pytest.raises(ConfigurationError):
-        g.start_symbols(g.region_len + 1, False)
+        g.allocate(g.n_rb + 1, 0)
 
 
 def test_first_fit_deterministic():
     def run():
-        g = make_grid(n_rb=8)
+        g = make_grid(n_rb=8, n_symbols=4)
         out = []
         for i in range(50):
-            p, b = g.allocate(1 + i % 3, 4, (i * 37) % (3 * g.slot_ticks), False)
+            p, b = g.allocate(1 + i % 3, (i * 37) % (3 * g.slot_ticks))
             out.append((p.slot_idx, p.sym_start, p.rb_start, b))
         return out
 
@@ -218,8 +233,9 @@ def test_first_fit_deterministic():
 
 class _OracleGrid:
     """Cell-set model of one direction, independent of SlotGrid's masks and
-    memo: brute-force first fit with the deadline and scan-limit rules of
-    `SlotGrid.allocate`, plus its release and expiry bookkeeping."""
+    memo: brute-force first fit of the grid's burst length with the
+    deadline and scan-limit rules of `SlotGrid.allocate`, plus its release
+    and expiry bookkeeping."""
 
     def __init__(self, grid):
         self.g = grid
@@ -230,10 +246,10 @@ class _OracleGrid:
     def _cells(self, slot, sym, n_sym, rb, n_rb):
         return {(slot, s, b) for s in range(sym, sym + n_sym) for b in range(rb, rb + n_rb)}
 
-    def allocate(self, n_rb, n_symbols, earliest_tick, full_slot, repeats=1,
-                 max_tx_end_tick=None, scan_limit_slots=100_000):
+    def allocate(self, n_rb, earliest_tick, repeats=1, max_tx_end_tick=None,
+                 scan_limit_slots=100_000):
         g = self.g
-        starts = g.start_symbols(n_symbols, full_slot)
+        starts, n_symbols = g.start_symbols, g.n_symbols
         burst = n_symbols * g.symbol_ticks + (repeats - 1) * g.slot_ticks
         first_boundary = -1
         slot0 = earliest_tick // g.slot_ticks
@@ -287,16 +303,13 @@ def test_memo_matches_oracle_random_ops():
     rng = random.Random(11)
     n_allocs = n_misses = 0
     for case in range(40):
-        g = make_grid(scs=rng.choice((15, 30, 60)), n_rb=rng.randint(2, 5),
-                      direction=rng.choice(("UL", "DL")))
+        g = random_grid(rng, rng.randint(2, 5), full_share=0.3)
         oracle = _OracleGrid(g)
         live = []
         now = 0
         for op in range(150):
             u = rng.random()
             if u < 0.7:
-                full = rng.random() < 0.3
-                n_sym = g.region_len if full else rng.randint(1, g.region_len)
                 earliest = max(0, now + rng.randint(-g.slot_ticks, 3 * g.slot_ticks))
                 kwargs = dict(
                     repeats=rng.choice((1, 1, 1, 2, 3)),
@@ -304,7 +317,7 @@ def test_memo_matches_oracle_random_ops():
                                      else earliest + rng.randint(0, 6 * g.slot_ticks)),
                     scan_limit_slots=rng.choice((1, 2, 3, 5, 100_000)),
                 )
-                args = (rng.randint(1, g.n_rb), n_sym, earliest, full)
+                args = (rng.randint(1, g.n_rb), earliest)
                 p, boundary = g.allocate(*args, **kwargs)
                 got = None if p is None else (p.slot_idx, p.sym_start, p.rb_start)
                 assert (got, boundary) == oracle.allocate(*args, **kwargs), (case, op)
@@ -326,33 +339,32 @@ def test_memo_matches_oracle_random_ops():
     assert n_misses > n_allocs // 10
 
 
-def test_union_is_fold_of_occupancy_random_ops():
-    """Random full-slot and mini-slot requests with 1-3 repeats, releases
-    with and without a not-before tick, and expiries on small grids: after
-    every operation each live slot's `union` is its occupancy's symbol
-    fields ORed together, and every result equals the oracle's."""
+def test_region_long_fields_stay_equal_random_ops():
+    """Random requests with 1-3 repeats and deadlines, releases with and
+    without a not-before tick, and expiries on small grids whose bursts
+    span the data region: after every operation every symbol field of each
+    live slot equals its lowest one (the window a probe reads), and every
+    result equals the oracle's."""
     rng = random.Random(29)
-    n_whole = 0
+    counts = dict.fromkeys(("allocate", "release", "release_partly", "expire"), 0)
     for case in range(30):
-        g = make_grid(scs=rng.choice((15, 30, 60)), n_rb=rng.randint(2, 6),
-                      direction=rng.choice(("UL", "DL")))
+        g = random_grid(rng, rng.randint(2, 6), full_share=1.0)
+        assert g.n_symbols == g.region_len
         oracle = _OracleGrid(g)
         live = []
         now = 0
         for op in range(120):
             u = rng.random()
             if u < 0.65:
-                full = rng.random() < 0.5
-                n_sym = g.region_len if full else rng.randint(1, g.region_len)
-                n_whole += n_sym == g.region_len
                 earliest = max(0, now + rng.randint(-g.slot_ticks, 3 * g.slot_ticks))
-                args = (rng.randint(1, g.n_rb), n_sym, earliest, full)
+                args = (rng.randint(1, g.n_rb), earliest)
                 kwargs = dict(repeats=rng.randint(1, 3),
                               max_tx_end_tick=(None if rng.random() < 0.5
                                                else earliest + rng.randint(0, 5 * g.slot_ticks)))
                 p, boundary = g.allocate(*args, **kwargs)
                 got = None if p is None else (p.slot_idx, p.sym_start, p.rb_start)
                 assert (got, boundary) == oracle.allocate(*args, **kwargs), (case, op)
+                counts["allocate"] += 1
                 if p is not None:
                     live.append(p)
             elif u < 0.9 and live:
@@ -361,33 +373,40 @@ def test_union_is_fold_of_occupancy_random_ops():
                               else p.start_tick + rng.randint(-g.slot_ticks, 2 * g.slot_ticks))
                 g.release(p, not_before)
                 oracle.release(p, not_before)
+                counts["release" if not_before is None else "release_partly"] += 1
             else:
                 now += rng.randint(0, 2 * g.slot_ticks)
                 assert g.release_expired(now) == oracle.release_expired(now)
+                counts["expire"] += 1
             for idx, s in g._slots.items():
-                fold = 0
-                for sym in range(g.region_len):
-                    fold |= (s.occ >> (sym * g.n_rb)) & g._full
-                assert s.union == fold, (case, op, idx)
-    assert n_whole > 1000
+                lowest = s.occ & g._full
+                for sym in range(1, g.region_len):
+                    assert (s.occ >> (sym * g.n_rb)) & g._full == lowest, (case, op, idx, sym)
+                assert s.occ >> (g.region_len * g.n_rb) == 0, (case, op, idx)
+    assert counts["allocate"] > 2000 and min(counts.values()) > 100, counts
 
 
 def test_release_clears_memo():
     """A request rejected in a slot fits there once a placement is released."""
     g = make_grid(n_rb=4)
-    full, _ = g.allocate(4, g.region_len, 0, True)
+    full, _ = g.allocate(4, 0)
     deadline = g.slot_ticks + g.region_start * g.symbol_ticks  # only slot 0 ends in time
-    rejected = g.allocate(1, g.region_len, 0, True, max_tx_end_tick=deadline)
+    rejected = g.allocate(1, 0, max_tx_end_tick=deadline)
     assert rejected == (None, full.start_tick)
     g.release(full)
-    p, _ = g.allocate(1, g.region_len, 0, True, max_tx_end_tick=deadline)
+    p, _ = g.allocate(1, 0, max_tx_end_tick=deadline)
     assert (p.slot_idx, p.rb_start) == (0, 0)
 
 
+def _fill(g, slot, n_rb):
+    """Commit n_rb-wide bursts at RB 0 back to back from the region's first
+    symbol of `slot`: every window of the slot meets one of them."""
+    for sym in g.start_symbols[::g.n_symbols]:
+        p, _ = g.allocate(n_rb, slot * g.slot_ticks + sym * g.symbol_ticks)
+        assert (p.slot_idx, p.sym_start, p.rb_start) == (slot, sym, 0)
+
+
 def test_memo_skips_rejected_slot_without_probing(monkeypatch):
-    g = make_grid(scs=60, n_rb=4)
-    for sym in range(g.region_start, g.region_start + g.region_len):
-        g.allocate(3, 1, sym * g.symbol_ticks, False)  # one RB free per symbol
     probes = []
     fit = SlotGrid._fit
 
@@ -396,25 +415,43 @@ def test_memo_skips_rejected_slot_without_probing(monkeypatch):
         return fit(self, slot, *args)
 
     monkeypatch.setattr(SlotGrid, "_fit", counting_fit)
-    p, _ = g.allocate(2, 4, 0, False)
-    assert p.slot_idx == 1 and probes.count(0) == len(g.start_symbols(4, False))
-    probes.clear()
-    p, _ = g.allocate(3, 4, 0, False)   # wider than the rejected request
-    assert p.slot_idx == 1 and 0 not in probes
+    for n_sym in range(1, region_len(60) + 1):
+        g = make_grid(scs=60, n_rb=5, n_symbols=n_sym)
+        # bursts back to back in slot 0 on RBs 1 and 3: every window keeps
+        # three free RBs, none adjacent, so only the memo rejects it unprobed
+        for sym in g.start_symbols[::n_sym]:
+            placed = [g.allocate(1, sym * g.symbol_ticks)[0] for _ in range(5)]
+            assert [(p.slot_idx, p.sym_start, p.rb_start) for p in placed] == [
+                (0, sym, rb) for rb in range(5)]
+            for p in placed[::2]:
+                g.release(p)
+        probes.clear()
+        p, _ = g.allocate(2, 0)
+        assert p.slot_idx == 1 and probes.count(0) == len(g.start_symbols), n_sym
+        probes.clear()
+        p, _ = g.allocate(3, 0)   # wider than the rejected request
+        assert p.slot_idx == 1 and 0 not in probes, n_sym
 
 
 # --- saturated runs -------------------------------------------------------------
 
+def _fill(g, slot, n_rb):
+    """Commit n_rb-wide bursts back to back from the region's first symbol
+    of `slot`, each where first fit puts it: with n_rb the whole carrier,
+    every window of a slot empty before meets one of them."""
+    for sym in g.start_symbols[::g.n_symbols]:
+        g.allocate(n_rb, slot * g.slot_ticks + sym * g.symbol_ticks)
+
+
 def test_saturated_runs_match_oracle_random_ops():
-    """Long stretches of full or nearly full slots, then mixed requests whose
+    """Long stretches of full or nearly full slots, then requests whose
     deadlines fall before, inside or past a stretch and whose scan limits end
     inside it, mixed with releases inside a stretch and expiries cutting it:
     every result equals the oracle's, and scans do jump over long runs."""
     rng = random.Random(5)
     longest_run = 0
     for case in range(10):
-        g = make_grid(scs=rng.choice((15, 30, 60)), n_rb=rng.randint(2, 5),
-                      direction=rng.choice(("UL", "DL")))
+        g = random_grid(rng, rng.randint(2, 5), full_share=0.3)
         oracle = _OracleGrid(g)
         live = []
         now = 0
@@ -431,12 +468,12 @@ def test_saturated_runs_match_oracle_random_ops():
             length = rng.randint(40, 120)
             for slot in range(first, first + length):
                 # a slot with one RB left still rejects every wider request
-                allocate(g.n_rb - (rng.random() < 0.3), g.region_len, slot * g.slot_ticks, True)
+                width = g.n_rb - (rng.random() < 0.3)
+                for sym in g.start_symbols[::g.n_symbols]:
+                    allocate(width, slot * g.slot_ticks + sym * g.symbol_ticks)
             for op in range(50):
                 u = rng.random()
                 if u < 0.8:
-                    full = rng.random() < 0.3
-                    n_sym = g.region_len if full else rng.randint(1, g.region_len)
                     earliest = max(0, (first + rng.randint(-2, 4)) * g.slot_ticks
                                    + rng.randint(0, g.slot_ticks - 1))
                     deadline_slot = rng.choice((None, first + 1, first + rng.randint(2, length),
@@ -450,7 +487,7 @@ def test_saturated_runs_match_oracle_random_ops():
                         scan_limit_slots=(100_000 if limit_slot is None
                                           else max(1, limit_slot - earliest // g.slot_ticks)),
                     )
-                    allocate(rng.randint(1, g.n_rb), n_sym, earliest, full, **kwargs)
+                    allocate(rng.randint(1, g.n_rb), earliest, **kwargs)
                     longest_run = max([longest_run] + [b - a for a, b in g._full_runs.values()])
                 elif u < 0.9:
                     inside = [p for p in live if first <= p.slot_idx < first + length]
@@ -468,9 +505,6 @@ def test_saturated_runs_match_oracle_random_ops():
 def test_known_run_is_jumped_not_walked():
     """Once a scan has walked a 200-slot saturated stretch, the same request
     finds the same answer in a handful of slot lookups."""
-    g = make_grid(n_rb=4)
-    for slot in range(1, 201):
-        g.allocate(4, g.region_len, slot * g.slot_ticks, True)
 
     class CountingSlots(dict):
         gets = 0
@@ -479,21 +513,28 @@ def test_known_run_is_jumped_not_walked():
             CountingSlots.gets += 1
             return super().get(*args)
 
-    g._slots = CountingSlots(g._slots)
-    request = (2, 7, g.slot_ticks, False)
-    first = g.allocate(*request, scan_limit_slots=200)
-    assert first == (None, g.slot_ticks + g.region_start * g.symbol_ticks)
-    assert CountingSlots.gets >= 200
-    CountingSlots.gets = 0
-    assert g.allocate(*request, scan_limit_slots=200) == first
-    assert CountingSlots.gets <= 3
-    CountingSlots.gets = 0
-    p, _ = g.allocate(*request)
-    assert p.slot_idx == 201 and CountingSlots.gets <= 5
-    # a scan whose deadline falls inside an unknown stretch stops walking there
-    CountingSlots.gets = 0
-    assert g.allocate(3, 7, g.slot_ticks, False, max_tx_end_tick=11 * g.slot_ticks)[0] is None
-    assert CountingSlots.gets <= 12
+    for n_sym in range(1, region_len() + 1):
+        g = make_grid(n_rb=8, n_symbols=n_sym)
+        for slot in range(1, 201):
+            _fill(g, slot, 8)
+        # 7 of 8 RBs over the burst exceed the free area any slot of the
+        # stretch keeps, its symbols past the last back-to-back burst
+        g._slots = CountingSlots(g._slots)
+        CountingSlots.gets = 0
+        request = (7, g.slot_ticks)
+        first = g.allocate(*request, scan_limit_slots=200)
+        assert first == (None, g.slot_ticks + g.region_start * g.symbol_ticks)
+        assert CountingSlots.gets >= 200
+        CountingSlots.gets = 0
+        assert g.allocate(*request, scan_limit_slots=200) == first
+        assert CountingSlots.gets <= 3
+        CountingSlots.gets = 0
+        p, _ = g.allocate(*request)
+        assert p.slot_idx == 201 and CountingSlots.gets <= 5
+        # a scan whose deadline falls inside an unknown stretch stops walking there
+        CountingSlots.gets = 0
+        assert g.allocate(8, g.slot_ticks, max_tx_end_tick=11 * g.slot_ticks)[0] is None
+        assert CountingSlots.gets <= 12
 
 
 def test_expiry_clips_known_runs():
@@ -501,10 +542,10 @@ def test_expiry_clips_known_runs():
     again after it expired does not lead a scan into the dropped ones."""
     g = make_grid(n_rb=4)
     oracle = _OracleGrid(g)
-    full = (4, g.region_len, 0, True)
+    full = (4, 0)
     for slot in range(10):
-        g.allocate(4, g.region_len, slot * g.slot_ticks, True)
-        oracle.allocate(4, g.region_len, slot * g.slot_ticks, True)
+        g.allocate(4, slot * g.slot_ticks)
+        oracle.allocate(4, slot * g.slot_ticks)
     assert g.allocate(*full)[0].slot_idx == oracle.allocate(*full)[0][0] == 10
     assert g.release_expired(5 * g.slot_ticks) == oracle.release_expired(5 * g.slot_ticks)
     for _ in range(3):  # slots 0 and 1 again, then slot 2
@@ -518,45 +559,48 @@ def test_expiry_clips_known_runs():
 
 def test_used_area_tracks_committed_rectangles():
     """Used area and utilization equal the committed rectangles' area through
-    mixed bursts with repeats, an expiry, and releases after it."""
-    g = make_grid(scs=30, n_rb=5)
-    counted = {}  # slot -> area committed and not released while live
+    bursts with repeats, an expiry, and releases after it."""
+    for n_sym in (None, 7, 4):
+        g = make_grid(scs=30, n_rb=5, n_symbols=n_sym)
+        counted = {}  # slot -> area committed and not released while live
 
-    def check():
-        for start, end in ((0, 8 * g.slot_ticks), (g.slot_ticks // 2, 3 * g.slot_ticks + 5),
-                           (g.slot_ticks, 2 * g.slot_ticks), (3 * g.slot_ticks, 8 * g.slot_ticks)):
-            first, last = -(-start // g.slot_ticks), end // g.slot_ticks
-            expected = sum(a for s, a in counted.items() if first <= s < last)
-            assert g.used_area_in(start, end) == expected
-            assert g.utilization(start, end) == expected / ((last - first) * g.n_rb * g.region_len)
+        def check():
+            for start, end in ((0, 8 * g.slot_ticks), (g.slot_ticks // 2, 3 * g.slot_ticks + 5),
+                               (g.slot_ticks, 2 * g.slot_ticks),
+                               (3 * g.slot_ticks, 8 * g.slot_ticks)):
+                first, last = -(-start // g.slot_ticks), end // g.slot_ticks
+                expected = sum(a for s, a in counted.items() if first <= s < last)
+                assert g.used_area_in(start, end) == expected
+                assert g.utilization(start, end) == (
+                    expected / ((last - first) * g.n_rb * g.region_len))
 
-    placements = []
-    for n_rb, n_sym, earliest, full, repeats in (
-        (2, g.region_len, 0, True, 2),
-        (3, 4, 0, False, 1),
-        (1, 7, g.slot_ticks // 3, False, 2),
-        (2, 4, g.slot_ticks, False, 2),
-        (5, g.region_len, 2 * g.slot_ticks, True, 1),
-        (4, 2, 2 * g.slot_ticks, False, 2),
-        (2, g.region_len, 0, True, 2),
-    ):
-        p, _ = g.allocate(n_rb, n_sym, earliest, full, repeats=repeats)
-        placements.append(p)
-        for r in range(p.repeats):
-            counted[p.slot_idx + r] = counted.get(p.slot_idx + r, 0) + p.n_rb * p.n_symbols
+        placements = []
+        for n_rb, earliest, repeats in (
+            (2, 0, 2),
+            (3, 0, 1),
+            (1, g.slot_ticks // 3, 2),
+            (2, g.slot_ticks, 2),
+            (5, 2 * g.slot_ticks, 1),
+            (4, 2 * g.slot_ticks, 2),
+            (2, 0, 2),
+        ):
+            p, _ = g.allocate(n_rb, earliest, repeats=repeats)
+            placements.append(p)
+            for r in range(p.repeats):
+                counted[p.slot_idx + r] = counted.get(p.slot_idx + r, 0) + p.n_rb * p.n_symbols
+            check()
+        assert g.release_expired(2 * g.slot_ticks) == 2  # slots 0 and 1
         check()
-    assert g.release_expired(2 * g.slot_ticks) == 2  # slots 0 and 1
-    check()
-    expired = [p for p in placements if p.slot_idx + p.repeats <= 2]
-    straddling = [p for p in placements if p.slot_idx < 2 < p.slot_idx + p.repeats]
-    assert len(expired) == 3 and len(straddling) == 1
-    for p in expired:
-        g.release(p)
-        check()
-    for p in straddling:  # only its live slot is freed
-        g.release(p)
-        counted[2] -= p.n_rb * p.n_symbols
-        check()
+        expired = [p for p in placements if p.slot_idx + p.repeats <= 2]
+        straddling = [p for p in placements if p.slot_idx < 2 < p.slot_idx + p.repeats]
+        assert len(expired) >= 1 and len(straddling) >= 1, n_sym
+        for p in expired:
+            g.release(p)
+            check()
+        for p in straddling:  # only its live slot is freed
+            g.release(p)
+            counted[2] -= p.n_rb * p.n_symbols
+            check()
 
 
 def _widest_carrier():
@@ -573,35 +617,40 @@ def _widest_carrier():
 @pytest.mark.parametrize("direction", ["UL", "DL"])
 def test_packed_fields_do_not_leak_on_widest_carrier(direction):
     """Blocks at the extreme bits of the packed occupancy (top RB of the last
-    symbol, RB 0 of the first) stay in their symbol's field."""
+    symbol, RB 0 of the first) stay in their symbol's field, for every burst
+    length."""
     n_rb, scs = _widest_carrier()
-    g = SlotGrid(numerology(scs), n_rb, CTRL, direction)
     longest = max(len(data_region(numerology(s), d, CTRL))
                   for s in (15, 30, 60) for d in ("UL", "DL"))
-    assert g.region_len == longest
-    first_tick = g.region_start * g.symbol_ticks
-    last_tick = (g.region_start + g.region_len - 1) * g.symbol_ticks
-    committed = []
+    assert region_len(scs, direction) == longest
+    for n_sym in range(1, longest + 1):
+        g = SlotGrid(numerology(scs), n_rb, CTRL, direction, n_sym)
+        first_tick = g.region_start * g.symbol_ticks
+        last_start = g.start_symbols[-1]
+        last_tick = last_start * g.symbol_ticks
+        committed = []
 
-    def place(req_rb, n_sym, earliest, full=False):
-        expected = oracle_first_fit(committed, req_rb, n_sym, earliest, g, full, max_slots=4)
-        p, _ = g.allocate(req_rb, n_sym, earliest, full)
-        assert (p.slot_idx, p.sym_start, p.rb_start) == expected, (req_rb, n_sym, earliest)
-        committed.append(dict(slot=p.slot_idx, sym=p.sym_start, n_sym=p.n_symbols,
-                              rb=p.rb_start, n_rb=p.n_rb, repeats=1))
-        return p
+        def place(req_rb, earliest):
+            expected = oracle_first_fit(committed, req_rb, earliest, g, max_slots=8)
+            p, _ = g.allocate(req_rb, earliest)
+            assert (p.slot_idx, p.sym_start, p.rb_start) == expected, (n_sym, req_rb, earliest)
+            committed.append(dict(slot=p.slot_idx, sym=p.sym_start, n_sym=p.n_symbols,
+                                  rb=p.rb_start, n_rb=p.n_rb, repeats=1))
+            return p
 
-    filler = place(n_rb - 1, 1, last_tick)
-    top = place(1, 1, last_tick)
-    g.release(filler)
-    committed.pop(0)
-    bottom = place(1, 1, first_tick)
-    assert (top.slot_idx, top.sym_start, top.rb_start) == (0, g.region_start + g.region_len - 1,
-                                                           n_rb - 1)
-    assert (bottom.slot_idx, bottom.sym_start, bottom.rb_start) == (0, g.region_start, 0)
-    place(n_rb, 2, last_tick - g.symbol_ticks)      # the top RB blocks slot 0
-    place(n_rb - 1, g.region_len, 0, full=True)     # both blocks narrow slot 0 to n_rb - 2
-    fit = place(n_rb - 2, g.region_len, 0, full=True)
-    assert (fit.slot_idx, fit.rb_start) == (0, 1)
-    place(n_rb, 1, first_tick)
-    place(n_rb - 1, g.region_len - 2, first_tick)
+        filler = place(n_rb - 1, last_tick)
+        top = place(1, last_tick)
+        g.release(filler)
+        committed.pop(0)
+        bottom = place(1, first_tick)
+        assert (top.slot_idx, top.sym_start, top.rb_start) == (0, last_start, n_rb - 1)
+        assert top.sym_start + n_sym == g.region_start + g.region_len
+        assert (bottom.slot_idx, bottom.sym_start, bottom.rb_start) == (0, g.region_start, 0)
+        place(n_rb, last_tick)                 # the top RB blocks slot 0's last window
+        place(n_rb - 1, first_tick)
+        fit = place(n_rb - 2, first_tick)
+        if n_sym == g.region_len:
+            # both blocks narrow slot 0's one window to n_rb - 2 RBs
+            assert (fit.slot_idx, fit.rb_start) == (0, 1)
+        place(n_rb, first_tick)
+        place(n_rb - 1, first_tick)

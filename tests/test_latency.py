@@ -218,12 +218,13 @@ def test_nack_chain_directions(ctx):
     assert dl_done == ctx.pdcch_occasion_after(ready) + ctx.tt_pdcch + ctx.prepare_half
 
 
-def test_frame_alignment_bound_over_offsets(ctx):
+def test_frame_alignment_bound_over_offsets():
     # alignment never exceeds one slot for any slot type or offset
-    for full, n_sym in ((True, 13), (False, 7), (False, 4)):
+    for slot_type in lat.SLOT_SYMBOLS:
+        ctx = make_context(slot_type=slot_type)
         grid = ctx.grids["UL"]
         for off in range(0, ctx.slot_ticks, 5):
-            b = grid.alignment(off, n_sym, full)
+            b = grid.alignment(off)
             assert 0 <= b - off <= ctx.slot_ticks
 
 
