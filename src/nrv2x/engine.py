@@ -14,13 +14,17 @@ an outcome from ``_Replication._attempt_ok``.  A failed HARQ attempt raises
 a ``_NACK``, which leads through a ``_DCI`` (the retransmission's grant or
 assignment) to the next ``_DATA``; the last allowed failure, or an attempt
 that finds no resources, closes the leg.  What depends on direction is data
-in a ``_Hop``: the data chain's deadline and scan limit, the outcome and
-detail of a starved or failed leg, and whether a scheduling request follows
-the NACK (uplink).  A delivered uplink leg hands the packet over to the
-downlink.  The packet resolves with its last downlink leg, to its worst
-leg's state: dropped if any leg was dropped, else failed if any failed,
-else delivered.  Dynamic scheduling puts a per-vehicle signalling process
-(``_SIG_DCI``, ``_SIG_DATA``) before the uplink's first attempt.
+in a ``_Hop``, one per direction and replication: the direction's data grid
+and each vehicle's RB footprint on it, the data chain's deadline and scan
+limit, the outcome and detail of a starved or failed leg, and whether a
+scheduling request follows the NACK (uplink).  The control plane both
+directions share (the DCI queue, the scheduling-request cadence, the random
+stream) is the replication's ``RadioContext``.  A delivered uplink leg hands
+the packet over to the downlink.  The packet resolves with its last
+downlink leg, to its worst leg's state: dropped if any leg was dropped,
+else failed if any failed, else delivered.  Dynamic scheduling puts a
+per-vehicle signalling process (``_SIG_DCI``, ``_SIG_DATA``) before the
+uplink's first attempt.
 
 Two protocol details shape congestion behaviour.  First, a UE runs one
 signalling process: when a fresh packet supersedes a stale one, the
@@ -66,7 +70,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import control as ctl
 from . import latency as lat
 from . import link as lnk
 from . import phy
@@ -220,6 +223,8 @@ class _Hop(NamedTuple):
     """What a leg's direction decides; one per direction and replication."""
 
     direction: str
+    grid: SlotGrid        # the direction's data grid
+    rbs: list             # per vehicle: the RBs its packet takes, None if it cannot fit
     first: Callable       # (now, packet) -> data_chain (repeats, deadline, scan limit)
     retx: Callable        # the same for a retransmission
     starved: tuple        # (state, detail) when an attempt finds no resources, by retx
@@ -296,39 +301,13 @@ class _Replication:
         proc = phy.processing_times(num.mu, cfg.ue_capability)
         control = phy.control_config(cfg.control_variant)
         n_rb_total = phy.total_rbs(cfg.bandwidth_mhz, cfg.scs_khz)
-        profile = lnk.default_link_profile(cfg.mcs_table, cfg.edge_cqi, cfg.cell_radius_m)
 
+        cqi_map = lnk.linear_cqi_map(cfg.cell_radius_m, edge_cqi=cfg.edge_cqi)
         self.vehicles = scn.place_vehicles(
-            cfg.density_veh_km_lane, profile, rng, cfg.lanes, cfg.cell_radius_m
+            cfg.density_veh_km_lane, cqi_map, rng, cfg.lanes, cfg.cell_radius_m
         )
         n_ue = len(self.vehicles)
-        n_symbols = lat.SLOT_SYMBOLS[cfg.slot_type]
-        self.ctx = lat.RadioContext(
-            num, proc, control,
-            SlotGrid(num, n_rb_total, control, "UL", n_symbols),
-            SlotGrid(num, n_rb_total, control, "DL", n_symbols),
-            ctl.DciQueue(control, num.slot_ticks),
-            ctl.SrConfig.for_cell(control, n_ue),
-            rng,
-        )
-        ctx = self.ctx
-
-        # packet footprints per CQI for each direction's data-region length
-        bits = cfg.packet_bytes * 8
-        rbs: dict[tuple[int, str], int | None] = {}
-        for cqi in {v.cqi for v in self.vehicles}:
-            mcs = lnk.mcs_from_cqi(cqi, cfg.mcs_table)
-            for direction in ("UL", "DL"):
-                try:
-                    rbs[cqi, direction] = lnk.rbs_for_packet(
-                        bits, mcs, ctx.grids[direction].n_symbols, cfg.layers,
-                        cfg.overhead_re_per_rb, max_rb=n_rb_total,
-                    )
-                except lnk.AllocationInfeasible:
-                    rbs[cqi, direction] = None
-        # per vehicle: the RBs its packet takes, None when it cannot fit
-        self._ul_rbs = [rbs[v.cqi, "UL"] for v in self.vehicles]
-        self._dl_rbs = [rbs[v.cqi, "DL"] for v in self.vehicles]
+        self.ctx = lat.RadioContext(num, proc, control, n_ue, rng)
 
         self.receivers = (
             scn.nearest_neighbours(self.vehicles, cfg.unicast_m)
@@ -358,17 +337,33 @@ class _Replication:
         # attempts after which a failure is final; 0 when nothing is retransmitted
         self._nack_limit = cfg.harq_max_retx if cfg.retransmission == "harq" else 0
 
+        n_symbols, bits = lat.SLOT_SYMBOLS[cfg.slot_type], cfg.packet_bytes * 8
+
+        def hop(direction: str, *rest) -> _Hop:
+            """The direction's grid and, per vehicle, the RBs its packet takes
+            there (None when it cannot fit), then the rest of the hop."""
+            grid = SlotGrid(num, n_rb_total, control, direction, n_symbols)
+            rbs: dict[int, int | None] = {}
+            for cqi in {v.cqi for v in self.vehicles}:
+                try:
+                    rbs[cqi] = lnk.rbs_for_packet(
+                        bits, lnk.mcs_from_cqi(cqi, cfg.mcs_table), grid.n_symbols,
+                        cfg.layers, cfg.overhead_re_per_rb, max_rb=n_rb_total)
+                except lnk.AllocationInfeasible:
+                    rbs[cqi] = None
+            return _Hop(direction, grid, [rbs[v.cqi] for v in self.vehicles], *rest)
+
         # Uplink: a first attempt must start before the packet goes stale; a
         # retransmission sends one copy within the scan cap, with no deadline.
         # Downlink: every attempt must start within the staleness span plus
         # two slots, within the scan cap.
         cap, dl_span = self.scan_cap, stale_span + 2 * num.slot_ticks
         dl_args = lambda now, pkt: (repeats, now + dl_span, cap)  # noqa: E731
-        self._ul = _Hop("UL", lambda now, pkt: (repeats, pkt.deadline, lat.NO_SCAN_LIMIT),
-                        lambda now, pkt: (1, None, cap),
-                        ((_DROPPED, "expired"), (_FAILED, "retx_starved")), "ul_error", True)
-        self._dl = _Hop("DL", dl_args, dl_args,
-                        ((_DROPPED, "dl_starved"), (_FAILED, "dl_starved")), "dl_error", False)
+        self._ul = hop("UL", lambda now, pkt: (repeats, pkt.deadline, lat.NO_SCAN_LIMIT),
+                       lambda now, pkt: (1, None, cap),
+                       ((_DROPPED, "expired"), (_FAILED, "retx_starved")), "ul_error", True)
+        self._dl = hop("DL", dl_args, dl_args,
+                       ((_DROPPED, "dl_starved"), (_FAILED, "dl_starved")), "dl_error", False)
 
         # in-flight events and flushes: tick -> [(kind, payload), ...] in push
         # order, and a heap of the ticks that hold a bucket
@@ -424,8 +419,8 @@ class _Replication:
         s.ul_ms = np.array(self._uls, dtype=np.int64) / phy.TICKS_PER_MS
         s.dl_ms = np.array(self._dls, dtype=np.int64) / phy.TICKS_PER_MS
         window = (self.warmup, self.horizon)
-        s.util_ul = self.ctx.grids["UL"].utilization(*window)
-        s.util_dl = self.ctx.grids["DL"].utilization(*window)
+        s.util_ul = self._ul.grid.utilization(*window)
+        s.util_dl = self._dl.grid.utilization(*window)
         return s
 
     # -- arrivals and uplink signalling -------------------------------------------
@@ -433,7 +428,7 @@ class _Replication:
     def _on_gen(self, now: int, vid: int, deadline: int) -> None:
         """A packet arrives; it goes stale at the vehicle's next arrival."""
         pkt = _Packet(vid, now, deadline, now >= self.warmup)
-        leg = pkt.ul = _Leg(pkt, self._ul, self._ul_rbs[vid], now, 1)
+        leg = pkt.ul = _Leg(pkt, self._ul, self._ul.rbs[vid], now, 1)
         if pkt.counted:
             self.summary.n_generated += 1
         if leg.n_rb is None:
@@ -472,7 +467,7 @@ class _Replication:
         retx = leg.done > 0
         repeats, deadline, scan = (hop.retx if retx else hop.first)(now, leg.pkt)
         placement, align, wait, delivered = lat.data_chain(
-            ctx, hop.direction, now, leg.n_rb, repeats, deadline, scan)
+            ctx, hop.grid, now, leg.n_rb, repeats, deadline, scan)
         if placement is None:
             self._resolve_leg(leg, *hop.starved[retx])
             return
@@ -571,12 +566,12 @@ class _Replication:
         for leg in self._dl_active[vid]:
             if leg.state == _PENDING:
                 if leg.placement is not None:
-                    self.ctx.grids["DL"].release(leg.placement, not_before_tick=now)
+                    leg.hop.grid.release(leg.placement, not_before_tick=now)
                 self._resolve_leg(leg, _DROPPED, "dl_superseded")
         if self.receivers is None:
-            legs = (_Leg(pkt, self._dl, self._dl_rbs[vid], now, self.cfg.harq_group_size),)
+            legs = (_Leg(pkt, self._dl, self._dl.rbs[vid], now, self.cfg.harq_group_size),)
         else:
-            legs = [_Leg(pkt, self._dl, self._dl_rbs[r], now, 1) for r in self.receivers[vid]]
+            legs = [_Leg(pkt, self._dl, self._dl.rbs[r], now, 1) for r in self.receivers[vid]]
         pkt.legs = legs
         pkt.legs_open = len(legs)
         self._dl_active[vid] = legs
@@ -636,7 +631,7 @@ class _Replication:
         ctx = self.ctx
         elapsed = leg.first - leg.created
         tx_proc = min(ctx.prepare_half, elapsed)
-        airtime = ctx.airtime[leg.hop.direction]
+        airtime = leg.hop.grid.burst_ticks
         first_decoded = leg.first + leg.align + leg.wait + airtime + ctx.decode_half
         return (elapsed - tx_proc, tx_proc, leg.align, leg.wait, airtime, ctx.decode_half,
                 leg.done - first_decoded)
@@ -658,8 +653,8 @@ class _Replication:
             })
 
     def _on_flush(self, now: int, _payload) -> None:
-        self.ctx.grids["UL"].release_expired(now)
-        self.ctx.grids["DL"].release_expired(now)
+        self._ul.grid.release_expired(now)
+        self._dl.grid.release_expired(now)
 
 
 def run_replication(cfg: RunConfig, rng: np.random.Generator,

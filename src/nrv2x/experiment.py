@@ -17,7 +17,7 @@ import dataclasses
 import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import yaml
@@ -116,8 +116,8 @@ def spec_from_mapping(doc: dict) -> ExperimentSpec:
     unknown = set(doc) - _SWEEP_KEYS
     if unknown:
         raise ConfigurationError(f"unknown sweep keys: {sorted(unknown)}")
-    base_doc = doc.get("base") or {}
-    axes_doc = doc.get("axes") or {}
+    # an absent or null base or axes is empty; anything else must be a mapping
+    base_doc, axes_doc = ({} if doc.get(name) is None else doc[name] for name in ("base", "axes"))
     for name, part in (("base", base_doc), ("axes", axes_doc)):
         if not isinstance(part, dict):
             raise ConfigurationError(
@@ -139,9 +139,21 @@ def spec_from_mapping(doc: dict) -> ExperimentSpec:
     )
 
 
+@contextmanager
+def _readable(path: str | Path):
+    """Turn a file that cannot be opened or decoded into a ConfigurationError
+    naming it."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise ConfigurationError(f"cannot read {path}: {reason}") from None
+
+
 def load_yaml(path: str | Path):
-    """A YAML document; one that does not parse is a ConfigurationError."""
-    with open(path) as fh:
+    """A YAML document; one that cannot be read or parsed is a
+    ConfigurationError."""
+    with _readable(path), open(path) as fh:
         try:
             return yaml.safe_load(fh)
         except yaml.YAMLError as exc:
@@ -214,8 +226,9 @@ def run_sweep(spec: ExperimentSpec, out_dir: str | Path, progress=None) -> Path:
 
 
 def read_results(csv_path: str | Path) -> list[dict]:
-    """Result rows with numeric columns parsed back to floats."""
-    with open(csv_path, newline="") as fh:
+    """Result rows with numeric columns parsed back to floats; a table that
+    cannot be read is a ConfigurationError."""
+    with _readable(csv_path), open(csv_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     for row in rows:
         for k, v in row.items():

@@ -8,9 +8,10 @@ scheduler is first-fit in (slot, start symbol, start RB) order.
 A grid serves one burst shape, fixed when it is built: ``n_symbols``
 consecutive symbols, the whole data region (a full slot) by default.  Every
 placement in it has that length, so its admissible start symbols, its burst
-in ticks and the multiplier below are constants of the grid.  A
-region-long burst has the single start at the region's first symbol,
-whether the configuration calls it a full slot or a mini-slot.
+in ticks (`burst_ticks`, every placement's airtime) and the multiplier below
+are constants of the grid.  A region-long burst has the single start at
+the region's first symbol, whether the configuration calls it a full slot
+or a mini-slot.
 
 A live slot's occupancy is one python int.  Data-region symbol ``i``
 (counted from the first data symbol) owns the ``n_rb``-bit field at bits
@@ -120,7 +121,6 @@ class SlotGrid:
                  direction: str, n_symbols: int | None = None):
         region = data_region(num, direction, control)
         self.num = num
-        self.direction = direction
         self.n_rb = n_rb_total
         self.region_start = region.start
         self.region_len = len(region)
@@ -139,7 +139,7 @@ class SlotGrid:
         # each start's (tick offset in the slot, symbol, field shift)
         self._starts = tuple((sym * self.symbol_ticks, sym, (sym - self.region_start) * n_rb_total)
                              for sym in self.start_symbols)
-        self._burst = n_symbols * self.symbol_ticks
+        self.burst_ticks = n_symbols * self.symbol_ticks
         self._full = (1 << n_rb_total) - 1
         self._area = self.region_len * n_rb_total
         # the lowest bit of each of the burst's symbol fields
@@ -192,7 +192,7 @@ class SlotGrid:
         """
         if n_rb > self.n_rb:
             raise ConfigurationError(f"{n_rb} RBs exceed the {self.n_rb}-RB carrier")
-        starts, burst, n_symbols = self._starts, self._burst, self.n_symbols
+        starts, burst, n_symbols = self._starts, self.burst_ticks, self.n_symbols
         first_offset = starts[0][0]
         slot_ticks = self.slot_ticks
         area = n_rb * n_symbols

@@ -13,10 +13,14 @@ holds the chain segments; the engine composes them event by event, so that
 every touch of the live grids and DCI queue happens in global time order.
 A signalling segment returns its completion tick; `data_chain` returns a
 plain tuple of the placement, the alignment and resource wait, and the
-completion tick, so an attempt builds no record object.  Each direction's
-grid is built for the configuration's one burst length, so a transport
-block's airtime depends only on its direction and is kept on the
-`RadioContext`.
+completion tick, so an attempt builds no record object.
+
+The state splits by plane.  `RadioContext` is the control plane both
+directions share: the DCI queue on the PDCCH, the scheduling-request
+cadence on the PUCCH, the processing halves and the random stream.  The
+data plane is one `SlotGrid` per direction, which the caller passes to
+`data_chain`.  Each grid is built for the configuration's one burst
+length, so a transport block's airtime is the grid's `burst_ticks`.
 
 Every run-time random draw (the scheduling-request wait here, the error
 of each attempt in the engine) is a uniform read from `RadioContext.uniform`,
@@ -48,22 +52,19 @@ UNIFORM_BLOCK = 256
 
 
 class RadioContext:
-    """Live state one replication's latency chains run against."""
+    """The control plane one replication's latency chains share: both
+    directions' signalling state and timing, for `n_ue` vehicles."""
 
     def __init__(
         self,
         num: NumerologyProfile,
         proc: ProcessingTimes,
         control: ControlConfig,
-        ul_grid: SlotGrid,
-        dl_grid: SlotGrid,
-        dci_queue: ctl.DciQueue,
-        sr_config: ctl.SrConfig,
+        n_ue: int,
         rng: np.random.Generator,
     ):
-        self.grids = {"UL": ul_grid, "DL": dl_grid}
-        self.dci_queue = dci_queue
-        self.sr_config = sr_config
+        self.dci_queue = ctl.DciQueue(control, num.slot_ticks)
+        self.sr_config = ctl.SrConfig.for_cell(control, n_ue)
         # () -> the generator's next uniform on [0, 1), drawn lazily in blocks
         self.uniform = chain.from_iterable(
             iter(lambda: rng.random(UNIFORM_BLOCK).tolist(), None)).__next__
@@ -74,8 +75,6 @@ class RadioContext:
         self.tt_pucch = ctl.SR_RB_SYMBOLS * num.symbol_ticks
         self.tt_pdcch = control.n_sy_pdcch * num.symbol_ticks
         self._pucch_offset = (num.symbols_per_slot - control.n_sy_pucch) * num.symbol_ticks
-        # a transport block's airtime, by direction
-        self.airtime = {d: g.n_symbols * num.symbol_ticks for d, g in self.grids.items()}
 
     # -- control-channel occasions ---------------------------------------------
 
@@ -130,20 +129,19 @@ def nack_chain(ctx: RadioContext, direction: str, start_tick: int) -> int:
 
 def data_chain(
     ctx: RadioContext,
-    direction: str,
+    grid: SlotGrid,
     ready_tick: int,
     n_rb: int,
     repeats: int = 1,
     deadline_tick: int | None = None,
     scan_limit_slots: int = NO_SCAN_LIMIT,
 ) -> tuple[Placement | None, int, int, int]:
-    """Data hop from the instant the transport block is prepared: alignment,
-    first-fit allocation, transmission, decode.  Returns (placement,
-    alignment, resource wait, tick the receiver has decoded the block); the
-    placement is None, and the last two 0, when nothing fits before the
-    deadline."""
-    placement, boundary = ctx.grids[direction].allocate(
-        n_rb, ready_tick, repeats, deadline_tick, scan_limit_slots)
+    """Data hop on `grid` from the instant the transport block is prepared:
+    alignment, first-fit allocation, transmission, decode.  Returns
+    (placement, alignment, resource wait, tick the receiver has decoded the
+    block); the placement is None, and the last two 0, when nothing fits
+    before the deadline."""
+    placement, boundary = grid.allocate(n_rb, ready_tick, repeats, deadline_tick, scan_limit_slots)
     if placement is None:
         return None, boundary - ready_tick, 0, 0
     return (placement, boundary - ready_tick, placement.start_tick - boundary,

@@ -3,16 +3,19 @@
 Two table families are supported, named after their role in the evaluated
 services: LEP (low error protection, MCS/CQI table 2, 0.1 target BLER) and
 HEP (high error protection, MCS/CQI table 3, 1e-5 target BLER).
+
+A distance -> CQI map is a plain tuple of (upper distance bound in metres,
+cqi) pairs; the bounds are strictly increasing and the last one is the cell
+radius.  `linear_cqi_map` builds the default one.
 """
 
 from __future__ import annotations
 
-import csv
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from importlib import resources
 
-from .phy import ConfigurationError
+from .phy import ConfigurationError, load_rows
 
 DEFAULT_CELL_RADIUS_M = 866.0
 
@@ -43,52 +46,21 @@ class McsEntry:
     spectral_efficiency: float
 
 
-def _load_mcs(name: str) -> tuple[McsEntry, ...]:
-    path = resources.files("nrv2x.data").joinpath(name)
-    with path.open(newline="") as fh:
-        return tuple(
-            McsEntry(
-                int(r["index"]),
-                int(r["modulation_order"]),
-                float(r["code_rate_x1024"]) / 1024.0,
-                float(r["spectral_efficiency"]),
-            )
-            for r in csv.DictReader(fh)
-        )
+def _mcs_table(name: str) -> tuple[McsEntry, ...]:
+    return tuple(
+        McsEntry(int(r["index"]), int(r["modulation_order"]),
+                 float(r["code_rate_x1024"]) / 1024.0, float(r["spectral_efficiency"]))
+        for r in load_rows(name)
+    )
 
 
-def _load_cqi(name: str) -> dict[int, float]:
-    path = resources.files("nrv2x.data").joinpath(name)
-    with path.open(newline="") as fh:
-        return {int(r["index"]): float(r["efficiency"]) for r in csv.DictReader(fh)}
+def _cqi_table(name: str) -> dict[int, float]:
+    return {int(r["index"]): float(r["efficiency"]) for r in load_rows(name)}
 
 
-MCS_TABLES = {"LEP": _load_mcs("mcs_table2.csv"), "HEP": _load_mcs("mcs_table3.csv")}
-CQI_TABLES = {"LEP": _load_cqi("cqi_table2.csv"), "HEP": _load_cqi("cqi_table3.csv")}
-
-_TBS_TABLE: tuple[int, ...]
-with resources.files("nrv2x.data").joinpath("tbs_table.csv").open(newline="") as _fh:
-    _TBS_TABLE = tuple(int(r["tbs_bits"]) for r in csv.DictReader(_fh))
-
-
-@dataclass(frozen=True)
-class LinkProfile:
-    """MCS table selection plus the distance -> CQI quantisation map.
-
-    cqi_map is an ordered list of (upper distance bound in metres, cqi);
-    bounds are strictly increasing and the last bound is the cell radius.
-    The table's target BLER is `TARGET_BLER[mcs_table]`.
-    """
-
-    mcs_table: str
-    cqi_map: tuple[tuple[float, int], ...]
-
-    def __post_init__(self):
-        if self.mcs_table not in MCS_TABLES:
-            raise ConfigurationError(f"unknown MCS table {self.mcs_table!r}")
-        bounds = [b for b, _ in self.cqi_map]
-        if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-            raise ConfigurationError("cqi_map distance bounds must be strictly increasing")
+MCS_TABLES = {"LEP": _mcs_table("mcs_table2.csv"), "HEP": _mcs_table("mcs_table3.csv")}
+CQI_TABLES = {"LEP": _cqi_table("cqi_table2.csv"), "HEP": _cqi_table("cqi_table3.csv")}
+_TBS_TABLE = tuple(int(r["tbs_bits"]) for r in load_rows("tbs_table.csv"))
 
 
 def linear_cqi_map(
@@ -110,16 +82,11 @@ def linear_cqi_map(
     return tuple((width * (i + 1), best_cqi - i) for i in range(steps))
 
 
-def default_link_profile(mcs_table: str, edge_cqi: int = DEFAULT_EDGE_CQI,
-                         cell_radius_m: float = DEFAULT_CELL_RADIUS_M) -> LinkProfile:
-    return LinkProfile(mcs_table, linear_cqi_map(cell_radius_m, edge_cqi=edge_cqi))
-
-
-def cqi_from_distance(distance_m: float, profile: LinkProfile) -> int:
+def cqi_from_distance(distance_m: float, cqi_map: tuple[tuple[float, int], ...]) -> int:
     """CQI of the first map entry whose bound covers the distance."""
-    if distance_m < 0 or distance_m > profile.cqi_map[-1][0]:
+    if distance_m < 0 or distance_m > cqi_map[-1][0]:
         raise ConfigurationError(f"distance {distance_m} m outside the mapped cell")
-    for bound, cqi in profile.cqi_map:
+    for bound, cqi in cqi_map:
         if distance_m <= bound:
             return cqi
     raise AssertionError("unreachable: map covers the cell")
@@ -162,8 +129,8 @@ def transport_block_size(
     if n_info <= 3824:
         n = max(3, math.floor(math.log2(n_info)) - 6)
         quantised = max(24, (1 << n) * math.floor(n_info / (1 << n)))
-        idx = _bisect_tbs(quantised)
-        return _TBS_TABLE[idx]
+        # the table ends at 3824, and quantised <= n_info
+        return _TBS_TABLE[bisect_left(_TBS_TABLE, quantised)]
     n = math.floor(math.log2(n_info - 24)) - 5
     quantised = max(3840, (1 << n) * math.floor((n_info - 24) / (1 << n) + 0.5))
     if mcs.code_rate <= 0.25:
@@ -173,17 +140,6 @@ def transport_block_size(
     else:
         blocks = 1
     return 8 * blocks * math.ceil((quantised + 24) / (8 * blocks)) - 24
-
-
-def _bisect_tbs(value: int) -> int:
-    lo, hi = 0, len(_TBS_TABLE) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _TBS_TABLE[mid] >= value:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 def rbs_for_packet(
@@ -202,14 +158,10 @@ def rbs_for_packet(
         raise AllocationInfeasible(
             f"{payload_bits} bits do not fit in {hi} RBs at MCS {mcs.index}"
         )
-    lo = 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if transport_block_size(mcs, mid, n_symbols, layers, overhead_re_per_rb) >= payload_bits:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    # the TBS never falls as RBs grow, so the first fitting count is a bisection
+    return 1 + bisect_left(
+        range(1, hi), payload_bits,
+        key=lambda n: transport_block_size(mcs, n, n_symbols, layers, overhead_re_per_rb))
 
 
 def mean_rbs_over_cell(
@@ -225,10 +177,9 @@ def mean_rbs_over_cell(
     The default linear map makes the CQI uniform over its index range, so the
     expectation is an exact average over the map's CQI values.
     """
-    profile = default_link_profile(mcs_table, edge_cqi)
     counts = [
         rbs_for_packet(payload_bits, mcs_from_cqi(cqi, mcs_table), n_symbols, layers,
                        overhead_re_per_rb)
-        for _, cqi in profile.cqi_map
+        for _, cqi in linear_cqi_map(edge_cqi=edge_cqi)
     ]
     return sum(counts) / len(counts)

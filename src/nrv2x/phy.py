@@ -10,7 +10,7 @@ boundaries and half processing times are all exact integers.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 
@@ -26,7 +26,8 @@ def ms_to_ticks(ms: float) -> int:
     return round(ms * TICKS_PER_MS)
 
 
-def _load_rows(name: str) -> list[dict]:
+def load_rows(name: str) -> list[dict]:
+    """The rows of one of the package's data tables, as column -> text."""
     path = resources.files("nrv2x.data").joinpath(name)
     with path.open(newline="") as fh:
         return list(csv.DictReader(fh))
@@ -67,7 +68,7 @@ def numerology(scs_khz: int) -> NumerologyProfile:
 
 
 _NRB_TABLE: dict[tuple[int, int], int] = {
-    (int(r["scs_khz"]), int(r["bw_mhz"])): int(r["n_rb"]) for r in _load_rows("nrb_fr1.csv")
+    (int(r["scs_khz"]), int(r["bw_mhz"])): int(r["n_rb"]) for r in load_rows("nrb_fr1.csv")
 }
 
 
@@ -83,7 +84,7 @@ def total_rbs(bw_mhz: int, scs_khz: int) -> int:
 
 _PROC_TABLE: dict[tuple[int, int], tuple[Fraction, Fraction]] = {
     (int(r["capability"]), int(r["mu"])): (Fraction(r["n1_symbols"]), Fraction(r["n2_symbols"]))
-    for r in _load_rows("ue_processing.csv")
+    for r in load_rows("ue_processing.csv")
 }
 
 
@@ -155,22 +156,10 @@ def control_config(variant: str) -> ControlConfig:
     if variant == "conf1":
         return _CONF1
     if variant == "conf2":
-        return ControlConfig(
-            n_rb_pdcch=_CONF1.n_rb_pdcch * 6,
-            n_sy_pdcch=_CONF1.n_sy_pdcch,
-            n_rb_pucch=_CONF1.n_rb_pucch * 8,
-            n_sy_pucch=_CONF1.n_sy_pucch,
-            variant="conf2",
-        )
+        return replace(_CONF1, n_rb_pdcch=_CONF1.n_rb_pdcch * 6,
+                       n_rb_pucch=_CONF1.n_rb_pucch * 8, variant="conf2")
     if variant == "conf3":
-        return ControlConfig(
-            n_rb_pdcch=_CONF1.n_rb_pdcch,
-            n_sy_pdcch=_CONF1.n_sy_pdcch,
-            n_rb_pucch=_CONF1.n_rb_pucch,
-            n_sy_pucch=_CONF1.n_sy_pucch,
-            variant="conf3",
-            ideal=True,
-        )
+        return replace(_CONF1, variant="conf3", ideal=True)
     raise ConfigurationError(f"unknown control variant {variant!r}")
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .link import DEFAULT_CELL_RADIUS_M, LinkProfile, cqi_from_distance
+from .link import DEFAULT_CELL_RADIUS_M, cqi_from_distance
 from .phy import ConfigurationError, ms_to_ticks
 
 DEFAULT_LANES = 6
@@ -35,7 +35,7 @@ def vehicle_count(density_veh_km_lane: float, lanes: int = DEFAULT_LANES,
 
 def place_vehicles(
     density_veh_km_lane: float,
-    profile: LinkProfile,
+    cqi_map: tuple[tuple[float, int], ...],
     rng: np.random.Generator,
     lanes: int = DEFAULT_LANES,
     cell_radius_m: float = DEFAULT_CELL_RADIUS_M,
@@ -48,7 +48,7 @@ def place_vehicles(
         distance = abs(float(positions[i]))
         out.append(
             Vehicle(i, int(lanes_drawn[i]), float(positions[i]), distance,
-                    cqi_from_distance(distance, profile))
+                    cqi_from_distance(distance, cqi_map))
         )
     return out
 

@@ -6,29 +6,26 @@ resolves to whichever was imported first."""
 
 import numpy as np
 
-from nrv2x import control as ctl
 from nrv2x import engine
 from nrv2x import latency as lat
 from nrv2x import phy
 from nrv2x.grid import SlotGrid
 
 
-def make_context(scs=30, bw=20, slot_type="full", control_variant="conf1", n_ue=50, seed=0):
-    """Quiescent RadioContext for unit-level latency composition tests, its
-    grids built for the slot type's burst length."""
+def make_context(scs=30, control_variant="conf1", n_ue=50, seed=0):
+    """Quiescent RadioContext (the shared control plane) for unit-level
+    latency composition tests."""
     num = phy.numerology(scs)
-    proc = phy.processing_times(num.mu, 2)
-    control = phy.control_config(control_variant)
-    n_rb = phy.total_rbs(bw, scs)
-    n_symbols = lat.SLOT_SYMBOLS[slot_type]
-    return lat.RadioContext(
-        num, proc, control,
-        SlotGrid(num, n_rb, control, "UL", n_symbols),
-        SlotGrid(num, n_rb, control, "DL", n_symbols),
-        ctl.DciQueue(control, num.slot_ticks),
-        ctl.SrConfig.for_cell(control, n_ue),
-        np.random.default_rng(seed),
-    )
+    return lat.RadioContext(num, phy.processing_times(num.mu, 2),
+                            phy.control_config(control_variant), n_ue,
+                            np.random.default_rng(seed))
+
+
+def make_slot_grid(scs=30, direction="UL", slot_type="full", bw=20, control_variant="conf1"):
+    """Empty data grid of one direction, built for the slot type's burst length."""
+    return SlotGrid(phy.numerology(scs), phy.total_rbs(bw, scs),
+                    phy.control_config(control_variant), direction,
+                    lat.SLOT_SYMBOLS[slot_type])
 
 
 # A world of one vehicle (one lane, 1.04 vehicles rounded to 1) sending a

@@ -687,8 +687,8 @@ def test_scalar_draws_continue_the_vector_stream(seed):
                         density_veh_km_lane=10, horizon_ms=300.0, warmup_ms=100.0)
         rng, world = np.random.default_rng(seed), np.random.default_rng(seed)
         rep = engine._Replication(cfg, rng)
-        profile = link.default_link_profile(cfg.mcs_table, cfg.edge_cqi, cfg.cell_radius_m)
-        for _ in scn.place_vehicles(cfg.density_veh_km_lane, profile, world, cfg.lanes,
+        cqi_map = link.linear_cqi_map(cfg.cell_radius_m, edge_cqi=cfg.edge_cqi)
+        for _ in scn.place_vehicles(cfg.density_veh_km_lane, cqi_map, world, cfg.lanes,
                                     cfg.cell_radius_m):
             scn.generate_arrivals(cfg.traffic, cfg.interval_ms, cfg.horizon_ms, world)
         assert rng.bit_generator.state == world.bit_generator.state

@@ -20,6 +20,19 @@ def write_spec(tmp_path, doc):
     return path
 
 
+def write_input(path, content):
+    """Put text or bytes at path; None leaves no file there."""
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+    return path
+
+
+# an input file that does not exist, and one that is not UTF-8 text
+UNREADABLE = [(None, "No such file or directory"), (b"\xff\xfe", "can't decode")]
+
+
 def test_parse_minimal_spec(tmp_path):
     path = write_spec(tmp_path, {"base": {"density_veh_km_lane": 10}})
     spec = parse_spec(path)
@@ -121,6 +134,10 @@ def test_cartesian_expansion_deterministic():
 def test_empty_axes_single_run():
     spec = ExperimentSpec(base=dict(FAST_BASE), axes={})
     assert len(spec.points()) == 1
+    # an absent or null base or axes is empty
+    for doc in ({}, {"base": None, "axes": None}):
+        empty = spec_from_mapping(doc)
+        assert (empty.base, empty.axes) == ({}, {})
 
 
 def test_sweep_resumable_no_duplicates(tmp_path):
@@ -231,14 +248,18 @@ def test_sweep_accepts_integral_floats():
 
 @pytest.mark.parametrize("text, message", [
     ("base: [1, 2]\n", "base must be a mapping"),
+    ("base: 0\n", "base must be a mapping"),
+    ("base: false\n", "base must be a mapping"),
     ("axes: [1]\n", "axes must be a mapping"),
+    ('axes: ""\n', "axes must be a mapping"),
     ("base: {a: [}\n", "not valid YAML"),
+    *UNREADABLE,
 ])
 def test_malformed_sweep_file_is_a_configuration_error(tmp_path, capsys, text, message):
-    """A sweep file whose base or axes is not a mapping, or that does not
-    parse, is rejected: the CLI exits 2 with `error:` and creates nothing."""
-    path = tmp_path / "sweep.yaml"
-    path.write_text(text)
+    """A sweep file whose base or axes is not a mapping, that does not
+    parse, or that cannot be read is rejected: the CLI exits 2 with `error:`
+    and creates nothing."""
+    path = write_input(tmp_path / "sweep.yaml", text)
     with pytest.raises(ConfigurationError, match=message):
         parse_spec(path)
     out = tmp_path / "out"
@@ -251,14 +272,25 @@ def test_malformed_sweep_file_is_a_configuration_error(tmp_path, capsys, text, m
 @pytest.mark.parametrize("text, message", [
     ("- 1\n- 2\n", "base must be a mapping"),
     ("seed: [}\n", "not valid YAML"),
+    *UNREADABLE,
 ])
 def test_malformed_run_config_exits_2(tmp_path, capsys, text, message):
-    path = tmp_path / "run.yaml"
-    path.write_text(text)
+    path = write_input(tmp_path / "run.yaml", text)
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content, message", UNREADABLE)
+def test_unreadable_result_table_exits_2(tmp_path, capsys, content, message):
+    path = write_input(tmp_path / "results.csv", content)
+    out = tmp_path / "series"
+    assert cli.main(["figure", "--table", str(path), "--figure", "fig4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}") and message in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

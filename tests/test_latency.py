@@ -11,7 +11,7 @@ from nrv2x import latency as lat
 from nrv2x import link, phy
 from nrv2x.engine import RunConfig
 from nrv2x.phy import ConfigurationError
-from helpers import ONE_VEHICLE, make_context, replicate, rows_by_packet, ticks
+from helpers import ONE_VEHICLE, make_context, make_slot_grid, replicate, rows_by_packet, ticks
 
 
 def test_scheme_validation():
@@ -30,8 +30,9 @@ def test_semistatic_empty_grid(ctx):
     # single packet on an empty grid: no resource wait, exact serial chain
     gen = 100
     ready = gen + ctx.prepare_half
-    placement, align, wait, delivered = lat.data_chain(ctx, "UL", ready, n_rb=2)
-    airtime = ctx.airtime["UL"]
+    grid = make_slot_grid()
+    placement, align, wait, delivered = lat.data_chain(ctx, grid, ready, n_rb=2)
+    airtime = grid.burst_ticks
     assert wait == 0
     assert airtime == 13 * ctx.symbol_ticks
     assert align == ctx.slot_ticks - ready  # next slot start
@@ -95,9 +96,9 @@ def test_k_repetition_latency_deltas():
 
 
 def test_k_repetitions_charge_grid(ctx):
-    placement = lat.data_chain(ctx, "UL", 0, n_rb=3, repeats=4)[0]
+    grid = make_slot_grid()
+    placement = lat.data_chain(ctx, grid, 0, n_rb=3, repeats=4)[0]
     assert placement.repeats == 4
-    grid = ctx.grids["UL"]
     start = placement.slot_idx
     area = 3 * 13
     for r in range(5):
@@ -124,17 +125,18 @@ def test_harq_single_forced_failure_cycle():
                     **ONE_VEHICLE)
     rep, rows = replicate(
         cfg, ok=lambda leg: leg.hop.direction == "DL" or leg.attempts > 1)
-    n_rb = rep._ul_rbs[0]
+    n_rb = rep._ul.rbs[0]
     packets = rows_by_packet(rows)
     assert len(packets) >= 8
     for (_, gen_ms), (ul, dl) in packets.items():
         gen = ticks(gen_ms)
-        probe = make_context(slot_type=cfg.slot_type, control_variant="conf3")
+        probe = make_context(control_variant="conf3")
+        grid = make_slot_grid(slot_type=cfg.slot_type, control_variant="conf3")
         # the failure is known once the first attempt is decoded
-        known = lat.data_chain(probe, "UL", gen + probe.prepare_half, n_rb)[-1]
+        known = lat.data_chain(probe, grid, gen + probe.prepare_half, n_rb)[-1]
         sr_done = lat.sr_chain(probe, lat.nack_chain(probe, "UL", known), p=0.0)
         grant_done = lat.grant_chain(probe, sr_done + probe.decode_half)
-        again = lat.data_chain(probe, "UL", grant_done + probe.prepare_half, n_rb)[-1]
+        again = lat.data_chain(probe, grid, grant_done + probe.prepare_half, n_rb)[-1]
         assert ul["disposition"] == "delivered" and ul["attempts"] == 2
         assert ticks(ul["total_ms"]) - ticks(ul["retx_ms"]) == known - gen
         assert ticks(ul["retx_ms"]) == again - known
@@ -221,11 +223,10 @@ def test_nack_chain_directions(ctx):
 def test_frame_alignment_bound_over_offsets():
     # alignment never exceeds one slot for any slot type or offset
     for slot_type in lat.SLOT_SYMBOLS:
-        ctx = make_context(slot_type=slot_type)
-        grid = ctx.grids["UL"]
-        for off in range(0, ctx.slot_ticks, 5):
+        grid = make_slot_grid(slot_type=slot_type)
+        for off in range(0, grid.slot_ticks, 5):
             b = grid.alignment(off)
-            assert 0 <= b - off <= ctx.slot_ticks
+            assert 0 <= b - off <= grid.slot_ticks
 
 
 def test_sched_latency_ops_match_dynamic_chain():

@@ -80,18 +80,18 @@ def test_mcs_from_cqi_endpoints():
 
 
 def test_cqi_from_distance_monotone():
-    prof = link.default_link_profile("LEP")
-    assert link.cqi_from_distance(0.0, prof) == 15
-    assert link.cqi_from_distance(866.0, prof) == link.DEFAULT_EDGE_CQI
-    cqis = [link.cqi_from_distance(d, prof) for d in range(0, 867, 10)]
+    cqi_map = link.linear_cqi_map()
+    assert link.cqi_from_distance(0.0, cqi_map) == 15
+    assert link.cqi_from_distance(866.0, cqi_map) == link.DEFAULT_EDGE_CQI
+    cqis = [link.cqi_from_distance(d, cqi_map) for d in range(0, 867, 10)]
     assert all(a >= b for a, b in zip(cqis, cqis[1:]))
     with pytest.raises(ConfigurationError):
-        link.cqi_from_distance(900.0, prof)
+        link.cqi_from_distance(900.0, cqi_map)
 
 
 def test_custom_three_step_map():
-    prof = link.LinkProfile("LEP", ((100.0, 9), (200.0, 5), (300.0, 2)))
-    assert link.cqi_from_distance(150.0, prof) == 5
+    cqi_map = ((100.0, 9), (200.0, 5), (300.0, 2))
+    assert link.cqi_from_distance(150.0, cqi_map) == 5
 
 
 # --- TBS against the oracle ---------------------------------------------------

@@ -14,8 +14,7 @@ def test_vehicle_counts_from_density():
 
 def test_placement_uniform_and_within_cell():
     rng = np.random.default_rng(1)
-    prof = link.default_link_profile("LEP")
-    vehicles = scn.place_vehicles(80, prof, rng)
+    vehicles = scn.place_vehicles(80, link.linear_cqi_map(), rng)
     assert len(vehicles) == 831
     pos = np.array([v.position_m for v in vehicles])
     assert (np.abs(pos) <= 866.0).all()
@@ -57,8 +56,7 @@ def test_per_vehicle_phases_differ():
 
 def test_nearest_neighbours_match_bruteforce():
     rng = np.random.default_rng(5)
-    prof = link.default_link_profile("LEP")
-    vehicles = scn.place_vehicles(10, prof, rng)
+    vehicles = scn.place_vehicles(10, link.linear_cqi_map(), rng)
     m = 4
     fast = scn.nearest_neighbours(vehicles, m)
     for v in vehicles:
@@ -94,7 +92,7 @@ def test_cqi_map_spans_the_configured_cell(radius):
     rep = engine._Replication(cfg, np.random.default_rng(6))
     assert max(v.distance_m for v in rep.vehicles) <= radius
     assert {v.cqi for v in rep.vehicles} == set(range(link.DEFAULT_EDGE_CQI, 16))
-    assert link.default_link_profile("LEP", cell_radius_m=radius).cqi_map[-1] == (
+    assert link.linear_cqi_map(radius)[-1] == (
         pytest.approx(radius), link.DEFAULT_EDGE_CQI)
     run_replication(cfg, np.random.default_rng(6))
 
