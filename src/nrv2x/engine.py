@@ -60,6 +60,7 @@ before every other event.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
@@ -111,6 +112,9 @@ _CHOICES = {
 }
 # the values a RunConfig field annotated int or float takes, bools aside
 _NUMERIC = {"int": int, "float": (int, float)}
+# the most replication means the stopping rule has a Student t quantile for:
+# data/student_t975.csv covers 1 .. MAX_REPLICATIONS - 1 degrees of freedom
+MAX_REPLICATIONS = 1000
 
 
 @dataclass(frozen=True)
@@ -197,6 +201,9 @@ class RunConfig:
              "warmup must end at least one slot before the horizon"),
             (self.seed >= 0, "seed must be non-negative"),
             (1 <= self.max_replications, "max_replications must be positive"),
+            (self.max_replications <= MAX_REPLICATIONS,
+             f"max_replications must be at most {MAX_REPLICATIONS}, the reach of "
+             "the stopping rule's Student t table"),
             # not NaN either: `relative_error(...) < target` would never stop a run
             (self.relative_error_target > 0, "relative error target must be positive"),
             (self.min_replications <= self.max_replications,
@@ -771,21 +778,32 @@ def aggregate(cfg: RunConfig, reps: list[ReplicationSummary], runtime_s: float,
     return report
 
 
+@functools.cache
+def _t975() -> dict[int, float]:
+    """The Student t 0.975 quantile by degrees of freedom: the doubles
+    ``scipy.special.stdtrit(df, 0.975)`` returns, so that no run loads
+    scipy.  Read on first use, not at import."""
+    return {int(r["df"]): float(r["t975"]) for r in phy.load_rows("student_t975.csv")}
+
+
 def relative_error(means: list[float]) -> float:
     """95% CI half-width over replication means divided by their mean.
 
-    scipy is imported here, not at module level: loading it costs more than
-    a short replication, and only the stopping rule needs it.
+    More means than the quantile table covers are a ConfigurationError;
+    `RunConfig` keeps ``max_replications`` within it.
     """
-    from scipy.special import stdtrit
-
+    table = _t975()
+    if len(means) - 1 > len(table):
+        raise phy.ConfigurationError(
+            f"{len(means)} replication means exceed the Student t table, which "
+            f"covers {len(table) + 1}")
     valid = [m for m in means if not math.isnan(m)]
     if len(valid) < 2 or len(valid) < len(means):
         return math.inf
     mean = float(np.mean(valid))
     if mean == 0:
         return math.inf
-    half = stdtrit(len(valid) - 1, 0.975) * np.std(valid, ddof=1) / math.sqrt(len(valid))
+    half = table[len(valid) - 1] * np.std(valid, ddof=1) / math.sqrt(len(valid))
     return float(half / abs(mean))
 
 

@@ -174,11 +174,30 @@ def _row_for(cfg: RunConfig, report: MetricsReport) -> dict:
     return row
 
 
-def _load_done_keys(csv_path: Path) -> set[str]:
-    if not csv_path.exists():
-        return set()
-    with open(csv_path, newline="") as fh:
-        return {row["config_key"] for row in csv.DictReader(fh)}
+def _resume_state(csv_path: Path, sidecar_path: Path) -> tuple[set[str], bool, dict]:
+    """What a sweep's output directory holds: the keys of the points it
+    completed, whether its table still needs a header, and its sidecar.  A
+    table or sidecar that a sweep did not write is a ConfigurationError,
+    raised before either file is touched."""
+    try:
+        done, fieldnames = set(), None
+        if csv_path.exists():
+            with open(csv_path, newline="") as fh:
+                reader = csv.DictReader(fh)
+                fieldnames = reader.fieldnames
+                if fieldnames not in (None, _result_fieldnames()):
+                    raise ValueError(f"{csv_path.name} has columns {fieldnames}, "
+                                     "not those of a sweep table")
+                done = {row["config_key"] for row in reader}
+        sidecar = {"version": __version__, "points": {}}
+        if sidecar_path.exists():
+            sidecar = json.loads(sidecar_path.read_text())
+            if not isinstance(sidecar, dict) or not isinstance(sidecar.get("points"), dict):
+                raise ValueError(f"{sidecar_path.name} is not a mapping with a "
+                                 "mapping of points")
+    except (OSError, ValueError) as exc:   # JSONDecodeError, UnicodeDecodeError too
+        raise ConfigurationError(f"cannot resume {csv_path.parent}: {exc}") from None
+    return done, fieldnames is None, sidecar
 
 
 def _write_sidecar(path: Path, sidecar: dict) -> None:
@@ -191,22 +210,19 @@ def _write_sidecar(path: Path, sidecar: dict) -> None:
 def run_sweep(spec: ExperimentSpec, out_dir: str | Path, progress=None) -> Path:
     """Execute every pending sweep point; returns the CSV path.
 
-    An invalid point raises `ConfigurationError` before any point runs.
+    An invalid point, or an output directory whose table or sidecar a sweep
+    did not write, raises `ConfigurationError` before any point runs.
     Completed points (config keys already present in the CSV) are skipped,
     and the sidecar is rewritten after every point, so an interrupted sweep
     resumes where it stopped.
     """
     points = spec.points()
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "results.csv"
     sidecar_path = out / "results.meta.json"
-    done = _load_done_keys(csv_path)
+    done, new_file, sidecar = _resume_state(csv_path, sidecar_path)
+    out.mkdir(parents=True, exist_ok=True)
     points = [p for p in points if p.key() not in done]
-    new_file = not csv_path.exists()
-    sidecar = {"version": __version__, "points": {}}
-    if sidecar_path.exists():
-        sidecar = json.loads(sidecar_path.read_text())
     sidecar["spec"] = spec.to_mapping()
     _write_sidecar(sidecar_path, sidecar)
     parallel = spec.workers > 1 and len(points) > 1

@@ -333,6 +333,7 @@ def test_overload_replication_pinned():
     dict(density_veh_km_lane=True),
     dict(cell_radius_m=False),
     dict(horizon_ms="600"),
+    dict(max_replications=1001),
 ], ids=["negative_density", "warmup_equals_horizon", "warmup_past_horizon",
         "min_above_max_replications", "zero_density", "density_rounding_to_no_vehicle",
         "unknown_retransmission", "bad_repetition_count", "unknown_traffic",
@@ -343,7 +344,7 @@ def test_overload_replication_pinned():
         "fractional_lanes", "float_layers", "fractional_packet", "bool_seed",
         "float_repetition_count", "float_scs", "string_retx_count", "zero_error_target",
         "negative_error_target", "nan_error_target", "bool_interval", "bool_density",
-        "bool_radius", "string_horizon"])
+        "bool_radius", "string_horizon", "replications_past_t_table"])
 def test_run_config_rejects_bad_values(fields):
     with pytest.raises(phy.ConfigurationError):
         RunConfig(**fields)
@@ -390,7 +391,7 @@ _INVALID = dict(
     density_veh_km_lane=[-1.0, 0.0, 0.1, math.nan], packet_bytes=[0], layers=[0, 3],
     ue_capability=[0], cell_radius_m=[-10.0, 0.0, math.inf], lanes=[-1, 0],
     edge_cqi=[0, 16], horizon_ms=[0.0, 0.3], warmup_ms=[-1.0, 60.0], seed=[-1],
-    max_replications=[0],
+    max_replications=[0, 1001],
 )
 
 
@@ -574,21 +575,50 @@ def test_calendar_replays_the_sequence_heap(config):
 
 
 def test_import_loads_no_scipy():
+    """Neither importing nrv2x, nor `engine.run` through its stopping rule,
+    nor `nrv2x run` loads scipy: the package does not depend on it."""
     src = str(Path(nrv2x.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, nrv2x.engine, nrv2x.experiment, nrv2x.cli; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    code = (
+        "import sys, nrv2x.engine, nrv2x.experiment, nrv2x.cli\n"
+        "from nrv2x import cli, engine\n"
+        "def scipy(): return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "print(scipy())\n"
+        "tiny = dict(horizon_ms=300.0, warmup_ms=100.0, min_replications=2,\n"
+        "            max_replications=3, relative_error_target=1e-9)\n"
+        "print(engine.run(engine.RunConfig(**tiny)).ci_relative_error, scipy())\n"
+        "cli.main(['run', *(f'--set={k}={v}' for k, v in tiny.items())])\n"
+        "print(scipy())\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+                         text=True, check=True).stdout.splitlines()
+    assert out[0] == "[]"
+    rel, loaded = out[1].split(" ", 1)
+    assert math.isfinite(float(rel)) and loaded == "[]"     # the rule was evaluated
+    assert json.loads(out[2])["n_replications"] == 3
+    assert out[3] == "[]"
+
+
+def test_student_t_table_holds_scipys_doubles():
+    """Every quantile of the stopping rule's table is the double scipy
+    gives, and the table reaches exactly `MAX_REPLICATIONS` means."""
+    from scipy.special import stdtrit
+
+    table = engine._t975()
+    assert list(table) == list(range(1, engine.MAX_REPLICATIONS))
+    for df, t in table.items():
+        assert t == float(stdtrit(df, 0.975)), df
+    assert math.isfinite(relative_error([5.0, 5.5] * 500))
+    with pytest.raises(phy.ConfigurationError, match="1001 replication means"):
+        relative_error([5.0, 5.5] * 500 + [5.0])
+    RunConfig(max_replications=engine.MAX_REPLICATIONS)
 
 
 def test_relative_error_matches_student_t_formula():
     from scipy import stats
 
     rng = np.random.default_rng(8)
-    for n in range(2, 66):
+    for n in [*range(2, 66), 998, 999, 1000]:
         means = rng.normal(5.0, 0.5, n).tolist()
         mean = float(np.mean(means))
         half = stats.t.ppf(0.975, n - 1) * np.std(means, ddof=1) / math.sqrt(n)

@@ -158,6 +158,45 @@ def test_sweep_resumable_no_duplicates(tmp_path):
     assert "density_veh_km_lane" in meta
 
 
+@pytest.mark.parametrize("name, content, message", [
+    ("results.meta.json", "{bad", "Expecting property name"),
+    ("results.meta.json", "[]", "not a mapping"),
+    ("results.meta.json", '{"points": []}', "not a mapping"),
+    ("results.csv", "a,b\n1,2\n", "has columns"),
+    ("results.csv", b"\xff\xfe", "can't decode"),
+], ids=["sidecar_not_json", "sidecar_list", "sidecar_points_list", "table_without_key",
+        "table_not_text"])
+def test_sweep_refuses_to_resume_a_foreign_directory(tmp_path, capsys, name, content,
+                                                      message):
+    """An output directory whose table or sidecar a sweep did not write is
+    rejected before any point runs: nothing is written there, and the CLI
+    exits 2 with `error: cannot resume`."""
+    spec_path = write_spec(tmp_path, {"base": dict(FAST_BASE)})
+    out = tmp_path / "out"
+    out.mkdir()
+    path = write_input(out / name, content)
+    before = path.read_bytes()
+
+    def ran(report):
+        raise AssertionError("a point ran")
+
+    with pytest.raises(ConfigurationError, match=f"cannot resume {out}: .*{message}"):
+        run_sweep(parse_spec(spec_path), out, progress=ran)
+    assert cli.main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot resume {out}: ") and "Traceback" not in err
+    assert list(out.iterdir()) == [path] and path.read_bytes() == before
+
+
+def test_sweep_writes_the_header_into_an_empty_table(tmp_path):
+    """A table left empty (a sweep killed before its header reached the
+    disk) gets the header before its first row."""
+    (tmp_path / "results.csv").touch()
+    csv_path = run_sweep(ExperimentSpec(base=dict(FAST_BASE), axes={}), tmp_path)
+    assert [r["config_key"] for r in read_results(csv_path)] == [
+        RunConfig(**FAST_BASE).key()]
+
+
 def test_sweep_rows_keyed_and_typed(tmp_path):
     spec = ExperimentSpec(base=dict(FAST_BASE),
                           axes={"mcs_table": ["LEP", "HEP"]})
