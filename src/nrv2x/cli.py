@@ -4,13 +4,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
-from pathlib import Path
 
 from .engine import RunConfig, run
-from .experiment import (_coerce, emit_figure_data, load_yaml, parse_spec, run_sweep,
-                         spec_from_mapping)
+from .experiment import (_coerce, emit_figure_data, load_yaml, output_dir, parse_spec,
+                         run_sweep, spec_from_mapping)
 from .phy import ConfigurationError
 
 
@@ -33,11 +31,9 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         fields["seed"] = args.seed
     cfg = RunConfig(**fields)
-    report = run(cfg)
-    text = report.to_json()
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(args.out) if args.out else None
+    text = run(cfg).to_json()
+    if out:
         (out / f"{cfg.key()}.json").write_text(text)
     print(text)
     return 0

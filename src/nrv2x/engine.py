@@ -65,6 +65,7 @@ import heapq
 import json
 import math
 import time
+import zlib
 from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
 from typing import Callable, NamedTuple
@@ -213,7 +214,15 @@ class RunConfig:
                 raise phy.ConfigurationError(message)
 
     def key(self) -> str:
-        """Canonical identifier of the configuration point (seed excluded)."""
+        """Canonical identifier of the configuration point (seed excluded).
+
+        A readable name of the radio scheme and load, then ``-`` and the
+        CRC-32, in 8 hex digits, of the repr of the tuple of every field
+        value but the seed, in field order.  Float fields enter as floats,
+        because ``density_veh_km_lane=10`` and ``10.0`` are one
+        configuration.  Configurations that differ in any field but the
+        seed get different keys, barring a checksum collision.
+        """
         parts = [
             f"scs{self.scs_khz}", f"bw{self.bandwidth_mhz}", self.scheduling,
             self.retransmission
@@ -223,7 +232,9 @@ class RunConfig:
             self.mcs_table, self.slot_type, self.control_variant,
             self.traffic, f"t{self.interval_ms:g}", f"rho{self.density_veh_km_lane:g}",
         ]
-        return "-".join(parts)
+        values = tuple(float(getattr(self, f.name)) if f.type == "float"
+                       else getattr(self, f.name) for f in fields(self) if f.name != "seed")
+        return "-".join(parts) + f"-{zlib.crc32(repr(values).encode()):08x}"
 
 
 class _Hop(NamedTuple):

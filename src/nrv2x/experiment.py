@@ -4,10 +4,11 @@ resumable CSV results, and plottable series extraction.
 A sweep file holds a ``base`` mapping of RunConfig fields plus an ``axes``
 mapping of field name to value list; the cartesian product of the axes is
 enumerated in a deterministic order, and every point is checked before
-any point runs.  Every completed point writes one CSV row keyed by the
-point's canonical configuration key, so re-running a sweep skips finished
-points.  A JSON sidecar records the fully resolved configuration of every
-point and the code version for reproducibility.
+any point runs.  Every completed point writes one CSV row: every RunConfig
+field of the point, then every MetricsReport field, whose ``config_key``
+identifies the point, so re-running a sweep skips finished points.  A JSON
+sidecar records the code version and the sweep specification of the last
+invocation.
 """
 
 from __future__ import annotations
@@ -28,13 +29,6 @@ from .phy import ConfigurationError
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 _SWEEP_KEYS = {"base", "axes", "seed", "output", "workers"}
-
-#: configuration columns repeated in every result row
-_CONFIG_COLUMNS = (
-    "scs_khz", "bandwidth_mhz", "scheduling", "retransmission", "k",
-    "harq_max_retx", "dl_cast", "unicast_m", "mcs_table", "slot_type",
-    "control_variant", "traffic", "interval_ms", "density_veh_km_lane", "seed",
-)
 
 
 def _integer(name: str, value) -> int:
@@ -83,7 +77,9 @@ class ExperimentSpec:
         """Deterministic cartesian expansion of the axes over the base.
 
         Results and resumption are keyed by `RunConfig.key()`, so two points
-        with one key are rejected: their rows could not be told apart.
+        with one key are rejected: their rows could not be told apart.  The
+        key covers every field but the seed, so this happens only for equal
+        configurations (an axis ``[10, 10.0]``) or a checksum collision.
         """
         names = sorted(self.axes)
         out = []
@@ -99,15 +95,6 @@ class ExperimentSpec:
             keys.add(key)
             out.append(cfg)
         return out
-
-    def to_mapping(self) -> dict:
-        return {
-            "base": dict(self.base),
-            "axes": {k: list(v) for k, v in self.axes.items()},
-            "seed": self.seed,
-            "output": self.output,
-            "workers": self.workers,
-        }
 
 
 def spec_from_mapping(doc: dict) -> ExperimentSpec:
@@ -140,20 +127,30 @@ def spec_from_mapping(doc: dict) -> ExperimentSpec:
 
 
 @contextmanager
-def _readable(path: str | Path):
-    """Turn a file that cannot be opened or decoded into a ConfigurationError
-    naming it."""
+def _cannot(action: str, path: str | Path):
+    """Turn a file that cannot be opened, decoded or created into a
+    ConfigurationError naming the action and the file."""
     try:
         yield
     except (OSError, UnicodeDecodeError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
-        raise ConfigurationError(f"cannot read {path}: {reason}") from None
+        raise ConfigurationError(f"cannot {action} {path}: {reason}") from None
+
+
+def output_dir(path: str | Path) -> Path:
+    """The directory at path, created if it does not exist; a path that
+    cannot be a directory, such as an existing file, is a
+    ConfigurationError."""
+    out = Path(path)
+    with _cannot("create directory", out):
+        out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def load_yaml(path: str | Path):
     """A YAML document; one that cannot be read or parsed is a
     ConfigurationError."""
-    with _readable(path), open(path) as fh:
+    with _cannot("read", path), open(path) as fh:
         try:
             return yaml.safe_load(fh)
         except yaml.YAMLError as exc:
@@ -165,66 +162,54 @@ def parse_spec(path: str | Path) -> ExperimentSpec:
 
 
 def _result_fieldnames() -> list[str]:
-    return list(_CONFIG_COLUMNS) + [f.name for f in dataclasses.fields(MetricsReport)]
+    return [f.name for f in (*dataclasses.fields(RunConfig), *dataclasses.fields(MetricsReport))]
 
 
-def _row_for(cfg: RunConfig, report: MetricsReport) -> dict:
-    row = {name: getattr(cfg, name) for name in _CONFIG_COLUMNS}
-    row.update(report.to_row())
-    return row
-
-
-def _resume_state(csv_path: Path, sidecar_path: Path) -> tuple[set[str], bool, dict]:
+def _resume_state(csv_path: Path, sidecar_path: Path) -> tuple[set[str], bool]:
     """What a sweep's output directory holds: the keys of the points it
-    completed, whether its table still needs a header, and its sidecar.  A
-    table or sidecar that a sweep did not write is a ConfigurationError,
-    raised before either file is touched."""
+    completed, and whether its table still needs a header.  A table without
+    exactly the sweep table's columns, or a sidecar that is not a JSON
+    mapping, is a ConfigurationError, raised before either file is touched."""
     try:
         done, fieldnames = set(), None
         if csv_path.exists():
             with open(csv_path, newline="") as fh:
                 reader = csv.DictReader(fh)
-                fieldnames = reader.fieldnames
-                if fieldnames not in (None, _result_fieldnames()):
-                    raise ValueError(f"{csv_path.name} has columns {fieldnames}, "
-                                     "not those of a sweep table")
+                fieldnames, columns = reader.fieldnames, _result_fieldnames()
+                if fieldnames not in (None, columns):
+                    raise ValueError(
+                        f"{csv_path.name} does not have the columns of a sweep table: "
+                        f"missing {[c for c in columns if c not in fieldnames]}, "
+                        f"unexpected {[c for c in fieldnames if c not in columns]}")
                 done = {row["config_key"] for row in reader}
-        sidecar = {"version": __version__, "points": {}}
-        if sidecar_path.exists():
-            sidecar = json.loads(sidecar_path.read_text())
-            if not isinstance(sidecar, dict) or not isinstance(sidecar.get("points"), dict):
-                raise ValueError(f"{sidecar_path.name} is not a mapping with a "
-                                 "mapping of points")
+        if sidecar_path.exists() and not isinstance(json.loads(sidecar_path.read_text()), dict):
+            raise ValueError(f"{sidecar_path.name} is not a mapping")
     except (OSError, ValueError) as exc:   # JSONDecodeError, UnicodeDecodeError too
         raise ConfigurationError(f"cannot resume {csv_path.parent}: {exc}") from None
-    return done, fieldnames is None, sidecar
-
-
-def _write_sidecar(path: Path, sidecar: dict) -> None:
-    """Replace the sidecar atomically: a reader sees the old or the new one."""
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(sidecar, indent=1, sort_keys=True))
-    tmp.replace(path)
+    return done, fieldnames is None
 
 
 def run_sweep(spec: ExperimentSpec, out_dir: str | Path, progress=None) -> Path:
     """Execute every pending sweep point; returns the CSV path.
 
-    An invalid point, or an output directory whose table or sidecar a sweep
-    did not write, raises `ConfigurationError` before any point runs.
-    Completed points (config keys already present in the CSV) are skipped,
-    and the sidecar is rewritten after every point, so an interrupted sweep
-    resumes where it stopped.
+    An invalid point, an output path that cannot be a directory, or an
+    output directory that `_resume_state` refuses raises
+    `ConfigurationError` before any point runs.  Completed
+    points (config keys already present in the CSV) are skipped, so an
+    interrupted sweep resumes where it stopped.  The sidecar is replaced
+    atomically, so a reader sees the old one or the new one.
     """
     points = spec.points()
     out = Path(out_dir)
     csv_path = out / "results.csv"
     sidecar_path = out / "results.meta.json"
-    done, new_file, sidecar = _resume_state(csv_path, sidecar_path)
-    out.mkdir(parents=True, exist_ok=True)
+    done, new_file = _resume_state(csv_path, sidecar_path)
+    output_dir(out)
     points = [p for p in points if p.key() not in done]
-    sidecar["spec"] = spec.to_mapping()
-    _write_sidecar(sidecar_path, sidecar)
+    tmp = sidecar_path.with_suffix(".tmp")
+    tmp.write_text(json.dumps({"version": __version__, "spec": dataclasses.asdict(spec)},
+                              indent=1, sort_keys=True))
+    tmp.replace(sidecar_path)
     parallel = spec.workers > 1 and len(points) > 1
     with (ProcessPoolExecutor(spec.workers) if parallel else nullcontext()) as pool, \
             open(csv_path, "a", newline="") as fh:
@@ -232,10 +217,8 @@ def run_sweep(spec: ExperimentSpec, out_dir: str | Path, progress=None) -> Path:
         if new_file:
             writer.writeheader()
         for cfg, report in zip(points, (pool.map if parallel else map)(run, points)):
-            writer.writerow(_row_for(cfg, report))
+            writer.writerow({**dataclasses.asdict(cfg), **report.to_row()})
             fh.flush()
-            sidecar["points"][cfg.key()] = dataclasses.asdict(cfg)
-            _write_sidecar(sidecar_path, sidecar)
             if progress:
                 progress(report)
     return csv_path
@@ -244,7 +227,7 @@ def run_sweep(spec: ExperimentSpec, out_dir: str | Path, progress=None) -> Path:
 def read_results(csv_path: str | Path) -> list[dict]:
     """Result rows with numeric columns parsed back to floats; a table that
     cannot be read is a ConfigurationError."""
-    with _readable(csv_path), open(csv_path, newline="") as fh:
+    with _cannot("read", csv_path), open(csv_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     for row in rows:
         for k, v in row.items():
@@ -294,8 +277,7 @@ def emit_figure_data(csv_path: str | Path, figure_id: str,
     missing = [c for c in (plan["x"], *plan["group"], *plan["y"]) if c not in rows[0]]
     if missing:
         raise ConfigurationError(f"result table lacks columns {missing}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(out_dir)
     series: dict[tuple, list] = {}
     for row in rows:
         key = tuple(row[g] for g in plan["group"])

@@ -3,9 +3,11 @@ import heapq
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -163,11 +165,14 @@ def test_relative_error_behaviour():
 
 
 def test_stopping_rule_runs_at_least_minimum():
-    cfg = RunConfig(density_veh_km_lane=10, horizon_ms=400.0, warmup_ms=100.0,
-                    min_replications=3, max_replications=10)
-    r = run(cfg)
-    assert r.n_replications >= 3
-    assert r.ci_relative_error < 0.01 or r.n_replications == 10
+    for low, high in [(3, 10), (1, 1)]:
+        cfg = RunConfig(density_veh_km_lane=10, horizon_ms=400.0, warmup_ms=100.0,
+                        min_replications=low, max_replications=high)
+        r = run(cfg)
+        assert low <= r.n_replications <= high
+        assert r.ci_relative_error < 0.01 or r.n_replications == high
+    # one replication mean has no confidence interval
+    assert r.n_replications == 1 and r.ci_relative_error == math.inf
 
 
 def test_unallocatable_reported_not_clamped():
@@ -383,6 +388,7 @@ _PLAUSIBLE = dict(
     seed=[0, 7],
     min_replications=[0, 1, 2],
     max_replications=[1, 2],
+    relative_error_target=[0.01, 0.5],
 )
 _INVALID = dict(
     scs_khz=[45], bandwidth_mhz=[7], scheduling=["bogus"], retransmission=["bogus"],
@@ -393,6 +399,26 @@ _INVALID = dict(
     edge_cqi=[0, 16], horizon_ms=[0.0, 0.3], warmup_ms=[-1.0, 60.0], seed=[-1],
     max_replications=[0, 1001],
 )
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig) if f.name != "seed"])
+def test_key_separates_every_field(name):
+    """Configurations that differ only in one field, any but the seed, get
+    different keys: a result row or a `run --out` file names its point."""
+    # every plausible value of the field constructs on this base
+    base = dict(k=2, harq_max_retx=1, unicast_m=1, warmup_ms=0.0, min_replications=1)
+    keys = {RunConfig(**{**base, name: value}).key() for value in _PLAUSIBLE[name]}
+    assert len(keys) == len(_PLAUSIBLE[name]) >= 2
+
+
+def test_key_ignores_the_seed_and_the_spelling_of_a_float():
+    key = RunConfig().key()
+    assert re.fullmatch(
+        r"scs30-bw20-semi_static-none-broadcast-LEP-full-conf1-periodic-t100-rho10-[0-9a-f]{8}",
+        key)
+    assert RunConfig(seed=7).key() == key
+    assert RunConfig(density_veh_km_lane=10).key() == RunConfig(density_veh_km_lane=10.0).key()
+    assert RunConfig(horizon_ms=500).key() != key != RunConfig(packet_bytes=1000).key()
 
 
 @st.composite
@@ -576,20 +602,23 @@ def test_calendar_replays_the_sequence_heap(config):
 
 def test_import_loads_no_scipy():
     """Neither importing nrv2x, nor `engine.run` through its stopping rule,
-    nor `nrv2x run` loads scipy: the package does not depend on it."""
+    nor `nrv2x run` loads scipy: the package does not depend on it.  Nor
+    does importing nrv2x load OpenSSL's `_hashlib`, which configuration keys
+    do without; past import numpy.random loads it itself (through `secrets`
+    and `hmac`) when a run draws its first seed."""
     src = str(Path(nrv2x.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
         "import sys, nrv2x.engine, nrv2x.experiment, nrv2x.cli\n"
         "from nrv2x import cli, engine\n"
-        "def scipy(): return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-        "print(scipy())\n"
+        "def loaded(*names): return [m for m in sys.modules if m.split('.')[0] in names]\n"
+        "print(loaded('scipy', '_hashlib'))\n"
         "tiny = dict(horizon_ms=300.0, warmup_ms=100.0, min_replications=2,\n"
         "            max_replications=3, relative_error_target=1e-9)\n"
-        "print(engine.run(engine.RunConfig(**tiny)).ci_relative_error, scipy())\n"
+        "print(engine.run(engine.RunConfig(**tiny)).ci_relative_error, loaded('scipy'))\n"
         "cli.main(['run', *(f'--set={k}={v}' for k, v in tiny.items())])\n"
-        "print(scipy())\n")
+        "print(loaded('scipy'))\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout.splitlines()
     assert out[0] == "[]"

@@ -1,11 +1,13 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 import yaml
 
 from nrv2x import cli
-from nrv2x.engine import RunConfig
+from nrv2x import experiment
+from nrv2x.engine import MetricsReport, RunConfig
 from nrv2x.experiment import (ExperimentSpec, _coerce, emit_figure_data, parse_spec,
                               read_results, run_sweep, spec_from_mapping)
 from nrv2x.phy import ConfigurationError
@@ -43,7 +45,7 @@ def test_parse_roundtrip(tmp_path):
     doc = {"base": dict(FAST_BASE), "axes": {"density_veh_km_lane": [10, 20]},
            "seed": 7, "output": "out", "workers": 2}
     spec = parse_spec(write_spec(tmp_path, doc))
-    again = spec_from_mapping(spec.to_mapping())
+    again = spec_from_mapping(dataclasses.asdict(spec))
     assert again == spec
 
 
@@ -85,14 +87,16 @@ def test_invalid_point_rejects_the_sweep_before_any_row(tmp_path, workers, capsy
     assert not out.exists()
 
 
-@pytest.mark.parametrize("axis", [{"packet_bytes": [100, 300]}, {"harq_group_size": [1, 2]},
-                                  {"density_veh_km_lane": [10, 10.0]}])
+@pytest.mark.parametrize("axis", [{"density_veh_km_lane": [10, 10.0]},
+                                  {"interval_ms": [100, 100.0]},
+                                  {"cell_radius_m": [866, 866.0]}])
 def test_points_sharing_a_key_reject_the_sweep(tmp_path, axis, capsys):
-    """Two points with one configuration key would write rows that resume
-    and the sidecar cannot tell apart: the sweep is rejected before any
-    point runs, and the CLI exits 2 without creating its directory."""
+    """Two points with one configuration key, here one configuration spelled
+    twice, would write rows that resume cannot tell apart: the sweep is
+    rejected before any point runs, and the CLI exits 2 without creating
+    its directory."""
     doc = {"base": dict(FAST_BASE), "axes": axis}
-    key = RunConfig(**FAST_BASE).key()     # the default density is 10
+    key = RunConfig(**FAST_BASE).key()     # each axis value is the default
     with pytest.raises(ConfigurationError, match=key):
         spec_from_mapping(doc).points()
     out = tmp_path / "cli"
@@ -102,23 +106,38 @@ def test_points_sharing_a_key_reject_the_sweep(tmp_path, axis, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("axis", [{"packet_bytes": [100, 300]}, {"harq_group_size": [1, 2]}])
+def test_points_outside_the_readable_key_get_their_own_rows(tmp_path, axis):
+    """Fields that the readable part of the key omits still separate
+    points: the sweep writes one row per point."""
+    spec = ExperimentSpec(base=dict(FAST_BASE), axes=axis)
+    rows = read_results(run_sweep(spec, tmp_path))
+    assert sorted(r["config_key"] for r in rows) == sorted(p.key() for p in spec.points())
+    assert len({r["config_key"] for r in rows}) == 2
+
+
 def test_interrupted_sweep_resumes(tmp_path):
-    """A sweep stopped after its first point keeps that point's row and
-    sidecar entry; the rerun adds each remaining point exactly once."""
-    spec = ExperimentSpec(base=dict(FAST_BASE), axes={"density_veh_km_lane": [10, 20, 30]})
+    """A sweep stopped after its first point keeps that point's row, which
+    holds every RunConfig field of the point; the rerun adds each remaining
+    point exactly once.  The sidecar holds the version and the spec."""
+    spec = spec_from_mapping({"base": FAST_BASE, "axes": {"density_veh_km_lane": [10, 20, 30]}})
 
     def interrupt(report):
         raise KeyboardInterrupt
 
     with pytest.raises(KeyboardInterrupt):
         run_sweep(spec, tmp_path, progress=interrupt)
-    meta = json.loads((tmp_path / "results.meta.json").read_text())
-    assert len(read_results(tmp_path / "results.csv")) == len(meta["points"]) == 1
+    assert len(read_results(tmp_path / "results.csv")) == 1
     csv_path = run_sweep(spec, tmp_path)
-    keys = [r["config_key"] for r in read_results(csv_path)]
-    assert sorted(keys) == sorted(p.key() for p in spec.points())
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert sorted(r["config_key"] for r in rows) == sorted(p.key() for p in spec.points())
+    for row in rows:
+        cfg = RunConfig(**{f.name: _coerce(f.name, row[f.name])
+                           for f in dataclasses.fields(RunConfig)})
+        assert cfg.key() == row["config_key"] and cfg in spec.points()
     meta = json.loads((tmp_path / "results.meta.json").read_text())
-    assert set(meta["points"]) == set(keys)
+    assert set(meta) == {"version", "spec"} and spec_from_mapping(meta["spec"]) == spec
     assert not list(tmp_path.glob("*.tmp"))
 
 
@@ -158,14 +177,23 @@ def test_sweep_resumable_no_duplicates(tmp_path):
     assert "density_veh_km_lane" in meta
 
 
+# the header of a table from before every RunConfig field was a column
+_OLD_HEADER = ",".join([
+    "scs_khz", "bandwidth_mhz", "scheduling", "retransmission", "k", "harq_max_retx", "dl_cast",
+    "unicast_m", "mcs_table", "slot_type", "control_variant", "traffic", "interval_ms",
+    "density_veh_km_lane", "seed", *(f.name for f in dataclasses.fields(MetricsReport))])
+
+
 @pytest.mark.parametrize("name, content, message", [
     ("results.meta.json", "{bad", "Expecting property name"),
     ("results.meta.json", "[]", "not a mapping"),
-    ("results.meta.json", '{"points": []}', "not a mapping"),
-    ("results.csv", "a,b\n1,2\n", "has columns"),
+    ("results.csv", "a,b\n1,2\n", r"missing \['scs_khz', .*'runtime_s'\], unexpected \['a', 'b'\]"),
     ("results.csv", b"\xff\xfe", "can't decode"),
-], ids=["sidecar_not_json", "sidecar_list", "sidecar_points_list", "table_without_key",
-        "table_not_text"])
+    ("results.csv", _OLD_HEADER + "\n",
+     r"missing \['harq_group_size', 'packet_bytes', .*'relative_error_target'\], "
+     r"unexpected \[\]"),
+], ids=["sidecar_not_json", "sidecar_list", "table_without_key", "table_not_text",
+        "table_of_an_older_version"])
 def test_sweep_refuses_to_resume_a_foreign_directory(tmp_path, capsys, name, content,
                                                       message):
     """An output directory whose table or sidecar a sweep did not write is
@@ -186,6 +214,24 @@ def test_sweep_refuses_to_resume_a_foreign_directory(tmp_path, capsys, name, con
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot resume {out}: ") and "Traceback" not in err
     assert list(out.iterdir()) == [path] and path.read_bytes() == before
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_out_naming_a_file_exits_2(tmp_path, capsys, monkeypatch, command):
+    """An output path that is an existing file stops `run` and `sweep` with
+    `error:` and exit 2 before anything runs, and leaves the file as it was."""
+    def ran(cfg):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(cli, "run", ran)
+    monkeypatch.setattr(experiment, "run", ran)
+    afile = write_input(tmp_path / "afile", "kept\n")
+    args = {"run": ["run", *(f"--set={k}={v}" for k, v in FAST_BASE.items())],
+            "sweep": ["sweep", "--spec", str(write_spec(tmp_path, {"base": dict(FAST_BASE)}))]}
+    assert cli.main([*args[command], "--out", str(afile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create directory {afile}: ") and "Traceback" not in err
+    assert afile.read_text() == "kept\n"
 
 
 def test_sweep_writes_the_header_into_an_empty_table(tmp_path):
