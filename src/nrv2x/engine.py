@@ -16,15 +16,15 @@ assignment) to the next ``_DATA``; the last allowed failure, or an attempt
 that finds no resources, closes the leg.  What depends on direction is data
 in a ``_Hop``, one per direction and replication: the direction's data grid
 and each vehicle's RB footprint on it, the data chain's deadline and scan
-limit, the outcome and detail of a starved or failed leg, and whether a
-scheduling request follows the NACK (uplink).  The control plane both
-directions share (the DCI queue, the scheduling-request cadence, the random
-stream) is the replication's ``RadioContext``.  A delivered uplink leg hands
-the packet over to the downlink.  The packet resolves with its last
-downlink leg, to its worst leg's state: dropped if any leg was dropped,
-else failed if any failed, else delivered.  Dynamic scheduling puts a
-per-vehicle signalling process (``_SIG_DCI``, ``_SIG_DATA``) before the
-uplink's first attempt.
+limit, the outcome and detail of a starved or failed leg, the control
+channel that carries its NACK, and whether a scheduling request follows the
+NACK (uplink).  The control plane both directions share (the DCI queue, the
+scheduling-request cadence, the random stream) is the replication's
+``control.RadioContext``.  A delivered uplink leg hands the packet over to
+the downlink.  The packet resolves with its last downlink leg, to its worst
+leg's state: dropped if any leg was dropped, else failed if any failed,
+else delivered.  Dynamic scheduling puts a per-vehicle signalling process
+(``_SIG_DCI``, ``_SIG_DATA``) before the uplink's first attempt.
 
 Two protocol details shape congestion behaviour.  First, a UE runs one
 signalling process: when a fresh packet supersedes a stale one, the
@@ -76,13 +76,17 @@ from . import latency as lat
 from . import link as lnk
 from . import phy
 from . import scenario as scn
-from .grid import SlotGrid
+from .control import RadioContext
+from .grid import NO_SCAN_LIMIT, SlotGrid
 
 # kinds of calendar event, dispatched in the replication loop; numbered from
 # 0, _FLUSH last.  Arrivals come from their own stream.
 (_SIG_DCI, _SIG_DATA, _INGEST, _DCI, _DATA, _NACK, _FLUSH) = range(7)
 
 _FLUSH_INTERVAL_MS = 50.0
+# burst length in symbols by slot type; None: the whole data region
+SLOT_SYMBOLS = {"full": None, "mini7": 7, "mini4": 4}
+REPETITION_COUNTS = (2, 4, 8)
 # stream rows the loop turns into Python ints at a time: the whole stream as
 # ints would take several times the memory of the array
 _ARRIVAL_CHUNK = 256
@@ -107,7 +111,7 @@ _CHOICES = {
     "retransmission": ("none", "k_repetitions", "harq"),
     "dl_cast": ("broadcast", "unicast"),
     "mcs_table": tuple(lnk.TARGET_BLER),
-    "slot_type": tuple(lat.SLOT_SYMBOLS),
+    "slot_type": tuple(SLOT_SYMBOLS),
     "traffic": ("periodic", "aperiodic"),
     "layers": (1, 2),
 }
@@ -180,8 +184,8 @@ class RunConfig:
         n_ue = scn.vehicle_count(self.density_veh_km_lane, self.lanes, self.cell_radius_m)
         slot = num.slot_ticks
         for ok, message in (
-            (self.retransmission != "k_repetitions" or self.k in lat.REPETITION_COUNTS,
-             f"repetition count must be one of {lat.REPETITION_COUNTS}"),
+            (self.retransmission != "k_repetitions" or self.k in REPETITION_COUNTS,
+             f"repetition count must be one of {REPETITION_COUNTS}"),
             (self.retransmission != "harq" or self.harq_max_retx >= 1,
              "harq needs at least one retransmission"),
             (self.harq_group_size >= 1, "harq group size must be positive"),
@@ -247,6 +251,7 @@ class _Hop(NamedTuple):
     retx: Callable        # the same for a retransmission
     starved: tuple        # (state, detail) when an attempt finds no resources, by retx
     error: str            # detail of a leg whose last attempt failed
+    nack: tuple           # the NACK's channel: (occasion after a ready tick, transmit ticks)
     sr_after_nack: bool   # the NACK is followed by a scheduling request
 
 
@@ -325,7 +330,7 @@ class _Replication:
             cfg.density_veh_km_lane, cqi_map, rng, cfg.lanes, cfg.cell_radius_m
         )
         n_ue = len(self.vehicles)
-        self.ctx = lat.RadioContext(num, proc, control, n_ue, rng)
+        self.ctx = ctx = RadioContext(num, proc, control, n_ue, rng)
 
         self.receivers = (
             scn.nearest_neighbours(self.vehicles, cfg.unicast_m)
@@ -355,7 +360,7 @@ class _Replication:
         # attempts after which a failure is final; 0 when nothing is retransmitted
         self._nack_limit = cfg.harq_max_retx if cfg.retransmission == "harq" else 0
 
-        n_symbols, bits = lat.SLOT_SYMBOLS[cfg.slot_type], cfg.packet_bytes * 8
+        n_symbols, bits = SLOT_SYMBOLS[cfg.slot_type], cfg.packet_bytes * 8
 
         def hop(direction: str, *rest) -> _Hop:
             """The direction's grid and, per vehicle, the RBs its packet takes
@@ -374,14 +379,17 @@ class _Replication:
         # Uplink: a first attempt must start before the packet goes stale; a
         # retransmission sends one copy within the scan cap, with no deadline.
         # Downlink: every attempt must start within the staleness span plus
-        # two slots, within the scan cap.
+        # two slots, within the scan cap.  Uplink data is NACKed on the
+        # PUCCH, downlink data on the PDCCH.
         cap, dl_span = self.scan_cap, stale_span + 2 * num.slot_ticks
         dl_args = lambda now, pkt: (repeats, now + dl_span, cap)  # noqa: E731
-        self._ul = hop("UL", lambda now, pkt: (repeats, pkt.deadline, lat.NO_SCAN_LIMIT),
+        self._ul = hop("UL", lambda now, pkt: (repeats, pkt.deadline, NO_SCAN_LIMIT),
                        lambda now, pkt: (1, None, cap),
-                       ((_DROPPED, "expired"), (_FAILED, "retx_starved")), "ul_error", True)
+                       ((_DROPPED, "expired"), (_FAILED, "retx_starved")), "ul_error",
+                       (ctx.pucch_occasion, ctx.tt_pucch), True)
         self._dl = hop("DL", dl_args, dl_args,
-                       ((_DROPPED, "dl_starved"), (_FAILED, "dl_starved")), "dl_error", False)
+                       ((_DROPPED, "dl_starved"), (_FAILED, "dl_starved")), "dl_error",
+                       (ctx.pdcch_occasion_after, ctx.tt_pdcch), False)
 
         # in-flight events and flushes: tick -> [(kind, payload), ...] in push
         # order, and a heap of the ticks that hold a bucket
@@ -393,7 +401,6 @@ class _Replication:
         self._dl_active: list = [()] * n_ue
         self.summary = ReplicationSummary()
         # latencies of the delivered packets, in ticks
-        self._totals: list[int] = []
         self._uls: list[int] = []
         self._dls: list[int] = []
 
@@ -433,9 +440,11 @@ class _Replication:
                 handlers[kind](tick, payload)
         s = self.summary
         # one correctly rounded division per sample, as ticks_to_ms does
-        s.total_ms = np.array(self._totals, dtype=np.int64) / phy.TICKS_PER_MS
-        s.ul_ms = np.array(self._uls, dtype=np.int64) / phy.TICKS_PER_MS
-        s.dl_ms = np.array(self._dls, dtype=np.int64) / phy.TICKS_PER_MS
+        uls = np.array(self._uls, dtype=np.int64)
+        dls = np.array(self._dls, dtype=np.int64)
+        s.total_ms = (uls + dls) / phy.TICKS_PER_MS
+        s.ul_ms = uls / phy.TICKS_PER_MS
+        s.dl_ms = dls / phy.TICKS_PER_MS
         window = (self.warmup, self.horizon)
         s.util_ul = self._ul.grid.utilization(*window)
         s.util_dl = self._dl.grid.utilization(*window)
@@ -537,7 +546,7 @@ class _Replication:
             return
         ctx = self.ctx
         leg.attempts += 1
-        done = lat.nack_chain(ctx, leg.hop.direction, now)
+        done = lat.nack_chain(ctx, leg.hop.nack, now)
         if leg.hop.sr_after_nack:
             done = lat.sr_chain(ctx, done)
         self._push(done + ctx.decode_half, _DCI, leg)
@@ -621,11 +630,8 @@ class _Replication:
             s = self.summary
             if state == _DELIVERED:
                 s.n_delivered += 1
-                ul = pkt.ul.done - pkt.gen
-                dl = max([leg.done for leg in pkt.legs]) - pkt.legs[0].created
-                self._uls.append(ul)
-                self._dls.append(dl)
-                self._totals.append(ul + dl)
+                self._uls.append(pkt.ul.done - pkt.gen)
+                self._dls.append(max([leg.done for leg in pkt.legs]) - pkt.legs[0].created)
             elif state == _DROPPED:
                 s.n_dropped += 1
                 # a leg that fits no carrier drops its packet, which counts once

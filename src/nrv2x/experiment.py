@@ -70,6 +70,13 @@ class ExperimentSpec:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        # checked here, so that a spec rebuilt with `dataclasses.replace`
+        # (the CLI's overrides) is checked as a parsed one is
+        both = sorted(set(self.base) & set(self.axes))
+        if both:
+            raise ConfigurationError(f"{both[0]!r} appears in both base and axes")
+        if not isinstance(self.output, str):
+            raise ConfigurationError(f"output must be a string, got {self.output!r}")
         if self.workers < 1:
             raise ConfigurationError(f"workers must be at least 1, got {self.workers}")
 
@@ -114,14 +121,12 @@ def spec_from_mapping(doc: dict) -> ExperimentSpec:
     for name, values in axes_doc.items():
         if not isinstance(values, (list, tuple)) or not values:
             raise ConfigurationError(f"axis {name!r} must be a non-empty list")
-        if name in base:
-            raise ConfigurationError(f"{name!r} appears in both base and axes")
         axes[name] = tuple(_coerce(name, v) for v in values)
     return ExperimentSpec(
         base=base,
         axes=axes,
         seed=_integer("seed", doc.get("seed", 0)),
-        output=str(doc.get("output", "results")),
+        output=doc.get("output", "results"),
         workers=_integer("workers", doc.get("workers", 1)),
     )
 

@@ -71,6 +71,8 @@ from typing import NamedTuple
 
 from .phy import ConfigurationError, ControlConfig, NumerologyProfile, data_region
 
+NO_SCAN_LIMIT = 100_000   # slots; more than any horizon holds
+
 
 class Placement(NamedTuple):
     slot_idx: int
@@ -181,7 +183,7 @@ class SlotGrid:
         earliest_tick: int,
         repeats: int = 1,
         max_tx_end_tick: int | None = None,
-        scan_limit_slots: int = 100_000,
+        scan_limit_slots: int = NO_SCAN_LIMIT,
     ) -> tuple[Placement | None, int]:
         """First-fit rectangle at or after earliest_tick.
 

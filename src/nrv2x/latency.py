@@ -1,95 +1,27 @@
-"""Per-packet radio latency composition.
+"""The four hop segments the engine chains into a packet's legs: a
+scheduling request on the PUCCH (`sr_chain`), a DCI through the PDCCH queue
+(`grant_chain`), a negative acknowledgement on a control channel
+(`nack_chain`) and a transport block on a data grid (`data_chain`).
 
-A one-way hop is a serial chain: sender processing, frame alignment to the
-next admissible start, waiting for free resources, the transmission itself,
-and receiver processing.  Dynamic scheduling prepends the signalling chain
-(scheduling request on the PUCCH for uplink, DCI on the PDCCH for both), and
-the retransmission schemes append either a fixed repetition tail or
-NACK-triggered cycles rescheduled dynamically on live state.
+Each segment is sender processing, alignment to the next admissible start,
+any queueing or opportunity wait, the transmission, and receiver
+processing.  Control-channel hops charge the decode-side half processing
+time on their transmit side and the prepare-side half on their receive
+side.  A signalling segment returns its completion tick; `data_chain`
+returns a plain tuple of the placement, the alignment and resource wait,
+and the completion tick, so an attempt builds no record object.
 
-Control-channel hops charge the decode-side half processing time on their
-transmit side and the prepare-side half on their receive side.  This module
-holds the chain segments; the engine composes them event by event, so that
+The control plane they read is `control.RadioContext`, the data plane a
+`grid.SlotGrid`.  The engine composes the segments event by event, so that
 every touch of the live grids and DCI queue happens in global time order.
-A signalling segment returns its completion tick; `data_chain` returns a
-plain tuple of the placement, the alignment and resource wait, and the
-completion tick, so an attempt builds no record object.
-
-The state splits by plane.  `RadioContext` is the control plane both
-directions share: the DCI queue on the PDCCH, the scheduling-request
-cadence on the PUCCH, the processing halves and the random stream.  The
-data plane is one `SlotGrid` per direction, which the caller passes to
-`data_chain`.  Each grid is built for the configuration's one burst
-length, so a transport block's airtime is the grid's `burst_ticks`.
-
-Every run-time random draw (the scheduling-request wait here, the error
-of each attempt in the engine) is a uniform read from `RadioContext.uniform`,
-a stream over the replication's generator.  It draws the generator in
-blocks of `UNIFORM_BLOCK` doubles, which give the same values in the same
-order as one ``random()`` call per draw, and it draws nothing before its
-first read.  That read comes after the world (vehicle positions, then the
-arrival stream) is drawn, so the world keeps its draws and a replication
-replays exactly from its seed.
+They stay four separate functions, which the benchmark's tracer times by
+name, until ROADMAP item 7 lets them fold into `control.py` and the engine.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-
-import numpy as np
-
-from . import control as ctl
-from .grid import Placement, SlotGrid
-from .phy import ControlConfig, NumerologyProfile, ProcessingTimes
-
-# burst length in symbols by slot type; None: the whole data region
-SLOT_SYMBOLS = {"full": None, "mini7": 7, "mini4": 4}
-REPETITION_COUNTS = (2, 4, 8)
-NO_SCAN_LIMIT = 100_000   # slots; more than any horizon holds
-# uniforms drawn from the generator at a time: a scalar `random()` costs
-# about twenty times a read from a list of pre-drawn values
-UNIFORM_BLOCK = 256
-
-
-class RadioContext:
-    """The control plane one replication's latency chains share: both
-    directions' signalling state and timing, for `n_ue` vehicles."""
-
-    def __init__(
-        self,
-        num: NumerologyProfile,
-        proc: ProcessingTimes,
-        control: ControlConfig,
-        n_ue: int,
-        rng: np.random.Generator,
-    ):
-        self.dci_queue = ctl.DciQueue(control, num.slot_ticks)
-        self.sr_config = ctl.SrConfig.for_cell(control, n_ue)
-        # () -> the generator's next uniform on [0, 1), drawn lazily in blocks
-        self.uniform = chain.from_iterable(
-            iter(lambda: rng.random(UNIFORM_BLOCK).tolist(), None)).__next__
-        self.prepare_half = proc.prepare_half
-        self.decode_half = proc.decode_half
-        self.slot_ticks = num.slot_ticks
-        self.symbol_ticks = num.symbol_ticks
-        self.tt_pucch = ctl.SR_RB_SYMBOLS * num.symbol_ticks
-        self.tt_pdcch = control.n_sy_pdcch * num.symbol_ticks
-        self._pucch_offset = (num.symbols_per_slot - control.n_sy_pucch) * num.symbol_ticks
-
-    # -- control-channel occasions ---------------------------------------------
-
-    def pucch_occasion(self, ready_tick: int) -> int:
-        """Start of the first PUCCH region at or after ready_tick."""
-        slot = max(0, -(-(ready_tick - self._pucch_offset) // self.slot_ticks))
-        return slot * self.slot_ticks + self._pucch_offset
-
-    def pdcch_occasion_after(self, ready_tick: int) -> int:
-        """Start of the first PDCCH strictly after ready_tick (a message
-        arriving during a slot's PDCCH cannot ride it)."""
-        return (ready_tick // self.slot_ticks + 1) * self.slot_ticks
-
-
-# -- chain segments -------------------------------------------------------------
+from .control import RadioContext, sr_wait_slots
+from .grid import NO_SCAN_LIMIT, Placement, SlotGrid
 
 
 def sr_chain(ctx: RadioContext, start_tick: int, p: float | None = None) -> int:
@@ -99,7 +31,7 @@ def sr_chain(ctx: RadioContext, start_tick: int, p: float | None = None) -> int:
     occasion = ctx.pucch_occasion(start_tick + ctx.decode_half)
     if p is None:
         p = ctx.uniform()
-    wait = ctl.sr_wait_slots(p, ctx.sr_config) * ctx.slot_ticks
+    wait = sr_wait_slots(p, ctx.sr_cycle) * ctx.slot_ticks
     return occasion + wait + ctx.tt_pucch + ctx.prepare_half
 
 
@@ -110,21 +42,13 @@ def grant_chain(ctx: RadioContext, created_tick: int) -> int:
     return ctx.dci_queue.enqueue(created_tick) + ctx.tt_pdcch + ctx.prepare_half
 
 
-def nack_chain(ctx: RadioContext, direction: str, start_tick: int) -> int:
-    """Negative-acknowledgement hop; returns its completion tick.
-
-    Uplink data is NACKed on the PUCCH, downlink data on the PDCCH.  The hop
-    has no queueing or opportunity wait, only processing, alignment and
-    transmit time.
-    """
-    ready = start_tick + ctx.decode_half
-    if direction == "UL":
-        occasion = ctx.pucch_occasion(ready)
-        tt = ctx.tt_pucch
-    else:
-        occasion = ctx.pdcch_occasion_after(ready)
-        tt = ctx.tt_pdcch
-    return occasion + tt + ctx.prepare_half
+def nack_chain(ctx: RadioContext, channel: tuple, start_tick: int) -> int:
+    """Negative-acknowledgement hop on `channel`, a pair of its occasion
+    function (ready tick -> start tick) and its transmit ticks; returns its
+    completion tick.  The hop has no queueing or opportunity wait, only
+    processing, alignment and transmit time."""
+    occasion, tt = channel
+    return occasion(start_tick + ctx.decode_half) + tt + ctx.prepare_half
 
 
 def data_chain(

@@ -133,23 +133,23 @@ class ControlConfig:
     excluded from data scheduling in their direction.  The RB counts size the
     per-slot signalling capacity (DCI and scheduling-request budgets); under
     the expanded variant they may exceed the carrier width, in which case
-    they act purely as a capacity abstraction.  ``ideal`` marks the variant
-    where control messages never queue.
+    they act purely as a capacity abstraction.  ``ideal`` marks conf3, whose
+    capacities `control.dci_per_slot` and `control.sr_per_slot` read as
+    unbounded.
     """
 
     n_rb_pdcch: int
     n_sy_pdcch: int
     n_rb_pucch: int
     n_sy_pucch: int
-    variant: str = "conf1"
     ideal: bool = False
 
 
 # Baseline control reservation; RB counts follow the IMT-2020 style evaluation
 # set-up (one-symbol control regions, a four-DCI PDCCH budget and a single SR
 # RB).  conf2 scales the PDCCH RBs by 6 and the PUCCH RBs by 8; conf3 keeps
-# the geometry but never queues control messages.
-_CONF1 = ControlConfig(n_rb_pdcch=24, n_sy_pdcch=1, n_rb_pucch=1, n_sy_pucch=1, variant="conf1")
+# the geometry with unbounded signalling capacity.
+_CONF1 = ControlConfig(n_rb_pdcch=24, n_sy_pdcch=1, n_rb_pucch=1, n_sy_pucch=1)
 
 
 def control_config(variant: str) -> ControlConfig:
@@ -157,9 +157,9 @@ def control_config(variant: str) -> ControlConfig:
         return _CONF1
     if variant == "conf2":
         return replace(_CONF1, n_rb_pdcch=_CONF1.n_rb_pdcch * 6,
-                       n_rb_pucch=_CONF1.n_rb_pucch * 8, variant="conf2")
+                       n_rb_pucch=_CONF1.n_rb_pucch * 8)
     if variant == "conf3":
-        return replace(_CONF1, variant="conf3", ideal=True)
+        return replace(_CONF1, ideal=True)
     raise ConfigurationError(f"unknown control variant {variant!r}")
 
 

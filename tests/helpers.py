@@ -7,8 +7,8 @@ resolves to whichever was imported first."""
 import numpy as np
 
 from nrv2x import engine
-from nrv2x import latency as lat
 from nrv2x import phy
+from nrv2x.control import RadioContext
 from nrv2x.grid import SlotGrid
 
 
@@ -16,16 +16,16 @@ def make_context(scs=30, control_variant="conf1", n_ue=50, seed=0):
     """Quiescent RadioContext (the shared control plane) for unit-level
     latency composition tests."""
     num = phy.numerology(scs)
-    return lat.RadioContext(num, phy.processing_times(num.mu, 2),
-                            phy.control_config(control_variant), n_ue,
-                            np.random.default_rng(seed))
+    return RadioContext(num, phy.processing_times(num.mu, 2),
+                        phy.control_config(control_variant), n_ue,
+                        np.random.default_rng(seed))
 
 
 def make_slot_grid(scs=30, direction="UL", slot_type="full", bw=20, control_variant="conf1"):
     """Empty data grid of one direction, built for the slot type's burst length."""
     return SlotGrid(phy.numerology(scs), phy.total_rbs(bw, scs),
                     phy.control_config(control_variant), direction,
-                    lat.SLOT_SYMBOLS[slot_type])
+                    engine.SLOT_SYMBOLS[slot_type])
 
 
 # A world of one vehicle (one lane, 1.04 vehicles rounded to 1) sending a

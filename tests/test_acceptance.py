@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from nrv2x import link, phy
-from nrv2x.control import DciQueue, SrConfig, sr_wait_slots
+from nrv2x.control import DciQueue, sr_cycle_slots, sr_wait_slots
 from nrv2x.engine import RunConfig, run, run_replication
 from nrv2x.grid import SlotGrid
 from nrv2x.phy import ControlConfig
@@ -163,16 +163,16 @@ def test_criterion_6_exact_properties():
                 failures.append(f"k-rep delta k={k} scs={scs}")
 
     # SR wait distribution uniform over its support
-    sr = SrConfig.for_cell(ControlConfig(24, 1, 1, 1), 100)
+    cycle = sr_cycle_slots(ControlConfig(24, 1, 1, 1), 100)
     rng = np.random.default_rng(11)
-    waits = np.array([sr_wait_slots(float(p), sr)
+    waits = np.array([sr_wait_slots(float(p), cycle)
                       for p in rng.uniform(0, 1, 500_000)])
-    counts = np.bincount(waits, minlength=sr.n_slots_sr)
-    expected = len(waits) / sr.n_slots_sr
+    counts = np.bincount(waits, minlength=cycle)
+    expected = len(waits) / cycle
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     if chi2 > 39.25:  # 99.9% quantile, 16 dof
         failures.append(f"SR wait not uniform (chi2 {chi2:.1f})")
-    if waits.max() != sr.n_slots_sr - 1 or waits.min() != 0:
+    if waits.max() != cycle - 1 or waits.min() != 0:
         failures.append("SR wait support wrong")
 
     # HARQ delivery probability: 1 - 0.1^4 within 3 sigma over 1e6 trials

@@ -8,41 +8,42 @@ from collections import deque
 import numpy as np
 import pytest
 
-from nrv2x.control import DciQueue, SrConfig, sr_wait_slots
-from nrv2x.phy import ControlConfig
+from nrv2x.control import DciQueue, sr_cycle_slots, sr_per_slot, sr_wait_slots
+from nrv2x.phy import ConfigurationError, ControlConfig
 
-CONF1 = ControlConfig(24, 1, 1, 1, "conf1")
-CONF3 = ControlConfig(24, 1, 1, 1, "conf3", ideal=True)
+CONF1 = ControlConfig(24, 1, 1, 1)
+CONF3 = ControlConfig(24, 1, 1, 1, ideal=True)
 SLOT = 336  # 30 kHz slot in ticks
 
 
 # --- SR wait ------------------------------------------------------------------
 
 def test_sr_config_from_control():
-    sr = SrConfig.for_cell(CONF1, 100)
-    assert sr.r_sr == 6
-    assert sr.n_slots_sr == 17
+    assert sr_per_slot(CONF1) == 6
+    assert sr_cycle_slots(CONF1, 100) == 17
+    # conf3's unbounded PUCCH gives every UE an opportunity in every slot
+    assert sr_cycle_slots(CONF3, 100) == 1
+    with pytest.raises(ConfigurationError, match="cannot carry any SR"):
+        sr_cycle_slots(ControlConfig(24, 1, 0, 1), 100)
 
 
 def test_sr_wait_branches():
-    sr = SrConfig(6, 17)
-    assert sr_wait_slots(0.0, sr) == 0
-    one = SrConfig(6, 1)
+    assert sr_wait_slots(0.0, 17) == 0
     for p in (0.01, 0.5, 0.999, 1.0):
-        assert sr_wait_slots(p, one) == 0
+        assert sr_wait_slots(p, 1) == 0
     # support bound
     for p in np.linspace(0.001, 1.0, 97):
-        w = sr_wait_slots(float(p), sr)
-        assert 0 <= w <= sr.n_slots_sr - 1
+        w = sr_wait_slots(float(p), 17)
+        assert 0 <= w <= 17 - 1
 
 
 def test_sr_wait_expectation_closed_form():
     # n_ue=100, r_sr=6 -> 17 opportunity slots; mean over uniform p is the
     # mean of {0..16} slots = 8 slots exactly.
-    sr = SrConfig.for_cell(CONF1, 100)
+    cycle = sr_cycle_slots(CONF1, 100)
     rng = np.random.default_rng(5)
     draws = rng.uniform(0.0, 1.0, 200_000)
-    waits = np.array([sr_wait_slots(float(p), sr) for p in draws])
+    waits = np.array([sr_wait_slots(float(p), cycle) for p in draws])
     assert waits.mean() == pytest.approx(8.0, abs=0.05)
     # distribution is uniform over the 17 multiples (chi-square, desk scale)
     counts = np.bincount(waits, minlength=17)
@@ -52,9 +53,9 @@ def test_sr_wait_expectation_closed_form():
 
 
 def test_sr_wait_ideal_control():
-    sr = SrConfig.for_cell(CONF3, 1000)
-    assert sr.ideal
-    assert sr_wait_slots(0.73, sr) == 0
+    cycle = sr_cycle_slots(CONF3, 1000)
+    assert cycle == 1
+    assert sr_wait_slots(0.73, cycle) == 0
 
 
 # --- DCI queue -----------------------------------------------------------------
@@ -127,7 +128,7 @@ def test_variant_ordering_on_identical_traces():
     arrivals = sorted(rng.randint(0, 30 * SLOT) for _ in range(400))
     means = {}
     for name, ctrl in (("conf1", CONF1),
-                       ("conf2", ControlConfig(144, 1, 8, 1, "conf2")),
+                       ("conf2", ControlConfig(144, 1, 8, 1)),
                        ("conf3", CONF3)):
         q = DciQueue(ctrl, SLOT)
         means[name] = sum(q.enqueue(a) - a for a in arrivals) / len(arrivals)

@@ -16,8 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nrv2x
-from nrv2x import engine, link, phy
-from nrv2x import latency as lat
+from nrv2x import control, engine, link, phy
 from nrv2x import scenario as scn
 from nrv2x.engine import (MetricsReport, ReplicationSummary, RunConfig, aggregate,
                           check_requirement, percentile_with_drops, relative_error,
@@ -298,6 +297,29 @@ def test_overload_replication_pinned():
     s = run_replication(cfg, np.random.default_rng(cfg.seed))
     assert (s.n_generated, s.n_delivered, s.n_dropped, s.n_failed) == (1872, 1344, 528, 0)
     assert float(s.total_ms.sum()) == 27186.175595238095
+
+
+@pytest.mark.parametrize("point", [
+    dict(density_veh_km_lane=40),
+    dict(density_veh_km_lane=40, retransmission="k_repetitions", k=2),
+    dict(scs_khz=60, slot_type="mini7", density_veh_km_lane=60),
+    dict(dl_cast="unicast", unicast_m=3, density_veh_km_lane=20),
+], ids=["full", "k2", "mini7-60k", "unicast"])
+def test_control_variant_acts_only_on_dynamic_signalling(point):
+    """Semi-static scheduling without HARQ sends no scheduling request and no
+    DCI, so conf1, conf2 and conf3 give one report bit for bit but for the
+    key and the run time, congested (the mini7 point drops) or not."""
+    rows = []
+    for variant in ("conf1", "conf2", "conf3"):
+        row = run(RunConfig(control_variant=variant, interval_ms=20.0, horizon_ms=200.0,
+                            warmup_ms=50.0, min_replications=2, max_replications=2, seed=5,
+                            **point)).to_row()
+        row.pop("config_key")
+        row.pop("runtime_s")
+        rows.append(_bits(row))
+    assert rows[0] == rows[1] == rows[2]
+    # only the mini7 point is congested
+    assert (float.fromhex(rows[0]["drop_fraction"][1]) > 0.1) == ("slot_type" in point)
 
 
 @pytest.mark.parametrize("fields", [
@@ -595,7 +617,7 @@ def test_calendar_replays_the_sequence_heap(config):
         rep = cls(cfg, np.random.default_rng(seed), rows)
         s = rep.run()
         out.append((rows, (s.n_generated, s.n_delivered, s.n_dropped, s.n_failed,
-                           s.n_unallocatable), (rep._totals, rep._uls, rep._dls)))
+                           s.n_unallocatable), (rep._uls, rep._dls)))
     assert len(out[0][0]) > 100
     assert out[0] == out[1]
 
@@ -737,11 +759,11 @@ def test_scalar_draws_continue_the_vector_stream(seed):
         assert [scalar.random() for _ in range(n)] == vector.random(n).tolist()
     assert scalar.random() == vector.random()
 
-    n = 3 * lat.UNIFORM_BLOCK + 5
+    n = 3 * control.UNIFORM_BLOCK + 5
     ctx = make_context(seed=seed)
     assert [ctx.uniform() for _ in range(n)] == np.random.default_rng(seed).random(n).tolist()
 
-    for k in lat.REPETITION_COUNTS:
+    for k in engine.REPETITION_COUNTS:
         cfg = RunConfig(retransmission="k_repetitions", k=k, traffic="aperiodic",
                         density_veh_km_lane=10, horizon_ms=300.0, warmup_ms=100.0)
         rng, world = np.random.default_rng(seed), np.random.default_rng(seed)

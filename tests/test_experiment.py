@@ -338,6 +338,8 @@ def test_sweep_accepts_integral_floats():
     ("axes: [1]\n", "axes must be a mapping"),
     ('axes: ""\n', "axes must be a mapping"),
     ("base: {a: [}\n", "not valid YAML"),
+    ("output: ~\n", "output must be a string, got None"),
+    ("output: [a, b]\n", "output must be a string, got "),
     *UNREADABLE,
 ])
 def test_malformed_sweep_file_is_a_configuration_error(tmp_path, capsys, text, message):
@@ -377,6 +379,21 @@ def test_unreadable_result_table_exits_2(tmp_path, capsys, content, message):
     assert err.startswith(f"error: cannot read {path}") and message in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_sweep_override_of_an_axis_exits_2(tmp_path, capsys):
+    """`--set` on a field the spec sweeps is rejected as the same field in
+    base and axes is: the CLI exits 2 before any row is written."""
+    doc = {"base": dict(FAST_BASE), "axes": {"density_veh_km_lane": [2, 3]}}
+    out = tmp_path / "out"
+    argv = ["sweep", "--spec", str(write_spec(tmp_path, doc)),
+            "--set", "density_veh_km_lane=5", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: 'density_veh_km_lane' appears in both base and axes")
+    assert not out.exists()
+    with pytest.raises(ConfigurationError, match="appears in both base and axes"):
+        ExperimentSpec(base={"density_veh_km_lane": 5}, axes={"density_veh_km_lane": (2, 3)})
 
 
 def test_cli_reports_bad_override_without_traceback(capsys):

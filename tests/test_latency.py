@@ -34,7 +34,7 @@ def test_semistatic_empty_grid(ctx):
     placement, align, wait, delivered = lat.data_chain(ctx, grid, ready, n_rb=2)
     airtime = grid.burst_ticks
     assert wait == 0
-    assert airtime == 13 * ctx.symbol_ticks
+    assert airtime == 13 * grid.symbol_ticks
     assert align == ctx.slot_ticks - ready  # next slot start
     assert placement.start_tick == ready + align
     assert delivered == placement.tx_end_tick + ctx.decode_half
@@ -134,7 +134,8 @@ def test_harq_single_forced_failure_cycle():
         grid = make_slot_grid(slot_type=cfg.slot_type, control_variant="conf3")
         # the failure is known once the first attempt is decoded
         known = lat.data_chain(probe, grid, gen + probe.prepare_half, n_rb)[-1]
-        sr_done = lat.sr_chain(probe, lat.nack_chain(probe, "UL", known), p=0.0)
+        uplink_nack = (probe.pucch_occasion, probe.tt_pucch)
+        sr_done = lat.sr_chain(probe, lat.nack_chain(probe, uplink_nack, known), p=0.0)
         grant_done = lat.grant_chain(probe, sr_done + probe.decode_half)
         again = lat.data_chain(probe, grid, grant_done + probe.prepare_half, n_rb)[-1]
         assert ul["disposition"] == "delivered" and ul["attempts"] == 2
@@ -213,16 +214,20 @@ def test_nack_chain_directions(ctx):
     # uplink NACK aligns to the end-of-slot control region, downlink NACK to
     # the next slot start; both add only processing and transmit time
     known = 10
-    ul_done = lat.nack_chain(ctx, "UL", known)
+    ul_done = lat.nack_chain(ctx, (ctx.pucch_occasion, ctx.tt_pucch), known)
     ready = known + ctx.decode_half
     assert ul_done == ctx.pucch_occasion(ready) + ctx.tt_pucch + ctx.prepare_half
-    dl_done = lat.nack_chain(ctx, "DL", known)
+    dl_done = lat.nack_chain(ctx, (ctx.pdcch_occasion_after, ctx.tt_pdcch), known)
     assert dl_done == ctx.pdcch_occasion_after(ready) + ctx.tt_pdcch + ctx.prepare_half
+    # the engine's hops carry those channels
+    rep = engine._Replication(RunConfig(**ONE_VEHICLE), np.random.default_rng(0))
+    assert rep._ul.nack == (rep.ctx.pucch_occasion, rep.ctx.tt_pucch)
+    assert rep._dl.nack == (rep.ctx.pdcch_occasion_after, rep.ctx.tt_pdcch)
 
 
 def test_frame_alignment_bound_over_offsets():
     # alignment never exceeds one slot for any slot type or offset
-    for slot_type in lat.SLOT_SYMBOLS:
+    for slot_type in engine.SLOT_SYMBOLS:
         grid = make_slot_grid(slot_type=slot_type)
         for off in range(0, grid.slot_ticks, 5):
             b = grid.alignment(off)

@@ -1,8 +1,9 @@
 import itertools
+import math
 
 import pytest
 
-from nrv2x import phy
+from nrv2x import control, phy
 
 
 def test_slot_duration_values():
@@ -90,5 +91,12 @@ def test_control_variants():
     assert c2.n_rb_pucch == 8 * c1.n_rb_pucch
     assert c2.n_sy_pdcch == c1.n_sy_pdcch and c2.n_sy_pucch == c1.n_sy_pucch
     assert c3.ideal and not c1.ideal and not c2.ideal
+    # the per-slot capacities: conf3's are unbounded
+    assert [control.dci_per_slot(c) for c in (c1, c2, c3)] == [4, 24, math.inf]
+    assert [control.sr_per_slot(c) for c in (c1, c2, c3)] == [6, 48, math.inf]
+    # 2000 slots/s at 30 kHz: 8,000 and 48,000 DCI/s
+    slots_per_s = 1000 * phy.TICKS_PER_MS // phy.numerology(30).slot_ticks
+    assert [control.dci_per_slot(c) * slots_per_s for c in (c1, c2)] == [8000, 48000]
+    assert [control.sr_cycle_slots(c, 100) for c in (c1, c2, c3)] == [17, 3, 1]
     with pytest.raises(phy.ConfigurationError):
         phy.control_config("conf4")
