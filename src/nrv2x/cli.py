@@ -1,14 +1,21 @@
-"""Command-line front end: single runs, sweeps, and figure-data extraction."""
+"""Command-line front end: single runs, sweeps, and figure-data extraction.
+
+Every output holds result rows: `run` prints its point's row as JSON (and
+`--out DIR` writes it to ``DIR/<config_key>.json``), `sweep` appends them
+to ``results.csv``, and `figure` reads them back.  Every RunConfig field,
+the seed too, is set by a file (``--config``, a sweep's ``base``) or ``--set``.
+"""
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 
 from .engine import RunConfig, run
 from .experiment import (_coerce, emit_figure_data, load_yaml, output_dir, parse_spec,
-                         run_sweep, spec_from_mapping)
+                         result_row, run_sweep, spec_from_mapping)
 from .phy import ConfigurationError
 
 
@@ -23,16 +30,10 @@ def _parse_overrides(pairs: list[str]) -> dict:
 
 
 def _cmd_run(args) -> int:
-    fields = {}
-    if args.config:
-        spec = spec_from_mapping({"base": load_yaml(args.config)})
-        fields.update(spec.base)
-    fields.update(_parse_overrides(args.set or []))
-    if args.seed is not None:
-        fields["seed"] = args.seed
-    cfg = RunConfig(**fields)
+    base = spec_from_mapping({"base": load_yaml(args.config)}).base if args.config else {}
+    cfg = RunConfig(**{**base, **_parse_overrides(args.set or [])})
     out = output_dir(args.out) if args.out else None
-    text = run(cfg).to_json()
+    text = json.dumps(result_row(cfg, run(cfg)))
     if out:
         (out / f"{cfg.key()}.json").write_text(text)
     print(text)
@@ -41,16 +42,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = parse_spec(args.spec)
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
     if args.workers is not None:
         spec = dataclasses.replace(spec, workers=args.workers)
     out_dir = args.out or spec.output
-    overrides = _parse_overrides(args.set or [])
-    if overrides:
-        base = dict(spec.base)
-        base.update(overrides)
-        spec = dataclasses.replace(spec, base=base)
+    spec = dataclasses.replace(spec, base={**spec.base, **_parse_overrides(args.set or [])})
 
     def progress(report):
         print(f"{report.config_key}: mean {report.mean_ms:.3f} ms "
@@ -61,8 +56,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    written = emit_figure_data(args.table, args.figure, args.out)
-    for path in written:
+    for path in emit_figure_data(args.table, args.figure, args.out):
         print(path)
     return 0
 
@@ -78,14 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", help="YAML file of RunConfig fields")
     p_run.add_argument("--set", action="append", metavar="FIELD=VALUE",
                        help="override one configuration field")
-    p_run.add_argument("--seed", type=int, help="seed override")
-    p_run.add_argument("--out", help="directory for the JSON report")
+    p_run.add_argument("--out", help="directory for the JSON result row")
     p_run.set_defaults(fn=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a sweep specification")
     p_sweep.add_argument("--spec", required=True, help="YAML sweep file")
     p_sweep.add_argument("--out", help="output directory (default from spec)")
-    p_sweep.add_argument("--seed", type=int, help="seed override")
     p_sweep.add_argument("--workers", type=int, help="parallel point workers")
     p_sweep.add_argument("--set", action="append", metavar="FIELD=VALUE",
                          help="override one base field for every point")

@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import json
 import math
 import time
 import zlib
@@ -727,9 +726,6 @@ class MetricsReport:
     def to_row(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_row(), sort_keys=True)
-
 
 def percentile_with_drops(delivered_ms: np.ndarray, n_undelivered: int, q: float) -> float:
     """q-quantile over every generated packet, undelivered ones counted as
@@ -743,14 +739,15 @@ def percentile_with_drops(delivered_ms: np.ndarray, n_undelivered: int, q: float
     return float(np.partition(delivered_ms, rank)[rank])
 
 
-REQUIREMENTS_MS = {"LLoA": (0.90, 23.0), "HLoA": (0.9999, 6.0)}
+# each service's latency budget and the report percentile it bounds
+REQUIREMENTS_MS = {"LLoA": ("p90_ms", 23.0), "HLoA": ("p9999_ms", 6.0)}
 
 
 def check_requirement(report: MetricsReport, service: str) -> tuple[bool, float]:
     """Latency-budget compliance at the service's reliability percentile;
     returns (passed, margin in ms), a negative margin meaning failure."""
-    q, budget = REQUIREMENTS_MS[service]
-    value = report.p90_ms if q == 0.90 else report.p9999_ms
+    percentile, budget = REQUIREMENTS_MS[service]
+    value = getattr(report, percentile)
     if math.isinf(value) or math.isnan(value):
         return False, -math.inf
     return value <= budget, budget - value

@@ -1,14 +1,17 @@
 """Experiment sweeps: YAML configuration parsing, cartesian expansion,
 resumable CSV results, and plottable series extraction.
 
-A sweep file holds a ``base`` mapping of RunConfig fields plus an ``axes``
-mapping of field name to value list; the cartesian product of the axes is
-enumerated in a deterministic order, and every point is checked before
-any point runs.  Every completed point writes one CSV row: every RunConfig
-field of the point, then every MetricsReport field, whose ``config_key``
-identifies the point, so re-running a sweep skips finished points.  A JSON
-sidecar records the code version and the sweep specification of the last
-invocation.
+A sweep file holds a ``base`` mapping of RunConfig fields, the seed among
+them, plus an ``axes`` mapping of field name to value list; the cartesian
+product of the axes is enumerated in a deterministic order, and every point
+is checked before any point runs.  A run's one record is its result row
+(`result_row`): every RunConfig field, then every MetricsReport field, whose
+``config_key`` identifies the point.  A sweep appends one CSV row per
+completed point, so re-running it skips finished points; it refuses a
+directory whose row for a point's key holds another seed.  A JSON sidecar
+records the code version and the sweep specification of the last
+invocation.  A figure's series split the selected rows by every field but
+the x axis that varies among them.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .engine import MetricsReport, RunConfig, run
 from .phy import ConfigurationError
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
-_SWEEP_KEYS = {"base", "axes", "seed", "output", "workers"}
+_SWEEP_KEYS = {"base", "axes", "output", "workers"}
 
 
 def _integer(name: str, value) -> int:
@@ -65,7 +68,6 @@ class ExperimentSpec:
 
     base: dict
     axes: dict[str, tuple]
-    seed: int = 0
     output: str = "results"
     workers: int = 1
 
@@ -85,8 +87,8 @@ class ExperimentSpec:
 
         Results and resumption are keyed by `RunConfig.key()`, so two points
         with one key are rejected: their rows could not be told apart.  The
-        key covers every field but the seed, so this happens only for equal
-        configurations (an axis ``[10, 10.0]``) or a checksum collision.
+        key covers every field but the seed, so this happens for a seed axis,
+        equal configurations (an axis ``[10, 10.0]``) or a checksum collision.
         """
         names = sorted(self.axes)
         out = []
@@ -94,7 +96,6 @@ class ExperimentSpec:
         for combo in itertools.product(*(self.axes[n] for n in names)):
             fields = dict(self.base)
             fields.update(dict(zip(names, combo)))
-            fields.setdefault("seed", self.seed)
             cfg = RunConfig(**fields)
             key = cfg.key()
             if key in keys:
@@ -125,7 +126,6 @@ def spec_from_mapping(doc: dict) -> ExperimentSpec:
     return ExperimentSpec(
         base=base,
         axes=axes,
-        seed=_integer("seed", doc.get("seed", 0)),
         output=doc.get("output", "results"),
         workers=_integer("workers", doc.get("workers", 1)),
     )
@@ -170,13 +170,21 @@ def _result_fieldnames() -> list[str]:
     return [f.name for f in (*dataclasses.fields(RunConfig), *dataclasses.fields(MetricsReport))]
 
 
-def _resume_state(csv_path: Path, sidecar_path: Path) -> tuple[set[str], bool]:
+def result_row(cfg: RunConfig, report: MetricsReport) -> dict:
+    """A run's record: its configuration's fields, then its report's, in
+    `_result_fieldnames()` order."""
+    return {**dataclasses.asdict(cfg), **report.to_row()}
+
+
+def _resume_state(csv_path: Path, sidecar_path: Path,
+                  points: list[RunConfig]) -> tuple[set[str], bool]:
     """What a sweep's output directory holds: the keys of the points it
     completed, and whether its table still needs a header.  A table without
-    exactly the sweep table's columns, or a sidecar that is not a JSON
-    mapping, is a ConfigurationError, raised before either file is touched."""
+    exactly the sweep table's columns, or with a row for a point's key at
+    another seed, or a sidecar that is not a JSON mapping, is a
+    ConfigurationError, raised before either file is touched."""
     try:
-        done, fieldnames = set(), None
+        seeds, fieldnames = {}, None
         if csv_path.exists():
             with open(csv_path, newline="") as fh:
                 reader = csv.DictReader(fh)
@@ -186,20 +194,24 @@ def _resume_state(csv_path: Path, sidecar_path: Path) -> tuple[set[str], bool]:
                         f"{csv_path.name} does not have the columns of a sweep table: "
                         f"missing {[c for c in columns if c not in fieldnames]}, "
                         f"unexpected {[c for c in fieldnames if c not in columns]}")
-                done = {row["config_key"] for row in reader}
+                seeds = {row["config_key"]: row["seed"] for row in reader}
+        for cfg in points:
+            if seeds.get(cfg.key(), str(cfg.seed)) != str(cfg.seed):
+                raise ValueError(f"{csv_path.name} holds {cfg.key()} at seed "
+                                 f"{seeds[cfg.key()]}, not at the sweep's seed {cfg.seed}")
         if sidecar_path.exists() and not isinstance(json.loads(sidecar_path.read_text()), dict):
             raise ValueError(f"{sidecar_path.name} is not a mapping")
     except (OSError, ValueError) as exc:   # JSONDecodeError, UnicodeDecodeError too
         raise ConfigurationError(f"cannot resume {csv_path.parent}: {exc}") from None
-    return done, fieldnames is None
+    return set(seeds), fieldnames is None
 
 
 def run_sweep(spec: ExperimentSpec, out_dir: str | Path, progress=None) -> Path:
     """Execute every pending sweep point; returns the CSV path.
 
     An invalid point, an output path that cannot be a directory, or an
-    output directory that `_resume_state` refuses raises
-    `ConfigurationError` before any point runs.  Completed
+    output directory that `_resume_state` refuses (a point's row at another
+    seed, say) raises `ConfigurationError` before any point runs.  Completed
     points (config keys already present in the CSV) are skipped, so an
     interrupted sweep resumes where it stopped.  The sidecar is replaced
     atomically, so a reader sees the old one or the new one.
@@ -208,7 +220,7 @@ def run_sweep(spec: ExperimentSpec, out_dir: str | Path, progress=None) -> Path:
     out = Path(out_dir)
     csv_path = out / "results.csv"
     sidecar_path = out / "results.meta.json"
-    done, new_file = _resume_state(csv_path, sidecar_path)
+    done, new_file = _resume_state(csv_path, sidecar_path, points)
     output_dir(out)
     points = [p for p in points if p.key() not in done]
     tmp = sidecar_path.with_suffix(".tmp")
@@ -222,7 +234,7 @@ def run_sweep(spec: ExperimentSpec, out_dir: str | Path, progress=None) -> Path:
         if new_file:
             writer.writeheader()
         for cfg, report in zip(points, (pool.map if parallel else map)(run, points)):
-            writer.writerow({**dataclasses.asdict(cfg), **report.to_row()})
+            writer.writerow(result_row(cfg, report))
             fh.flush()
             if progress:
                 progress(report)
@@ -246,28 +258,23 @@ def read_results(csv_path: str | Path) -> list[dict]:
 # -- figure extraction -------------------------------------------------------------
 #
 # Each known figure id maps result rows onto (x, y) series files for external
-# plotting: ``sel`` filters rows, ``group`` splits them into series, and each
-# y-column becomes one file per series.
+# plotting: ``sel`` filters rows, every RunConfig field but ``x`` that varies
+# among them splits them into series, each y-column one file per series.
 
 _FIG_PLANS = {
-    "fig3": dict(x="density_veh_km_lane", group=("mcs_table", "interval_ms", "unicast_m"),
-                 y=("mean_ms",), sel=dict(dl_cast="unicast")),
-    "fig4": dict(x="density_veh_km_lane", group=("mcs_table", "interval_ms"),
-                 y=("mean_ms",), sel=dict(dl_cast="broadcast")),
-    "fig5": dict(x="bandwidth_mhz", group=("mcs_table", "dl_cast", "unicast_m"),
-                 y=("mean_ms",), sel=dict()),
-    "fig7": dict(x="density_veh_km_lane", group=("scs_khz", "slot_type"),
-                 y=("mean_ms", "util_dl"), sel=dict(mcs_table="LEP")),
-    "fig8": dict(x="density_veh_km_lane", group=("scs_khz", "slot_type"),
-                 y=("mean_ms", "p90_ms"), sel=dict(mcs_table="LEP")),
-    "fig12": dict(x="density_veh_km_lane", group=("control_variant", "scheduling"),
-                  y=("mean_ms",), sel=dict()),
+    "fig3": dict(x="density_veh_km_lane", y=("mean_ms",), sel=dict(dl_cast="unicast")),
+    "fig4": dict(x="density_veh_km_lane", y=("mean_ms",), sel=dict(dl_cast="broadcast")),
+    "fig5": dict(x="bandwidth_mhz", y=("mean_ms",), sel=dict()),
+    "fig7": dict(x="density_veh_km_lane", y=("mean_ms", "util_dl"), sel=dict(mcs_table="LEP")),
+    "fig8": dict(x="density_veh_km_lane", y=("mean_ms", "p90_ms"), sel=dict(mcs_table="LEP")),
+    "fig12": dict(x="density_veh_km_lane", y=("mean_ms",), sel=dict()),
 }
 
 
 def emit_figure_data(csv_path: str | Path, figure_id: str,
                      out_dir: str | Path) -> list[Path]:
-    """Write per-series (x, y) files for one figure's axes."""
+    """Write per-series (x, y) files for one figure's axes, a series per
+    combination of values of the varying fields, named by them in field order."""
     if figure_id not in _FIG_PLANS:
         raise ConfigurationError(
             f"unknown figure id {figure_id!r}; known: {sorted(_FIG_PLANS)}"
@@ -279,20 +286,21 @@ def emit_figure_data(csv_path: str | Path, figure_id: str,
     ]
     if not rows:
         raise ConfigurationError(f"no rows in {csv_path} match {figure_id}")
-    missing = [c for c in (plan["x"], *plan["group"], *plan["y"]) if c not in rows[0]]
+    missing = [c for c in (*_FIELDS, *plan["y"]) if c not in rows[0]]
     if missing:
         raise ConfigurationError(f"result table lacks columns {missing}")
+    group = [f for f in _FIELDS if f != plan["x"] and len({r[f] for r in rows}) > 1]
     out = output_dir(out_dir)
     series: dict[tuple, list] = {}
     for row in rows:
-        key = tuple(row[g] for g in plan["group"])
+        key = tuple(row[g] for g in group)
         series.setdefault(key, []).append(row)
     written = []
     for key, members in sorted(series.items(), key=lambda kv: [str(k) for k in kv[0]]):
         members.sort(key=lambda r: float(r[plan["x"]]))
-        label = "_".join(f"{v:g}" if isinstance(v, float) else str(v) for v in key)
+        label = [f"{v:g}" if isinstance(v, float) else str(v) for v in key]
         for column in plan["y"]:
-            path = out / f"{figure_id}_{label}_{column}.csv"
+            path = out / f"{'_'.join([figure_id, *label, column])}.csv"
             with open(path, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow([plan["x"], column])

@@ -24,14 +24,12 @@ from .control import RadioContext, sr_wait_slots
 from .grid import NO_SCAN_LIMIT, Placement, SlotGrid
 
 
-def sr_chain(ctx: RadioContext, start_tick: int, p: float | None = None) -> int:
+def sr_chain(ctx: RadioContext, start_tick: int) -> int:
     """Scheduling-request hop on the PUCCH: processing, alignment to the next
     opportunity, the opportunity-cycle wait, transmit, decode.  Returns the
     tick the gNB has decoded the request."""
     occasion = ctx.pucch_occasion(start_tick + ctx.decode_half)
-    if p is None:
-        p = ctx.uniform()
-    wait = sr_wait_slots(p, ctx.sr_cycle) * ctx.slot_ticks
+    wait = sr_wait_slots(ctx.uniform(), ctx.sr_cycle) * ctx.slot_ticks
     return occasion + wait + ctx.tt_pucch + ctx.prepare_half
 
 

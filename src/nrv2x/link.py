@@ -65,18 +65,18 @@ _TBS_TABLE = tuple(int(r["tbs_bits"]) for r in load_rows("tbs_table.csv"))
 
 def linear_cqi_map(
     cell_radius_m: float = DEFAULT_CELL_RADIUS_M,
-    best_cqi: int = 15,
     edge_cqi: int = DEFAULT_EDGE_CQI,
 ) -> tuple[tuple[float, int], ...]:
-    """Equal-width distance bins from best_cqi at the gNB down to edge_cqi.
+    """Equal-width distance bins from CQI 15 at the gNB down to edge_cqi.
 
     With vehicles placed uniformly this makes the CQI uniform over the
-    [edge_cqi, best_cqi] index range; the default edge index together with
+    [edge_cqi, 15] index range; the default edge index together with
     the RB overhead constant is calibrated against the mean RB-per-packet
     anchors of the evaluated services.
     """
-    if not 1 <= edge_cqi <= best_cqi <= 15:
-        raise ConfigurationError("CQI map range must satisfy 1 <= edge <= best <= 15")
+    best_cqi = 15
+    if not 1 <= edge_cqi <= best_cqi:
+        raise ConfigurationError(f"edge CQI must satisfy 1 <= edge <= {best_cqi}")
     steps = best_cqi - edge_cqi + 1
     width = cell_radius_m / steps
     return tuple((width * (i + 1), best_cqi - i) for i in range(steps))

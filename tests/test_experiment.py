@@ -42,8 +42,8 @@ def test_parse_minimal_spec(tmp_path):
 
 
 def test_parse_roundtrip(tmp_path):
-    doc = {"base": dict(FAST_BASE), "axes": {"density_veh_km_lane": [10, 20]},
-           "seed": 7, "output": "out", "workers": 2}
+    doc = {"base": dict(FAST_BASE, seed=7), "axes": {"density_veh_km_lane": [10, 20]},
+           "output": "out", "workers": 2}
     spec = parse_spec(write_spec(tmp_path, doc))
     again = spec_from_mapping(dataclasses.asdict(spec))
     assert again == spec
@@ -89,12 +89,13 @@ def test_invalid_point_rejects_the_sweep_before_any_row(tmp_path, workers, capsy
 
 @pytest.mark.parametrize("axis", [{"density_veh_km_lane": [10, 10.0]},
                                   {"interval_ms": [100, 100.0]},
-                                  {"cell_radius_m": [866, 866.0]}])
+                                  {"cell_radius_m": [866, 866.0]},
+                                  {"seed": [1, 2]}])
 def test_points_sharing_a_key_reject_the_sweep(tmp_path, axis, capsys):
     """Two points with one configuration key, here one configuration spelled
-    twice, would write rows that resume cannot tell apart: the sweep is
-    rejected before any point runs, and the CLI exits 2 without creating
-    its directory."""
+    twice or run at two seeds, would write rows that resume cannot tell
+    apart: the sweep is rejected before any point runs, and the CLI exits 2
+    without creating its directory.  So a sweep runs one seed."""
     doc = {"base": dict(FAST_BASE), "axes": axis}
     key = RunConfig(**FAST_BASE).key()     # each axis value is the default
     with pytest.raises(ConfigurationError, match=key):
@@ -184,6 +185,12 @@ _OLD_HEADER = ",".join([
     "density_veh_km_lane", "seed", *(f.name for f in dataclasses.fields(MetricsReport))])
 
 
+# a table holding the point of a seed-0 sweep at seed 1
+_SEED_1 = RunConfig(**FAST_BASE, seed=1)
+_SEED_1_TABLE = "\n".join([",".join(experiment._result_fieldnames()), ",".join(
+    map(str, [*dataclasses.asdict(_SEED_1).values(), _SEED_1.key()])), ""])
+
+
 @pytest.mark.parametrize("name, content, message", [
     ("results.meta.json", "{bad", "Expecting property name"),
     ("results.meta.json", "[]", "not a mapping"),
@@ -192,8 +199,10 @@ _OLD_HEADER = ",".join([
     ("results.csv", _OLD_HEADER + "\n",
      r"missing \['harq_group_size', 'packet_bytes', .*'relative_error_target'\], "
      r"unexpected \[\]"),
+    ("results.csv", _SEED_1_TABLE,
+     f"results.csv holds {_SEED_1.key()} at seed 1, not at the sweep's seed 0"),
 ], ids=["sidecar_not_json", "sidecar_list", "table_without_key", "table_not_text",
-        "table_of_an_older_version"])
+        "table_of_an_older_version", "table_of_another_seed"])
 def test_sweep_refuses_to_resume_a_foreign_directory(tmp_path, capsys, name, content,
                                                       message):
     """An output directory whose table or sidecar a sweep did not write is
@@ -263,8 +272,8 @@ def test_emit_figure_series(tmp_path):
                                 "mcs_table": ["LEP", "HEP"]})
     csv_path = run_sweep(spec, tmp_path)
     written = emit_figure_data(csv_path, "fig4", tmp_path / "series")
-    # one series per (mcs_table, interval) pair, one y column
-    assert len(written) == 2
+    # one series per mcs_table, the only field but x that varies; one y column
+    assert [p.name for p in written] == ["fig4_HEP_mean_ms.csv", "fig4_LEP_mean_ms.csv"]
     for path in written:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -301,7 +310,9 @@ def test_unparsable_field_value_is_a_configuration_error(name, raw):
 @pytest.mark.parametrize("key, raw", [("workers", "two"), ("workers", 2.7), ("seed", 1.5),
                                       ("seed", True), ("workers", None)])
 def test_sweep_seed_and_workers_must_be_integers(tmp_path, capsys, key, raw):
-    doc = {"base": dict(FAST_BASE), key: raw}
+    # the seed is a RunConfig field, so it is set in base; workers is a sweep key
+    doc = ({"base": dict(FAST_BASE, seed=raw)} if key == "seed"
+           else {"base": dict(FAST_BASE), key: raw})
     with pytest.raises(ConfigurationError, match=key):
         spec_from_mapping(doc)
     out = tmp_path / "out"
@@ -326,9 +337,9 @@ def test_sweep_needs_at_least_one_worker(tmp_path, capsys, workers):
 
 
 def test_sweep_accepts_integral_floats():
-    spec = spec_from_mapping({"base": {"k": 2.0}, "seed": 3.0, "workers": 2.0})
-    assert (spec.base["k"], spec.seed, spec.workers) == (2, 3, 2)
-    assert type(spec.seed) is type(spec.workers) is type(spec.base["k"]) is int
+    spec = spec_from_mapping({"base": {"k": 2.0, "seed": 3.0}, "workers": 2.0})
+    assert (spec.base["k"], spec.base["seed"], spec.workers) == (2, 3, 2)
+    assert type(spec.base["seed"]) is type(spec.workers) is type(spec.base["k"]) is int
 
 
 @pytest.mark.parametrize("text, message", [
@@ -401,3 +412,68 @@ def test_cli_reports_bad_override_without_traceback(capsys):
     assert capsys.readouterr().err.startswith("error: field 'k'")
     assert cli._parse_overrides(["k=4", "interval_ms=20", "slot_type=mini7"]) == {
         "k": 4, "interval_ms": 20.0, "slot_type": "mini7"}
+
+
+def test_seed_has_no_option_of_its_own(tmp_path, capsys):
+    """The seed is set like any field: `--seed` is a usage error of `run`
+    and `sweep` (exit 2), and a sweep file's top-level `seed:` an unknown
+    sweep key."""
+    for args in (["run"], ["sweep", "--spec", "sweep.yaml"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*args, "--seed", "5"])
+        assert exc.value.code == 2 and "--seed" in capsys.readouterr().err
+    doc = {"base": dict(FAST_BASE), "seed": 5}
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--spec", str(write_spec(tmp_path, doc)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: unknown sweep keys: ['seed']\n"
+    assert not out.exists()
+
+
+def test_sweep_seed_is_set_like_any_field(tmp_path, capsys):
+    """`--set seed=N` overrides the base seed: every row and the sidecar's
+    spec hold it.  Resuming that directory at another seed exits 2, naming
+    both seeds, and runs no point: both files stay byte-identical."""
+    spec_path = write_spec(tmp_path, {"base": dict(FAST_BASE, seed=3),
+                                      "axes": {"density_veh_km_lane": [10, 20]}})
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--spec", str(spec_path), "--set", "seed=5",
+                     "--out", str(out)]) == 0
+    assert [r["seed"] for r in read_results(out / "results.csv")] == [5, 5]
+    meta_path = out / "results.meta.json"
+    assert json.loads(meta_path.read_text())["spec"]["base"]["seed"] == 5
+    before = {p: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert cli.main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot resume {out}: ") and "Traceback" not in err
+    assert "at seed 5, not at the sweep's seed 3" in err
+    assert {p: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_run_prints_and_writes_its_result_row(tmp_path, capsys):
+    """`run` prints one JSON object, the sweep row of its point: the row's
+    fields rebuild the configuration, the seed included, and `--out` writes
+    the same text to the file its key names."""
+    out = tmp_path / "out"
+    argv = ["run", *(f"--set={k}={v}" for k, v in FAST_BASE.items()), "--set", "seed=2"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    rec = json.loads(text)
+    assert list(rec) == experiment._result_fieldnames()
+    cfg = RunConfig(**{f.name: rec[f.name] for f in dataclasses.fields(RunConfig)})
+    assert cfg == RunConfig(**FAST_BASE, seed=2) and rec["config_key"] == cfg.key()
+    assert [p.name for p in out.iterdir()] == [f"{cfg.key()}.json"]
+    assert (out / f"{cfg.key()}.json").read_text() + "\n" == text
+
+
+def test_figure_series_split_by_every_varying_field(tmp_path):
+    """A density x bandwidth sweep gives one series per bandwidth, and no
+    series repeats an x value."""
+    spec = ExperimentSpec(base=dict(FAST_BASE), axes={"density_veh_km_lane": [10, 20],
+                                                      "bandwidth_mhz": [10, 20]})
+    written = emit_figure_data(run_sweep(spec, tmp_path), "fig4", tmp_path / "series")
+    assert [p.name for p in written] == ["fig4_10_mean_ms.csv", "fig4_20_mean_ms.csv"]
+    for path in written:
+        with open(path, newline="") as fh:
+            xs = [float(r[0]) for r in list(csv.reader(fh))[1:]]
+        assert xs == [10.0, 20.0]

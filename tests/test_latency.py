@@ -135,7 +135,7 @@ def test_harq_single_forced_failure_cycle():
         # the failure is known once the first attempt is decoded
         known = lat.data_chain(probe, grid, gen + probe.prepare_half, n_rb)[-1]
         uplink_nack = (probe.pucch_occasion, probe.tt_pucch)
-        sr_done = lat.sr_chain(probe, lat.nack_chain(probe, uplink_nack, known), p=0.0)
+        sr_done = lat.sr_chain(probe, lat.nack_chain(probe, uplink_nack, known))
         grant_done = lat.grant_chain(probe, sr_done + probe.decode_half)
         again = lat.data_chain(probe, grid, grant_done + probe.prepare_half, n_rb)[-1]
         assert ul["disposition"] == "delivered" and ul["attempts"] == 2
@@ -240,7 +240,7 @@ def test_sched_latency_ops_match_dynamic_chain():
     hop, so it is shorter than uplink signalling."""
     ctx = make_context(control_variant="conf3")
     gen = 50
-    sr_done = lat.sr_chain(ctx, gen, p=0.7)
+    sr_done = lat.sr_chain(ctx, gen)
     assert sr_done == ctx.pucch_occasion(gen + ctx.decode_half) + ctx.tt_pucch + ctx.prepare_half
     ul_done = lat.grant_chain(ctx, sr_done + ctx.decode_half)
     assert ul_done == (ctx.pdcch_occasion_after(sr_done + ctx.decode_half)
