@@ -1,9 +1,10 @@
 """Command-line front end: single runs, sweeps, and figure-data extraction.
 
-Every output holds result rows: `run` prints its point's row as JSON (and
-`--out DIR` writes it to ``DIR/<config_key>.json``), `sweep` appends them
-to ``results.csv``, and `figure` reads them back.  Every RunConfig field,
-the seed too, is set by a file (``--config``, a sweep's ``base``) or ``--set``.
+Every output holds result rows, one JSON object a line: `run` prints its
+point's row, `sweep` appends one per point to ``results.jsonl``, and
+`figure` reads them back.  So ``nrv2x run ... >> DIR/results.jsonl`` adds a
+row to a table that `sweep` resumes from.  Every RunConfig field, the seed
+too, is set by a file (``--config``, a sweep's ``base``) or ``--set``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import json
 import sys
 
 from .engine import RunConfig, run
-from .experiment import (_coerce, emit_figure_data, load_yaml, output_dir, parse_spec,
-                         result_row, run_sweep, spec_from_mapping)
+from .experiment import (_coerce, emit_figure_data, load_yaml, parse_spec, result_row,
+                         run_sweep, spec_from_mapping)
 from .phy import ConfigurationError
 
 
@@ -32,11 +33,7 @@ def _parse_overrides(pairs: list[str]) -> dict:
 def _cmd_run(args) -> int:
     base = spec_from_mapping({"base": load_yaml(args.config)}).base if args.config else {}
     cfg = RunConfig(**{**base, **_parse_overrides(args.set or [])})
-    out = output_dir(args.out) if args.out else None
-    text = json.dumps(result_row(cfg, run(cfg)))
-    if out:
-        (out / f"{cfg.key()}.json").write_text(text)
-    print(text)
+    print(json.dumps(result_row(cfg, run(cfg))))
     return 0
 
 
@@ -72,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", help="YAML file of RunConfig fields")
     p_run.add_argument("--set", action="append", metavar="FIELD=VALUE",
                        help="override one configuration field")
-    p_run.add_argument("--out", help="directory for the JSON result row")
     p_run.set_defaults(fn=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a sweep specification")
@@ -84,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_fig = sub.add_parser("figure", help="emit plottable series for a figure")
-    p_fig.add_argument("--table", required=True, help="results.csv from a sweep")
+    p_fig.add_argument("--table", required=True, help="results.jsonl of result rows")
     p_fig.add_argument("--figure", required=True, help="figure id, e.g. fig4")
     p_fig.add_argument("--out", required=True, help="series output directory")
     p_fig.set_defaults(fn=_cmd_figure)

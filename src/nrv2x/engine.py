@@ -65,7 +65,7 @@ import heapq
 import math
 import time
 import zlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from typing import Callable, NamedTuple
 
@@ -722,9 +722,6 @@ class MetricsReport:
     lloa_pass: bool
     hloa_pass: bool
     runtime_s: float
-
-    def to_row(self) -> dict:
-        return asdict(self)
 
 
 def percentile_with_drops(delivered_ms: np.ndarray, n_undelivered: int, q: float) -> float:

@@ -1,17 +1,18 @@
 """Experiment sweeps: YAML configuration parsing, cartesian expansion,
-resumable CSV results, and plottable series extraction.
+resumable result tables, and plottable series extraction.
 
 A sweep file holds a ``base`` mapping of RunConfig fields, the seed among
 them, plus an ``axes`` mapping of field name to value list; the cartesian
 product of the axes is enumerated in a deterministic order, and every point
 is checked before any point runs.  A run's one record is its result row
 (`result_row`): every RunConfig field, then every MetricsReport field, whose
-``config_key`` identifies the point.  A sweep appends one CSV row per
-completed point, so re-running it skips finished points; it refuses a
-directory whose row for a point's key holds another seed.  A JSON sidecar
-records the code version and the sweep specification of the last
-invocation.  A figure's series split the selected rows by every field but
-the x axis that varies among them.
+``config_key`` identifies the point.  A row has one serialization, a JSON
+object on one line, which round-trips every value with its type.  A sweep
+appends one line per completed point to ``results.jsonl``, so re-running it
+skips finished points; it refuses a directory whose row for a point's key
+holds another seed.  A JSON sidecar records the code version and the sweep
+specification of the last invocation.  A figure's series split the selected
+rows by every field but the x axis that varies among them.
 """
 
 from __future__ import annotations
@@ -173,54 +174,43 @@ def _result_fieldnames() -> list[str]:
 def result_row(cfg: RunConfig, report: MetricsReport) -> dict:
     """A run's record: its configuration's fields, then its report's, in
     `_result_fieldnames()` order."""
-    return {**dataclasses.asdict(cfg), **report.to_row()}
+    return {**dataclasses.asdict(cfg), **dataclasses.asdict(report)}
 
 
-def _resume_state(csv_path: Path, sidecar_path: Path,
-                  points: list[RunConfig]) -> tuple[set[str], bool]:
-    """What a sweep's output directory holds: the keys of the points it
-    completed, and whether its table still needs a header.  A table without
-    exactly the sweep table's columns, or with a row for a point's key at
-    another seed, or a sidecar that is not a JSON mapping, is a
-    ConfigurationError, raised before either file is touched."""
+def _resume_state(table: Path, sidecar_path: Path, points: list[RunConfig]) -> set[str]:
+    """The keys of the points a sweep's output directory completed.  A table
+    that `read_results` refuses, a row for a point's key at another seed, or
+    a sidecar that is not a JSON mapping is a ConfigurationError, raised
+    before either file is touched."""
     try:
-        seeds, fieldnames = {}, None
-        if csv_path.exists():
-            with open(csv_path, newline="") as fh:
-                reader = csv.DictReader(fh)
-                fieldnames, columns = reader.fieldnames, _result_fieldnames()
-                if fieldnames not in (None, columns):
-                    raise ValueError(
-                        f"{csv_path.name} does not have the columns of a sweep table: "
-                        f"missing {[c for c in columns if c not in fieldnames]}, "
-                        f"unexpected {[c for c in fieldnames if c not in columns]}")
-                seeds = {row["config_key"]: row["seed"] for row in reader}
+        seeds = ({row["config_key"]: row["seed"] for row in read_results(table)}
+                 if table.exists() else {})
         for cfg in points:
-            if seeds.get(cfg.key(), str(cfg.seed)) != str(cfg.seed):
-                raise ValueError(f"{csv_path.name} holds {cfg.key()} at seed "
+            if seeds.get(cfg.key(), cfg.seed) != cfg.seed:
+                raise ValueError(f"{table.name} holds {cfg.key()} at seed "
                                  f"{seeds[cfg.key()]}, not at the sweep's seed {cfg.seed}")
         if sidecar_path.exists() and not isinstance(json.loads(sidecar_path.read_text()), dict):
             raise ValueError(f"{sidecar_path.name} is not a mapping")
-    except (OSError, ValueError) as exc:   # JSONDecodeError, UnicodeDecodeError too
-        raise ConfigurationError(f"cannot resume {csv_path.parent}: {exc}") from None
-    return set(seeds), fieldnames is None
+    except (OSError, ValueError) as exc:   # ConfigurationError, JSONDecodeError too
+        raise ConfigurationError(f"cannot resume {table.parent}: {exc}") from None
+    return set(seeds)
 
 
 def run_sweep(spec: ExperimentSpec, out_dir: str | Path, progress=None) -> Path:
-    """Execute every pending sweep point; returns the CSV path.
+    """Execute every pending sweep point; returns the table's path.
 
     An invalid point, an output path that cannot be a directory, or an
     output directory that `_resume_state` refuses (a point's row at another
     seed, say) raises `ConfigurationError` before any point runs.  Completed
-    points (config keys already present in the CSV) are skipped, so an
+    points (config keys already present in the table) are skipped, so an
     interrupted sweep resumes where it stopped.  The sidecar is replaced
     atomically, so a reader sees the old one or the new one.
     """
     points = spec.points()
     out = Path(out_dir)
-    csv_path = out / "results.csv"
+    table = out / "results.jsonl"
     sidecar_path = out / "results.meta.json"
-    done, new_file = _resume_state(csv_path, sidecar_path, points)
+    done = _resume_state(table, sidecar_path, points)
     output_dir(out)
     points = [p for p in points if p.key() not in done]
     tmp = sidecar_path.with_suffix(".tmp")
@@ -229,29 +219,35 @@ def run_sweep(spec: ExperimentSpec, out_dir: str | Path, progress=None) -> Path:
     tmp.replace(sidecar_path)
     parallel = spec.workers > 1 and len(points) > 1
     with (ProcessPoolExecutor(spec.workers) if parallel else nullcontext()) as pool, \
-            open(csv_path, "a", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_result_fieldnames())
-        if new_file:
-            writer.writeheader()
+            open(table, "a") as fh:
         for cfg, report in zip(points, (pool.map if parallel else map)(run, points)):
-            writer.writerow(result_row(cfg, report))
+            fh.write(json.dumps(result_row(cfg, report)) + "\n")
             fh.flush()
             if progress:
                 progress(report)
-    return csv_path
+    return table
 
 
-def read_results(csv_path: str | Path) -> list[dict]:
-    """Result rows with numeric columns parsed back to floats; a table that
-    cannot be read is a ConfigurationError."""
-    with _cannot("read", csv_path), open(csv_path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    for row in rows:
-        for k, v in row.items():
+def read_results(table: str | Path) -> list[dict]:
+    """The result rows of a table, one JSON object a line, typed as
+    `result_row` made them.  A table that cannot be read, or a line that is
+    not JSON or does not hold exactly a result row's columns in their order,
+    is a ConfigurationError naming the file and the line."""
+    columns, name = _result_fieldnames(), Path(table).name
+    rows = []
+    with _cannot("read", table), open(table) as fh:
+        for n, line in enumerate(fh, 1):
             try:
-                row[k] = float(v)
-            except (TypeError, ValueError):
-                pass
+                row = json.loads(line)
+            except ValueError as exc:
+                raise ConfigurationError(f"{name} line {n} is not JSON: {exc}") from None
+            keys = list(row) if isinstance(row, dict) else []
+            if keys != columns:
+                raise ConfigurationError(
+                    f"{name} line {n} does not hold a result row's columns in order: "
+                    f"missing {[c for c in columns if c not in keys]}, "
+                    f"unexpected {[c for c in keys if c not in columns]}")
+            rows.append(row)
     return rows
 
 
@@ -271,7 +267,7 @@ _FIG_PLANS = {
 }
 
 
-def emit_figure_data(csv_path: str | Path, figure_id: str,
+def emit_figure_data(table: str | Path, figure_id: str,
                      out_dir: str | Path) -> list[Path]:
     """Write per-series (x, y) files for one figure's axes, a series per
     combination of values of the varying fields, named by them in field order."""
@@ -280,15 +276,9 @@ def emit_figure_data(csv_path: str | Path, figure_id: str,
             f"unknown figure id {figure_id!r}; known: {sorted(_FIG_PLANS)}"
         )
     plan = _FIG_PLANS[figure_id]
-    rows = [
-        r for r in read_results(csv_path)
-        if all(str(r.get(k)) == str(v) or r.get(k) == v for k, v in plan["sel"].items())
-    ]
+    rows = [r for r in read_results(table) if all(r[k] == v for k, v in plan["sel"].items())]
     if not rows:
-        raise ConfigurationError(f"no rows in {csv_path} match {figure_id}")
-    missing = [c for c in (*_FIELDS, *plan["y"]) if c not in rows[0]]
-    if missing:
-        raise ConfigurationError(f"result table lacks columns {missing}")
+        raise ConfigurationError(f"no rows in {table} match {figure_id}")
     group = [f for f in _FIELDS if f != plan["x"] and len({r[f] for r in rows}) > 1]
     out = output_dir(out_dir)
     series: dict[tuple, list] = {}
@@ -297,7 +287,7 @@ def emit_figure_data(csv_path: str | Path, figure_id: str,
         series.setdefault(key, []).append(row)
     written = []
     for key, members in sorted(series.items(), key=lambda kv: [str(k) for k in kv[0]]):
-        members.sort(key=lambda r: float(r[plan["x"]]))
+        members.sort(key=lambda r: r[plan["x"]])
         label = [f"{v:g}" if isinstance(v, float) else str(v) for v in key]
         for column in plan["y"]:
             path = out / f"{'_'.join([figure_id, *label, column])}.csv"

@@ -7,7 +7,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ def test_determinism_bitwise():
     cfg = RunConfig(density_veh_km_lane=20, seed=42, **FAST)
 
     def stable(report):
-        row = report.to_row()
+        row = asdict(report)
         row.pop("runtime_s")  # wall clock is the one non-deterministic field
         return row
 
@@ -282,8 +282,8 @@ def test_replications_replay_exactly():
     cfg = RunConfig(density_veh_km_lane=20, dl_cast="unicast", unicast_m=2, seed=5, **FAST)
     reps = [run_replication(cfg, np.random.default_rng(
         np.random.SeedSequence(cfg.seed).spawn(i + 1)[i])) for i in range(2)]
-    replay = aggregate(cfg, reps, 0.0, relative_error([r.mean_ms for r in reps])).to_row()
-    whole = run(cfg).to_row()
+    replay = asdict(aggregate(cfg, reps, 0.0, relative_error([r.mean_ms for r in reps])))
+    whole = asdict(run(cfg))
     replay.pop("runtime_s")
     whole.pop("runtime_s")
     assert _bits(replay) == _bits(whole)
@@ -311,15 +311,37 @@ def test_control_variant_acts_only_on_dynamic_signalling(point):
     key and the run time, congested (the mini7 point drops) or not."""
     rows = []
     for variant in ("conf1", "conf2", "conf3"):
-        row = run(RunConfig(control_variant=variant, interval_ms=20.0, horizon_ms=200.0,
-                            warmup_ms=50.0, min_replications=2, max_replications=2, seed=5,
-                            **point)).to_row()
+        row = asdict(run(RunConfig(control_variant=variant, interval_ms=20.0, horizon_ms=200.0,
+                                   warmup_ms=50.0, min_replications=2, max_replications=2,
+                                   seed=5, **point)))
         row.pop("config_key")
         row.pop("runtime_s")
         rows.append(_bits(row))
     assert rows[0] == rows[1] == rows[2]
     # only the mini7 point is congested
     assert (float.fromhex(rows[0]["drop_fraction"][1]) > 0.1) == ("slot_type" in point)
+
+
+@pytest.mark.parametrize("point, acts", [
+    (dict(mcs_table="HEP"), False),
+    (dict(retransmission="k_repetitions", k=2), False),
+    (dict(retransmission="harq", harq_max_retx=2, dl_cast="unicast", unicast_m=3), False),
+    (dict(retransmission="harq", harq_max_retx=2), True),
+], ids=["hep-none", "k2", "harq-unicast", "harq-broadcast"])
+def test_harq_group_size_acts_only_on_broadcast_harq(point, acts):
+    """The HARQ group size sets how many receivers a broadcast HARQ leg
+    waits for, so group sizes 1 and 3 give one report bit for bit but for
+    the key and the run time unless the retransmission is HARQ and the cast
+    broadcast; for broadcast HARQ the reports differ."""
+    rows = []
+    for group in (1, 3):
+        row = asdict(run(RunConfig(harq_group_size=group, density_veh_km_lane=20,
+                                   interval_ms=20.0, horizon_ms=400.0, warmup_ms=100.0,
+                                   min_replications=2, max_replications=2, seed=4, **point)))
+        row.pop("config_key")
+        row.pop("runtime_s")
+        rows.append(_bits(row))
+    assert (rows[0] != rows[1]) == acts
 
 
 @pytest.mark.parametrize("fields", [
@@ -426,7 +448,7 @@ _INVALID = dict(
 @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig) if f.name != "seed"])
 def test_key_separates_every_field(name):
     """Configurations that differ only in one field, any but the seed, get
-    different keys: a result row or a `run --out` file names its point."""
+    different keys: a result row names its point."""
     # every plausible value of the field constructs on this base
     base = dict(k=2, harq_max_retx=1, unicast_m=1, warmup_ms=0.0, min_replications=1)
     keys = {RunConfig(**{**base, name: value}).key() for value in _PLAUSIBLE[name]}
@@ -480,7 +502,7 @@ def _golden_cases() -> list[dict]:
 def test_golden_report(case):
     """Reports pinned bit for bit: any change to a field is a change of the
     model."""
-    row = run(RunConfig(**case["config"])).to_row()
+    row = asdict(run(RunConfig(**case["config"])))
     row.pop("runtime_s")
     assert _bits(row) == _bits(case["report"])
 
@@ -741,7 +763,7 @@ if __name__ == "__main__":
     # that declares a model change may do this.
     cases = _golden_cases()
     for case in cases:
-        case["report"] = run(RunConfig(**case["config"])).to_row()
+        case["report"] = asdict(run(RunConfig(**case["config"])))
         case["report"].pop("runtime_s")
     GOLDEN.write_text(json.dumps(cases, indent=1))
 

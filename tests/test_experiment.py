@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import re
 
 import pytest
 import yaml
@@ -9,7 +10,7 @@ from nrv2x import cli
 from nrv2x import experiment
 from nrv2x.engine import MetricsReport, RunConfig
 from nrv2x.experiment import (ExperimentSpec, _coerce, emit_figure_data, parse_spec,
-                              read_results, run_sweep, spec_from_mapping)
+                              read_results, result_row, run_sweep, spec_from_mapping)
 from nrv2x.phy import ConfigurationError
 
 FAST_BASE = dict(horizon_ms=400.0, warmup_ms=100.0,
@@ -128,14 +129,11 @@ def test_interrupted_sweep_resumes(tmp_path):
 
     with pytest.raises(KeyboardInterrupt):
         run_sweep(spec, tmp_path, progress=interrupt)
-    assert len(read_results(tmp_path / "results.csv")) == 1
-    csv_path = run_sweep(spec, tmp_path)
-    with open(csv_path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    assert len(read_results(tmp_path / "results.jsonl")) == 1
+    rows = read_results(run_sweep(spec, tmp_path))
     assert sorted(r["config_key"] for r in rows) == sorted(p.key() for p in spec.points())
     for row in rows:
-        cfg = RunConfig(**{f.name: _coerce(f.name, row[f.name])
-                           for f in dataclasses.fields(RunConfig)})
+        cfg = RunConfig(**{f.name: row[f.name] for f in dataclasses.fields(RunConfig)})
         assert cfg.key() == row["config_key"] and cfg in spec.points()
     meta = json.loads((tmp_path / "results.meta.json").read_text())
     assert set(meta) == {"version", "spec"} and spec_from_mapping(meta["spec"]) == spec
@@ -163,46 +161,62 @@ def test_empty_axes_single_run():
 def test_sweep_resumable_no_duplicates(tmp_path):
     spec = ExperimentSpec(base=dict(FAST_BASE),
                           axes={"density_veh_km_lane": [10, 20]})
-    csv_path = run_sweep(spec, tmp_path)
-    rows = read_results(csv_path)
+    table = run_sweep(spec, tmp_path)
+    rows = read_results(table)
     assert len(rows) == 2
     # rerun: completed points skipped, no duplicate rows
-    csv_path = run_sweep(spec, tmp_path)
-    assert len(read_results(csv_path)) == 2
+    table = run_sweep(spec, tmp_path)
+    assert len(read_results(table)) == 2
     # extending an axis only adds the new point
     spec2 = ExperimentSpec(base=dict(FAST_BASE),
                            axes={"density_veh_km_lane": [10, 20, 40]})
     run_sweep(spec2, tmp_path)
-    assert len(read_results(csv_path)) == 3
+    assert len(read_results(table)) == 3
     meta = (tmp_path / "results.meta.json").read_text()
     assert "density_veh_km_lane" in meta
 
 
-# the header of a table from before every RunConfig field was a column
-_OLD_HEADER = ",".join([
+def table_line(cfg):
+    """A result-table line for cfg, its report zeroed but for its key."""
+    report = MetricsReport(cfg.key(), *[0] * (len(dataclasses.fields(MetricsReport)) - 1))
+    return json.dumps(result_row(cfg, report)) + "\n"
+
+
+# the columns of a table from before every RunConfig field was a column
+_OLD_COLUMNS = [
     "scs_khz", "bandwidth_mhz", "scheduling", "retransmission", "k", "harq_max_retx", "dl_cast",
     "unicast_m", "mcs_table", "slot_type", "control_variant", "traffic", "interval_ms",
-    "density_veh_km_lane", "seed", *(f.name for f in dataclasses.fields(MetricsReport))])
+    "density_veh_km_lane", "seed", *(f.name for f in dataclasses.fields(MetricsReport))]
 
+# the point of a seed-0 sweep of FAST_BASE, and the same point at seed 1
+_SEED_0, _SEED_1 = RunConfig(**FAST_BASE), RunConfig(**FAST_BASE, seed=1)
 
-# a table holding the point of a seed-0 sweep at seed 1
-_SEED_1 = RunConfig(**FAST_BASE, seed=1)
-_SEED_1_TABLE = "\n".join([",".join(experiment._result_fieldnames()), ",".join(
-    map(str, [*dataclasses.asdict(_SEED_1).values(), _SEED_1.key()])), ""])
+# malformed result tables, each with the message that refuses it
+BAD_TABLES = [
+    pytest.param('{"a": 1, "b": 2}\n',
+                 r"results.jsonl line 1 .*missing \['scs_khz', .*'runtime_s'\], "
+                 r"unexpected \['a', 'b'\]", id="table_without_key"),
+    pytest.param(json.dumps(dict.fromkeys(_OLD_COLUMNS, 0)) + "\n",
+                 r"results.jsonl line 1 .*missing \['harq_group_size', 'packet_bytes', "
+                 r".*'relative_error_target'\], unexpected \[\]", id="table_of_an_older_version"),
+    # the second row lost its end when the sweep writing it was killed
+    pytest.param(table_line(_SEED_0) + table_line(_SEED_0)[:40],
+                 "results.jsonl line 2 is not JSON", id="table_cut_mid_write"),
+    pytest.param(table_line(_SEED_0) + table_line(_SEED_0).replace('"mean_ms"', '"mean_wait"'),
+                 r"results.jsonl line 2 .*missing \['mean_ms'\], unexpected \['mean_wait'\]",
+                 id="table_with_a_renamed_column"),
+]
 
 
 @pytest.mark.parametrize("name, content, message", [
-    ("results.meta.json", "{bad", "Expecting property name"),
-    ("results.meta.json", "[]", "not a mapping"),
-    ("results.csv", "a,b\n1,2\n", r"missing \['scs_khz', .*'runtime_s'\], unexpected \['a', 'b'\]"),
-    ("results.csv", b"\xff\xfe", "can't decode"),
-    ("results.csv", _OLD_HEADER + "\n",
-     r"missing \['harq_group_size', 'packet_bytes', .*'relative_error_target'\], "
-     r"unexpected \[\]"),
-    ("results.csv", _SEED_1_TABLE,
-     f"results.csv holds {_SEED_1.key()} at seed 1, not at the sweep's seed 0"),
-], ids=["sidecar_not_json", "sidecar_list", "table_without_key", "table_not_text",
-        "table_of_an_older_version", "table_of_another_seed"])
+    pytest.param("results.meta.json", "{bad", "Expecting property name", id="sidecar_not_json"),
+    pytest.param("results.meta.json", "[]", "not a mapping", id="sidecar_list"),
+    pytest.param("results.jsonl", b"\xff\xfe", "can't decode", id="table_not_text"),
+    *(pytest.param("results.jsonl", *p.values, id=p.id) for p in BAD_TABLES),
+    pytest.param("results.jsonl", table_line(_SEED_1),
+                 f"results.jsonl holds {_SEED_1.key()} at seed 1, not at the sweep's seed 0",
+                 id="table_of_another_seed"),
+])
 def test_sweep_refuses_to_resume_a_foreign_directory(tmp_path, capsys, name, content,
                                                       message):
     """An output directory whose table or sidecar a sweep did not write is
@@ -225,17 +239,18 @@ def test_sweep_refuses_to_resume_a_foreign_directory(tmp_path, capsys, name, con
     assert list(out.iterdir()) == [path] and path.read_bytes() == before
 
 
-@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("command", ["figure", "sweep"])
 def test_out_naming_a_file_exits_2(tmp_path, capsys, monkeypatch, command):
-    """An output path that is an existing file stops `run` and `sweep` with
-    `error:` and exit 2 before anything runs, and leaves the file as it was."""
+    """An output path that is an existing file stops `sweep` and `figure`
+    with `error:` and exit 2 before anything runs or is written, and leaves
+    the file as it was."""
     def ran(cfg):
         raise AssertionError("a point ran")
 
-    monkeypatch.setattr(cli, "run", ran)
     monkeypatch.setattr(experiment, "run", ran)
     afile = write_input(tmp_path / "afile", "kept\n")
-    args = {"run": ["run", *(f"--set={k}={v}" for k, v in FAST_BASE.items())],
+    table = write_input(tmp_path / "results.jsonl", table_line(_SEED_0))
+    args = {"figure": ["figure", "--table", str(table), "--figure", "fig4"],
             "sweep": ["sweep", "--spec", str(write_spec(tmp_path, {"base": dict(FAST_BASE)}))]}
     assert cli.main([*args[command], "--out", str(afile)]) == 2
     err = capsys.readouterr().err
@@ -243,25 +258,26 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys, monkeypatch, command):
     assert afile.read_text() == "kept\n"
 
 
-def test_sweep_writes_the_header_into_an_empty_table(tmp_path):
-    """A table left empty (a sweep killed before its header reached the
-    disk) gets the header before its first row."""
-    (tmp_path / "results.csv").touch()
-    csv_path = run_sweep(ExperimentSpec(base=dict(FAST_BASE), axes={}), tmp_path)
-    assert [r["config_key"] for r in read_results(csv_path)] == [
-        RunConfig(**FAST_BASE).key()]
+def test_an_empty_table_resumes_with_no_rows(tmp_path):
+    """A table left empty (a sweep killed before its first row reached the
+    disk) holds no completed point: the sweep runs its point and appends
+    its row."""
+    (tmp_path / "results.jsonl").touch()
+    table = run_sweep(ExperimentSpec(base=dict(FAST_BASE), axes={}), tmp_path)
+    assert [r["config_key"] for r in read_results(table)] == [_SEED_0.key()]
 
 
 def test_sweep_rows_keyed_and_typed(tmp_path):
     spec = ExperimentSpec(base=dict(FAST_BASE),
                           axes={"mcs_table": ["LEP", "HEP"]})
-    csv_path = run_sweep(spec, tmp_path)
-    rows = read_results(csv_path)
+    rows = read_results(run_sweep(spec, tmp_path))
     keys = {r["config_key"] for r in rows}
     assert len(keys) == 2
     for r in rows:
         assert r["mean_ms"] > 0
         assert r["mcs_table"] in ("LEP", "HEP")
+        assert type(r["seed"]) is type(r["n_packets"]) is int
+        assert type(r["interval_ms"]) is float and type(r["lloa_pass"]) is bool
 
 
 def test_emit_figure_series(tmp_path):
@@ -270,8 +286,8 @@ def test_emit_figure_series(tmp_path):
     spec = ExperimentSpec(base=base,
                           axes={"density_veh_km_lane": [10, 20],
                                 "mcs_table": ["LEP", "HEP"]})
-    csv_path = run_sweep(spec, tmp_path)
-    written = emit_figure_data(csv_path, "fig4", tmp_path / "series")
+    table = run_sweep(spec, tmp_path)
+    written = emit_figure_data(table, "fig4", tmp_path / "series")
     # one series per mcs_table, the only field but x that varies; one y column
     assert [p.name for p in written] == ["fig4_HEP_mean_ms.csv", "fig4_LEP_mean_ms.csv"]
     for path in written:
@@ -281,9 +297,9 @@ def test_emit_figure_series(tmp_path):
         xs = [float(r[0]) for r in rows[1:]]
         assert xs == sorted(xs) and len(xs) == 2
     with pytest.raises(ConfigurationError):
-        emit_figure_data(csv_path, "fig99", tmp_path / "series")
+        emit_figure_data(table, "fig99", tmp_path / "series")
     with pytest.raises(ConfigurationError):
-        emit_figure_data(csv_path, "fig3", tmp_path / "series")  # no unicast rows
+        emit_figure_data(table, "fig3", tmp_path / "series")  # no unicast rows
 
 
 def test_single_point_override_fields():
@@ -374,21 +390,23 @@ def test_malformed_sweep_file_is_a_configuration_error(tmp_path, capsys, text, m
 ])
 def test_malformed_run_config_exits_2(tmp_path, capsys, text, message):
     path = write_input(tmp_path / "run.yaml", text)
-    out = tmp_path / "out"
-    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
-    assert not out.exists()
+    assert cli.main(["run", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
 
 
-@pytest.mark.parametrize("content, message", UNREADABLE)
+@pytest.mark.parametrize("content, message", [*UNREADABLE, *BAD_TABLES])
 def test_unreadable_result_table_exits_2(tmp_path, capsys, content, message):
-    path = write_input(tmp_path / "results.csv", content)
+    """A table that `figure` cannot read, or a line of it that is not a
+    result row, stops it with `error:` naming the file, and exit 2, before
+    its output directory is made."""
+    path = write_input(tmp_path / "results.jsonl", content)
     out = tmp_path / "series"
     assert cli.main(["figure", "--table", str(path), "--figure", "fig4", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot read {path}") and message in err
-    assert "Traceback" not in err
+    assert err.startswith((f"error: cannot read {path}: ", "error: results.jsonl line "))
+    assert re.search(message, err) and "Traceback" not in err
     assert not out.exists()
 
 
@@ -438,7 +456,7 @@ def test_sweep_seed_is_set_like_any_field(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["sweep", "--spec", str(spec_path), "--set", "seed=5",
                      "--out", str(out)]) == 0
-    assert [r["seed"] for r in read_results(out / "results.csv")] == [5, 5]
+    assert [r["seed"] for r in read_results(out / "results.jsonl")] == [5, 5]
     meta_path = out / "results.meta.json"
     assert json.loads(meta_path.read_text())["spec"]["base"]["seed"] == 5
     before = {p: p.read_bytes() for p in out.iterdir()}
@@ -450,30 +468,58 @@ def test_sweep_seed_is_set_like_any_field(tmp_path, capsys):
     assert {p: p.read_bytes() for p in out.iterdir()} == before
 
 
-def test_run_prints_and_writes_its_result_row(tmp_path, capsys):
+def test_run_prints_its_result_row(capsys):
     """`run` prints one JSON object, the sweep row of its point: the row's
-    fields rebuild the configuration, the seed included, and `--out` writes
-    the same text to the file its key names."""
-    out = tmp_path / "out"
+    fields rebuild the configuration, the seed included.  It writes no file:
+    `--out` is a usage error (exit 2)."""
     argv = ["run", *(f"--set={k}={v}" for k, v in FAST_BASE.items()), "--set", "seed=2"]
-    assert cli.main([*argv, "--out", str(out)]) == 0
-    text = capsys.readouterr().out
-    rec = json.loads(text)
+    assert cli.main(argv) == 0
+    rec = json.loads(capsys.readouterr().out)
     assert list(rec) == experiment._result_fieldnames()
     cfg = RunConfig(**{f.name: rec[f.name] for f in dataclasses.fields(RunConfig)})
     assert cfg == RunConfig(**FAST_BASE, seed=2) and rec["config_key"] == cfg.key()
-    assert [p.name for p in out.iterdir()] == [f"{cfg.key()}.json"]
-    assert (out / f"{cfg.key()}.json").read_text() + "\n" == text
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", "out"])
+    assert exc.value.code == 2 and "--out" in capsys.readouterr().err
+
+
+def test_run_output_is_a_table_row(tmp_path, capsys):
+    """What `run` prints, appended to a directory's results.jsonl, is a row
+    that a sweep resumes from, running only its other point, and that
+    `figure` reads beside the sweep's own row."""
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["run", *(f"--set={k}={v}" for k, v in FAST_BASE.items())]
+    assert cli.main([*argv, "--set", "density_veh_km_lane=10"]) == 0
+    with open(out / "results.jsonl", "a") as fh:
+        fh.write(capsys.readouterr().out)
+    doc = {"base": dict(FAST_BASE), "axes": {"density_veh_km_lane": [10, 20]}}
+    assert cli.main(["sweep", "--spec", str(write_spec(tmp_path, doc)), "--out", str(out)]) == 0
+    ran = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()[:-1]]
+    assert ran == [RunConfig(**FAST_BASE, density_veh_km_lane=20).key()]
+    series = tmp_path / "series"
+    assert cli.main(["figure", "--table", str(out / "results.jsonl"), "--figure", "fig4",
+                     "--out", str(series)]) == 0
+    with open(series / "fig4_mean_ms.csv", newline="") as fh:
+        assert [r[0] for r in csv.reader(fh)] == ["density_veh_km_lane", "10.0", "20.0"]
 
 
 def test_figure_series_split_by_every_varying_field(tmp_path):
-    """A density x bandwidth sweep gives one series per bandwidth, and no
-    series repeats an x value."""
+    """A density x bandwidth sweep gives one series per bandwidth for a
+    density axis, and one per density for a bandwidth axis; no series
+    repeats an x value."""
     spec = ExperimentSpec(base=dict(FAST_BASE), axes={"density_veh_km_lane": [10, 20],
                                                       "bandwidth_mhz": [10, 20]})
-    written = emit_figure_data(run_sweep(spec, tmp_path), "fig4", tmp_path / "series")
+    table = run_sweep(spec, tmp_path)
+    written = emit_figure_data(table, "fig4", tmp_path / "series")
     assert [p.name for p in written] == ["fig4_10_mean_ms.csv", "fig4_20_mean_ms.csv"]
     for path in written:
         with open(path, newline="") as fh:
             xs = [float(r[0]) for r in list(csv.reader(fh))[1:]]
         assert xs == [10.0, 20.0]
+    # an integer x axis is written as integers
+    written = emit_figure_data(table, "fig5", tmp_path / "series")
+    assert [p.name for p in written] == ["fig5_10_mean_ms.csv", "fig5_20_mean_ms.csv"]
+    for path in written:
+        with open(path, newline="") as fh:
+            assert [r[0] for r in list(csv.reader(fh))[1:]] == ["10", "20"]
