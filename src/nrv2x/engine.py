@@ -112,7 +112,6 @@ _CHOICES = {
     "mcs_table": tuple(lnk.TARGET_BLER),
     "slot_type": tuple(SLOT_SYMBOLS),
     "traffic": ("periodic", "aperiodic"),
-    "layers": (1, 2),
 }
 # the values a RunConfig field annotated int or float takes, bools aside
 _NUMERIC = {"int": int, "float": (int, float)}
@@ -127,7 +126,9 @@ class RunConfig:
 
     The one configuration record.  Construction checks every value and
     every combination a replication depends on, so a configuration that
-    constructs also runs.
+    constructs also runs.  A float field holds a float, whatever number it
+    was given.  The cell, its CQI map, the RB overhead, the MIMO layers and
+    the UE capability are constants of `link` and `phy`, not fields.
     """
 
     scs_khz: int = 30
@@ -146,12 +147,7 @@ class RunConfig:
     interval_ms: float = 100.0           # period, or average gap
     density_veh_km_lane: float = 10.0
     packet_bytes: int = 300
-    layers: int = 2
-    ue_capability: int = 2
-    cell_radius_m: float = lnk.DEFAULT_CELL_RADIUS_M
     lanes: int = scn.DEFAULT_LANES
-    overhead_re_per_rb: int = lnk.DEFAULT_OVERHEAD_RE_PER_RB
-    edge_cqi: int = lnk.DEFAULT_EDGE_CQI
     horizon_ms: float = 10_000.0
     warmup_ms: float = 200.0
     seed: int = 0
@@ -168,19 +164,19 @@ class RunConfig:
                 raise phy.ConfigurationError(
                     f"{f.name} must be {'an integer' if kind is int else 'a number'}, "
                     f"got {value!r}")
+            if f.type == "float":
+                object.__setattr__(self, f.name, float(value))
         if not all(map(math.isfinite, (self.interval_ms, self.density_veh_km_lane,
-                                       self.cell_radius_m, self.horizon_ms, self.warmup_ms))):
-            raise phy.ConfigurationError("times, density and cell radius must be finite")
+                                       self.horizon_ms, self.warmup_ms))):
+            raise phy.ConfigurationError("times and density must be finite")
         for name, allowed in _CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise phy.ConfigurationError(
                     f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         num = phy.numerology(self.scs_khz)
         phy.total_rbs(self.bandwidth_mhz, self.scs_khz)
-        phy.processing_times(num.mu, self.ue_capability)
         phy.control_config(self.control_variant)
-        lnk.linear_cqi_map(self.cell_radius_m, edge_cqi=self.edge_cqi)
-        n_ue = scn.vehicle_count(self.density_veh_km_lane, self.lanes, self.cell_radius_m)
+        n_ue = scn.vehicle_count(self.density_veh_km_lane, self.lanes)
         slot = num.slot_ticks
         for ok, message in (
             (self.retransmission != "k_repetitions" or self.k in REPETITION_COUNTS,
@@ -189,7 +185,6 @@ class RunConfig:
              "harq needs at least one retransmission"),
             (self.harq_group_size >= 1, "harq group size must be positive"),
             (self.packet_bytes >= 1, "packet size must be positive"),
-            (self.cell_radius_m > 0, "cell radius must be positive"),
             (self.lanes >= 1, "a road needs at least one lane"),
             (self.density_veh_km_lane >= 0, "density must be non-negative"),
             (n_ue >= 1, f"density {self.density_veh_km_lane:g} veh/km/lane places "
@@ -221,10 +216,9 @@ class RunConfig:
 
         A readable name of the radio scheme and load, then ``-`` and the
         CRC-32, in 8 hex digits, of the repr of the tuple of every field
-        value but the seed, in field order.  Float fields enter as floats,
-        because ``density_veh_km_lane=10`` and ``10.0`` are one
-        configuration.  Configurations that differ in any field but the
-        seed get different keys, barring a checksum collision.
+        value but the seed, in field order.  Configurations that differ in
+        any field but the seed get different keys, barring a checksum
+        collision.
         """
         parts = [
             f"scs{self.scs_khz}", f"bw{self.bandwidth_mhz}", self.scheduling,
@@ -235,8 +229,7 @@ class RunConfig:
             self.mcs_table, self.slot_type, self.control_variant,
             self.traffic, f"t{self.interval_ms:g}", f"rho{self.density_veh_km_lane:g}",
         ]
-        values = tuple(float(getattr(self, f.name)) if f.type == "float"
-                       else getattr(self, f.name) for f in fields(self) if f.name != "seed")
+        values = tuple(getattr(self, f.name) for f in fields(self) if f.name != "seed")
         return "-".join(parts) + f"-{zlib.crc32(repr(values).encode()):08x}"
 
 
@@ -320,14 +313,11 @@ class _Replication:
         self.cfg = cfg
         self.trace_rows = trace_rows
         num = phy.numerology(cfg.scs_khz)
-        proc = phy.processing_times(num.mu, cfg.ue_capability)
+        proc = phy.processing_times(num.mu, phy.UE_CAPABILITY)
         control = phy.control_config(cfg.control_variant)
         n_rb_total = phy.total_rbs(cfg.bandwidth_mhz, cfg.scs_khz)
 
-        cqi_map = lnk.linear_cqi_map(cfg.cell_radius_m, edge_cqi=cfg.edge_cqi)
-        self.vehicles = scn.place_vehicles(
-            cfg.density_veh_km_lane, cqi_map, rng, cfg.lanes, cfg.cell_radius_m
-        )
+        self.vehicles = scn.place_vehicles(cfg.density_veh_km_lane, rng, cfg.lanes)
         n_ue = len(self.vehicles)
         self.ctx = ctx = RadioContext(num, proc, control, n_ue, rng)
 
@@ -365,14 +355,7 @@ class _Replication:
             """The direction's grid and, per vehicle, the RBs its packet takes
             there (None when it cannot fit), then the rest of the hop."""
             grid = SlotGrid(num, n_rb_total, control, direction, n_symbols)
-            rbs: dict[int, int | None] = {}
-            for cqi in {v.cqi for v in self.vehicles}:
-                try:
-                    rbs[cqi] = lnk.rbs_for_packet(
-                        bits, lnk.mcs_from_cqi(cqi, cfg.mcs_table), grid.n_symbols,
-                        cfg.layers, cfg.overhead_re_per_rb, max_rb=n_rb_total)
-                except lnk.AllocationInfeasible:
-                    rbs[cqi] = None
+            rbs = lnk.footprints(cfg.mcs_table, grid.n_symbols, bits, n_rb_total)
             return _Hop(direction, grid, [rbs[v.cqi] for v in self.vehicles], *rest)
 
         # Uplink: a first attempt must start before the packet goes stale; a
@@ -683,18 +666,6 @@ class _Replication:
 def run_replication(cfg: RunConfig, rng: np.random.Generator,
                     trace_rows: list | None = None) -> ReplicationSummary:
     return _Replication(cfg, rng, trace_rows).run()
-
-
-def write_packet_trace(path, trace_rows: list) -> None:
-    """Dump per-packet breakdown rows as CSV."""
-    import csv as _csv
-
-    if not trace_rows:
-        raise phy.ConfigurationError("empty trace")
-    with open(path, "w", newline="") as fh:
-        writer = _csv.DictWriter(fh, fieldnames=list(trace_rows[0]))
-        writer.writeheader()
-        writer.writerows(trace_rows)
 
 
 # -- aggregation --------------------------------------------------------------------

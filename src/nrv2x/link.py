@@ -6,7 +6,10 @@ HEP (high error protection, MCS/CQI table 3, 1e-5 target BLER).
 
 A distance -> CQI map is a plain tuple of (upper distance bound in metres,
 cqi) pairs; the bounds are strictly increasing and the last one is the cell
-radius.  `linear_cqi_map` builds the default one.
+radius.  The cell, its distance -> CQI map and the RB overhead are
+constants: together they are calibrated against the RB-footprint anchors
+of the evaluated services, and `footprints` is the one per-CQI RB table
+that both the engine and the calibration check read.
 """
 
 from __future__ import annotations
@@ -17,15 +20,16 @@ from dataclasses import dataclass
 
 from .phy import ConfigurationError, load_rows
 
-DEFAULT_CELL_RADIUS_M = 866.0
+#: radius of the cell in metres: the gNB sits at the middle of a road twice as long
+CELL_RADIUS_M = 866.0
 
-#: default resource elements per RB unusable for data (DMRS and other
-#: reference signals); calibration knob for the RB-footprint anchors.
-DEFAULT_OVERHEAD_RE_PER_RB = 12
+#: resource elements per RB unusable for data (DMRS and other reference
+#: signals); calibrated with the edge CQI against the RB-footprint anchors.
+OVERHEAD_RE_PER_RB = 12
 
-#: lowest CQI index the default distance map assigns at the cell edge;
-#: calibration knob paired with the overhead above.
-DEFAULT_EDGE_CQI = 6
+#: CQI index the distance map assigns at the cell edge; calibrated with the
+#: overhead above.
+EDGE_CQI = 6
 
 TARGET_BLER = {"LEP": 0.1, "HEP": 1e-5}
 
@@ -63,22 +67,16 @@ CQI_TABLES = {"LEP": _cqi_table("cqi_table2.csv"), "HEP": _cqi_table("cqi_table3
 _TBS_TABLE = tuple(int(r["tbs_bits"]) for r in load_rows("tbs_table.csv"))
 
 
-def linear_cqi_map(
-    cell_radius_m: float = DEFAULT_CELL_RADIUS_M,
-    edge_cqi: int = DEFAULT_EDGE_CQI,
-) -> tuple[tuple[float, int], ...]:
-    """Equal-width distance bins from CQI 15 at the gNB down to edge_cqi.
+def linear_cqi_map() -> tuple[tuple[float, int], ...]:
+    """Equal-width distance bins from CQI 15 at the gNB down to EDGE_CQI at
+    the cell edge.
 
     With vehicles placed uniformly this makes the CQI uniform over the
-    [edge_cqi, 15] index range; the default edge index together with
-    the RB overhead constant is calibrated against the mean RB-per-packet
-    anchors of the evaluated services.
+    [EDGE_CQI, 15] index range.
     """
     best_cqi = 15
-    if not 1 <= edge_cqi <= best_cqi:
-        raise ConfigurationError(f"edge CQI must satisfy 1 <= edge <= {best_cqi}")
-    steps = best_cqi - edge_cqi + 1
-    width = cell_radius_m / steps
+    steps = best_cqi - EDGE_CQI + 1
+    width = CELL_RADIUS_M / steps
     return tuple((width * (i + 1), best_cqi - i) for i in range(steps))
 
 
@@ -114,7 +112,7 @@ def transport_block_size(
     n_rb: int,
     n_symbols: int,
     layers: int = 2,
-    overhead_re_per_rb: int = DEFAULT_OVERHEAD_RE_PER_RB,
+    overhead_re_per_rb: int = OVERHEAD_RE_PER_RB,
 ) -> int:
     """Payload bits carried by (MCS, RBs, symbols, layers), per TS 38.214 5.1.3.2.
 
@@ -142,44 +140,42 @@ def transport_block_size(
     return 8 * blocks * math.ceil((quantised + 24) / (8 * blocks)) - 24
 
 
-def rbs_for_packet(
-    payload_bits: int,
-    mcs: McsEntry,
-    n_symbols: int,
-    layers: int = 2,
-    overhead_re_per_rb: int = DEFAULT_OVERHEAD_RE_PER_RB,
-    max_rb: int | None = None,
-) -> int:
+def rbs_for_packet(payload_bits: int, mcs: McsEntry, n_symbols: int,
+                   max_rb: int | None = None) -> int:
     """Smallest RB count whose transport block fits the payload."""
     if payload_bits <= 0:
         raise ConfigurationError("payload must be positive")
     hi = max_rb if max_rb is not None else 4096
-    if transport_block_size(mcs, hi, n_symbols, layers, overhead_re_per_rb) < payload_bits:
+    if transport_block_size(mcs, hi, n_symbols) < payload_bits:
         raise AllocationInfeasible(
             f"{payload_bits} bits do not fit in {hi} RBs at MCS {mcs.index}"
         )
     # the TBS never falls as RBs grow, so the first fitting count is a bisection
-    return 1 + bisect_left(
-        range(1, hi), payload_bits,
-        key=lambda n: transport_block_size(mcs, n, n_symbols, layers, overhead_re_per_rb))
+    return 1 + bisect_left(range(1, hi), payload_bits,
+                           key=lambda n: transport_block_size(mcs, n, n_symbols))
 
 
-def mean_rbs_over_cell(
-    mcs_table: str,
-    n_symbols: int,
-    payload_bits: int = 2400,
-    layers: int = 2,
-    overhead_re_per_rb: int = DEFAULT_OVERHEAD_RE_PER_RB,
-    edge_cqi: int = DEFAULT_EDGE_CQI,
-) -> float:
+def footprints(mcs_table: str, n_symbols: int, payload_bits: int,
+               max_rb: int | None = None) -> dict[int, int | None]:
+    """RBs a packet takes at each CQI of the map, in map order; None where
+    it does not fit in `max_rb` RBs."""
+    out: dict[int, int | None] = {}
+    for _, cqi in linear_cqi_map():
+        try:
+            out[cqi] = rbs_for_packet(payload_bits, mcs_from_cqi(cqi, mcs_table), n_symbols,
+                                      max_rb)
+        except AllocationInfeasible:
+            out[cqi] = None
+    return out
+
+
+def mean_rbs_over_cell(mcs_table: str, n_symbols: int, payload_bits: int = 2400) -> float:
     """Expected RBs per packet when vehicle distance is uniform over the cell.
 
-    The default linear map makes the CQI uniform over its index range, so the
-    expectation is an exact average over the map's CQI values.
+    The linear map makes the CQI uniform over its index range, so the
+    expectation is an exact average of the footprint table.
     """
-    counts = [
-        rbs_for_packet(payload_bits, mcs_from_cqi(cqi, mcs_table), n_symbols, layers,
-                       overhead_re_per_rb)
-        for _, cqi in linear_cqi_map(edge_cqi=edge_cqi)
-    ]
+    counts = list(footprints(mcs_table, n_symbols, payload_bits).values())
+    if None in counts:
+        raise AllocationInfeasible(f"{payload_bits} bits do not fit at every CQI")
     return sum(counts) / len(counts)

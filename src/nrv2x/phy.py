@@ -86,6 +86,8 @@ _PROC_TABLE: dict[tuple[int, int], tuple[Fraction, Fraction]] = {
     (int(r["capability"]), int(r["mu"])): (Fraction(r["n1_symbols"]), Fraction(r["n2_symbols"]))
     for r in load_rows("ue_processing.csv")
 }
+#: the UE processing capability the model runs; the table holds both
+UE_CAPABILITY = 2
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """Evaluation world: vehicles on a highway cell and packet generation.
 
-The gNB sits at the midpoint of a road segment of twice the cell radius;
-vehicles are placed uniformly along it and keep their position for the whole
-replication.  Lane offsets are negligible against the cell radius, so the
-distance to the gNB is the longitudinal distance.
+The gNB sits at the midpoint of a road segment of twice the cell radius
+(`link.CELL_RADIUS_M`); vehicles are placed uniformly along it and keep their
+position for the whole replication.  Lane offsets are negligible against the
+cell radius, so the distance to the gNB is the longitudinal distance, and
+its CQI is read off `link.linear_cqi_map`.  The radius is fixed: the map
+scales with it, so a larger cell would only scale the vehicle count, as a
+higher density does.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .link import DEFAULT_CELL_RADIUS_M, cqi_from_distance
+from .link import CELL_RADIUS_M, cqi_from_distance, linear_cqi_map
 from .phy import ConfigurationError, ms_to_ticks
 
 DEFAULT_LANES = 6
@@ -28,21 +31,16 @@ class Vehicle:
     cqi: int
 
 
-def vehicle_count(density_veh_km_lane: float, lanes: int = DEFAULT_LANES,
-                  cell_radius_m: float = DEFAULT_CELL_RADIUS_M) -> int:
-    return round(density_veh_km_lane * lanes * 2 * cell_radius_m / 1000.0)
+def vehicle_count(density_veh_km_lane: float, lanes: int = DEFAULT_LANES) -> int:
+    return round(density_veh_km_lane * lanes * 2 * CELL_RADIUS_M / 1000.0)
 
 
-def place_vehicles(
-    density_veh_km_lane: float,
-    cqi_map: tuple[tuple[float, int], ...],
-    rng: np.random.Generator,
-    lanes: int = DEFAULT_LANES,
-    cell_radius_m: float = DEFAULT_CELL_RADIUS_M,
-) -> list[Vehicle]:
-    n = vehicle_count(density_veh_km_lane, lanes, cell_radius_m)
-    positions = rng.uniform(-cell_radius_m, cell_radius_m, n)
+def place_vehicles(density_veh_km_lane: float, rng: np.random.Generator,
+                   lanes: int = DEFAULT_LANES) -> list[Vehicle]:
+    n = vehicle_count(density_veh_km_lane, lanes)
+    positions = rng.uniform(-CELL_RADIUS_M, CELL_RADIUS_M, n)
     lanes_drawn = rng.integers(1, lanes + 1, n)
+    cqi_map = linear_cqi_map()
     out = []
     for i in range(n):
         distance = abs(float(positions[i]))

@@ -16,11 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nrv2x
-from nrv2x import control, engine, link, phy
+from nrv2x import control, engine, phy
 from nrv2x import scenario as scn
 from nrv2x.engine import (MetricsReport, ReplicationSummary, RunConfig, aggregate,
                           check_requirement, percentile_with_drops, relative_error,
-                          run, run_replication, write_packet_trace)
+                          run, run_replication)
 from helpers import make_context, replicate
 
 GOLDEN = Path(__file__).parent / "data" / "golden_reports.json"
@@ -189,17 +189,6 @@ def test_unallocatable_reported_not_clamped():
         assert s.n_dropped >= s.n_unallocatable
 
 
-def test_packet_trace_csv(tmp_path):
-    trace = []
-    cfg = RunConfig(density_veh_km_lane=10, **FAST)
-    run_replication(cfg, np.random.default_rng(2), trace_rows=trace)
-    path = tmp_path / "trace.csv"
-    write_packet_trace(path, trace)
-    text = path.read_text().splitlines()
-    assert text[0].startswith("vehicle,")
-    assert len(text) == len(trace) + 1
-
-
 def test_unicast_dl_not_faster_than_broadcast():
     bc = small_run(dl_cast="broadcast", density_veh_km_lane=40, seed=6)
     uc = small_run(dl_cast="unicast", unicast_m=4, density_veh_km_lane=40, seed=6)
@@ -288,6 +277,23 @@ def test_replications_replay_exactly():
     whole.pop("runtime_s")
     assert _bits(replay) == _bits(whole)
 
+
+def test_single_replication_run():
+    """A run capped at one replication reports it with an infinite relative
+    error, the aggregate of replication 0 replayed on its own."""
+    cfg = RunConfig(density_veh_km_lane=20, seed=9, **{**FAST, "min_replications": 1,
+                                                       "max_replications": 1})
+    whole = asdict(run(cfg))
+    assert whole["n_replications"] == 1
+    assert whole["ci_relative_error"] == math.inf
+    seed = np.random.SeedSequence(cfg.seed).spawn(1)[0]
+    rep = run_replication(cfg, np.random.default_rng(seed))
+    replay = asdict(aggregate(cfg, [rep], 0.0, math.inf))
+    replay.pop("runtime_s")
+    whole.pop("runtime_s")
+    assert _bits(replay) == _bits(whole)
+
+
 def test_overload_replication_pinned():
     """One short replication of the congested 60 kHz mini7 point (the
     criterion 8a configuration): counts and latency sum are pinned bit for
@@ -357,19 +363,15 @@ def test_harq_group_size_acts_only_on_broadcast_harq(point, acts):
     dict(scs_khz=45),
     dict(bandwidth_mhz=7),
     dict(control_variant="conf9"),
-    dict(layers=3),
     dict(packet_bytes=0),
-    dict(edge_cqi=0),
     dict(min_replications=0, max_replications=0),
     dict(dl_cast="unicast", unicast_m=20, density_veh_km_lane=1.0),
     dict(lanes=-1),
-    dict(cell_radius_m=-10.0),
     dict(seed=-1),
     dict(warmup_ms=100.2, horizon_ms=100.4),
     dict(warmup_ms=-1.0),
     dict(density_veh_km_lane=math.nan),
     dict(lanes=1.5),
-    dict(layers=2.0),
     dict(packet_bytes=300.5),
     dict(seed=True),
     dict(retransmission="k_repetitions", k=2.0),
@@ -380,20 +382,18 @@ def test_harq_group_size_acts_only_on_broadcast_harq(point, acts):
     dict(relative_error_target=math.nan),
     dict(interval_ms=True),
     dict(density_veh_km_lane=True),
-    dict(cell_radius_m=False),
     dict(horizon_ms="600"),
     dict(max_replications=1001),
 ], ids=["negative_density", "warmup_equals_horizon", "warmup_past_horizon",
         "min_above_max_replications", "zero_density", "density_rounding_to_no_vehicle",
         "unknown_retransmission", "bad_repetition_count", "unknown_traffic",
         "unsupported_scs", "unsupported_bandwidth", "unknown_control_variant",
-        "three_layers", "empty_packet", "edge_cqi_zero", "no_replications",
-        "more_receivers_than_vehicles", "negative_lanes", "negative_radius",
-        "negative_seed", "no_whole_slot_after_warmup", "negative_warmup", "nan_density",
-        "fractional_lanes", "float_layers", "fractional_packet", "bool_seed",
-        "float_repetition_count", "float_scs", "string_retx_count", "zero_error_target",
-        "negative_error_target", "nan_error_target", "bool_interval", "bool_density",
-        "bool_radius", "string_horizon", "replications_past_t_table"])
+        "empty_packet", "no_replications", "more_receivers_than_vehicles",
+        "negative_lanes", "negative_seed", "no_whole_slot_after_warmup",
+        "negative_warmup", "nan_density", "fractional_lanes", "fractional_packet",
+        "bool_seed", "float_repetition_count", "float_scs", "string_retx_count",
+        "zero_error_target", "negative_error_target", "nan_error_target",
+        "bool_interval", "bool_density", "string_horizon", "replications_past_t_table"])
 def test_run_config_rejects_bad_values(fields):
     with pytest.raises(phy.ConfigurationError):
         RunConfig(**fields)
@@ -402,8 +402,8 @@ def test_run_config_rejects_bad_values(fields):
 # A small value domain per field: plausible values, which still combine into
 # invalid configurations (too many unicast receivers, HARQ without a
 # retransmission, fewer replications than the minimum), and values invalid
-# on their own, including those that used to fail only inside a run.  Radii
-# reach past the 866 m default.  Worlds stay small: 2 lanes, 100 ms.
+# on their own, including those that used to fail only inside a run.
+# Worlds stay small: 2 lanes, 100 ms.
 _PLAUSIBLE = dict(
     scs_khz=[15, 30, 60],
     bandwidth_mhz=[10, 20],
@@ -421,12 +421,7 @@ _PLAUSIBLE = dict(
     interval_ms=[5.0, 20.0],
     density_veh_km_lane=[1.0, 10.0],
     packet_bytes=[1, 300, 20_000],
-    layers=[1, 2],
-    ue_capability=[1, 2],
-    cell_radius_m=[100.0, 866.0, 1000.0, 1500.0],
     lanes=[1, 2],
-    overhead_re_per_rb=[0, 12, 200],
-    edge_cqi=[1, 6, 15],
     horizon_ms=[50.0, 100.0],
     warmup_ms=[0.0, 20.0],
     seed=[0, 7],
@@ -438,9 +433,8 @@ _INVALID = dict(
     scs_khz=[45], bandwidth_mhz=[7], scheduling=["bogus"], retransmission=["bogus"],
     k=[3], slot_type=["mini2"], control_variant=["conf9"], harq_group_size=[0],
     traffic=["bursty"], interval_ms=[0.0, -5.0, 0.0001],
-    density_veh_km_lane=[-1.0, 0.0, 0.1, math.nan], packet_bytes=[0], layers=[0, 3],
-    ue_capability=[0], cell_radius_m=[-10.0, 0.0, math.inf], lanes=[-1, 0],
-    edge_cqi=[0, 16], horizon_ms=[0.0, 0.3], warmup_ms=[-1.0, 60.0], seed=[-1],
+    density_veh_km_lane=[-1.0, 0.0, 0.1, math.nan], packet_bytes=[0], lanes=[-1, 0],
+    horizon_ms=[0.0, 0.3], warmup_ms=[-1.0, 60.0], seed=[-1],
     max_replications=[0, 1001],
 )
 
@@ -462,6 +456,7 @@ def test_key_ignores_the_seed_and_the_spelling_of_a_float():
         key)
     assert RunConfig(seed=7).key() == key
     assert RunConfig(density_veh_km_lane=10).key() == RunConfig(density_veh_km_lane=10.0).key()
+    assert type(RunConfig(interval_ms=20).interval_ms) is float
     assert RunConfig(horizon_ms=500).key() != key != RunConfig(packet_bytes=1000).key()
 
 
@@ -790,9 +785,7 @@ def test_scalar_draws_continue_the_vector_stream(seed):
                         density_veh_km_lane=10, horizon_ms=300.0, warmup_ms=100.0)
         rng, world = np.random.default_rng(seed), np.random.default_rng(seed)
         rep = engine._Replication(cfg, rng)
-        cqi_map = link.linear_cqi_map(cfg.cell_radius_m, edge_cqi=cfg.edge_cqi)
-        for _ in scn.place_vehicles(cfg.density_veh_km_lane, cqi_map, world, cfg.lanes,
-                                    cfg.cell_radius_m):
+        for _ in scn.place_vehicles(cfg.density_veh_km_lane, world, cfg.lanes):
             scn.generate_arrivals(cfg.traffic, cfg.interval_ms, cfg.horizon_ms, world)
         assert rng.bit_generator.state == world.bit_generator.state
         # a copy fails often enough for both outcomes to occur at every k

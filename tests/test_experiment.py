@@ -77,20 +77,20 @@ def test_invalid_combinations_rejected():
 def test_invalid_point_rejects_the_sweep_before_any_row(tmp_path, workers, capsys):
     """One invalid point stops a sweep before any point runs, serial or
     parallel: no row, no sidecar, and the CLI exits 2."""
-    doc = {"base": dict(FAST_BASE), "axes": {"layers": [2, 3]}, "workers": workers}
-    with pytest.raises(ConfigurationError, match="layers"):
+    doc = {"base": dict(FAST_BASE), "axes": {"scs_khz": [30, 45]}, "workers": workers}
+    with pytest.raises(ConfigurationError, match="subcarrier spacing"):
         run_sweep(spec_from_mapping(doc), tmp_path / "api")
     assert not (tmp_path / "api").exists()
     out = tmp_path / "cli"
     assert cli.main(["sweep", "--spec", str(write_spec(tmp_path, doc)),
                      "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: layers")
+    assert capsys.readouterr().err.startswith("error: unsupported subcarrier spacing")
     assert not out.exists()
 
 
 @pytest.mark.parametrize("axis", [{"density_veh_km_lane": [10, 10.0]},
                                   {"interval_ms": [100, 100.0]},
-                                  {"cell_radius_m": [866, 866.0]},
+                                  {"packet_bytes": [300, 300.0]},
                                   {"seed": [1, 2]}])
 def test_points_sharing_a_key_reject_the_sweep(tmp_path, axis, capsys):
     """Two points with one configuration key, here one configuration spelled
@@ -523,3 +523,22 @@ def test_figure_series_split_by_every_varying_field(tmp_path):
     for path in written:
         with open(path, newline="") as fh:
             assert [r[0] for r in list(csv.reader(fh))[1:]] == ["10", "20"]
+
+
+def test_a_float_field_has_one_serialization(tmp_path):
+    """A float field given integers through the Python API holds the floats
+    a sweep file gives it: both sweeps write the same lines, runtime aside,
+    and both figures print the x values as floats."""
+    axes = {"density_veh_km_lane": [10, 20]}
+    tables = [run_sweep(ExperimentSpec(base=dict(FAST_BASE), axes=axes), tmp_path / "api"),
+              run_sweep(parse_spec(write_spec(tmp_path, {"base": FAST_BASE, "axes": axes})),
+                        tmp_path / "yaml")]
+    lines = []
+    for table in tables:
+        rows = [json.loads(line) for line in table.read_text().splitlines()]
+        lines.append([json.dumps({k: v for k, v in r.items() if k != "runtime_s"})
+                      for r in rows])
+        [path] = emit_figure_data(table, "fig4", table.parent / "series")
+        with open(path, newline="") as fh:
+            assert [r[0] for r in list(csv.reader(fh))[1:]] == ["10.0", "20.0"]
+    assert lines[0] == lines[1]

@@ -82,7 +82,7 @@ def test_mcs_from_cqi_endpoints():
 def test_cqi_from_distance_monotone():
     cqi_map = link.linear_cqi_map()
     assert link.cqi_from_distance(0.0, cqi_map) == 15
-    assert link.cqi_from_distance(866.0, cqi_map) == link.DEFAULT_EDGE_CQI
+    assert link.cqi_from_distance(866.0, cqi_map) == link.EDGE_CQI
     cqis = [link.cqi_from_distance(d, cqi_map) for d in range(0, 867, 10)]
     assert all(a >= b for a, b in zip(cqis, cqis[1:]))
     with pytest.raises(ConfigurationError):
@@ -179,7 +179,7 @@ def test_rbs_for_packet_footprint_ordering():
 def test_rbs_for_packet_infeasible():
     tiny = link.MCS_TABLES["HEP"][0]
     with pytest.raises(link.AllocationInfeasible):
-        link.rbs_for_packet(2400, tiny, 2, 1, 12, max_rb=11)
+        link.rbs_for_packet(4800, tiny, 2, max_rb=11)
 
 
 def test_mean_rb_anchor_calibration():

@@ -14,7 +14,7 @@ def test_vehicle_counts_from_density():
 
 def test_placement_uniform_and_within_cell():
     rng = np.random.default_rng(1)
-    vehicles = scn.place_vehicles(80, link.linear_cqi_map(), rng)
+    vehicles = scn.place_vehicles(80, rng)
     assert len(vehicles) == 831
     pos = np.array([v.position_m for v in vehicles])
     assert (np.abs(pos) <= 866.0).all()
@@ -56,7 +56,7 @@ def test_per_vehicle_phases_differ():
 
 def test_nearest_neighbours_match_bruteforce():
     rng = np.random.default_rng(5)
-    vehicles = scn.place_vehicles(10, link.linear_cqi_map(), rng)
+    vehicles = scn.place_vehicles(10, rng)
     m = 4
     fast = scn.nearest_neighbours(vehicles, m)
     for v in vehicles:
@@ -84,16 +84,23 @@ def test_traffic_model_validation():
     assert RunConfig(interval_ms=1 / phy.TICKS_PER_MS).interval_ms > 0
 
 
-@pytest.mark.parametrize("radius", [500.0, 1000.0])
-def test_cqi_map_spans_the_configured_cell(radius):
-    """The distance -> CQI map covers the configured cell radius: vehicles
-    anywhere in the cell get a CQI, and the edge CQI is reached at its edge."""
-    cfg = RunConfig(cell_radius_m=radius, horizon_ms=300.0, warmup_ms=100.0)
+@pytest.mark.parametrize("distance_m, cqi", [(500.0, 10), (1000.0, None)],
+                         ids=["500.0", "1000.0"])
+def test_cqi_map_spans_the_configured_cell(distance_m, cqi):
+    """The distance -> CQI map covers the 866 m cell and no more: vehicles
+    anywhere in the cell get a CQI, the edge CQI is reached at its edge, and a
+    distance past the edge is refused rather than given a CQI."""
+    cfg = RunConfig(horizon_ms=300.0, warmup_ms=100.0)
     rep = engine._Replication(cfg, np.random.default_rng(6))
-    assert max(v.distance_m for v in rep.vehicles) <= radius
-    assert {v.cqi for v in rep.vehicles} == set(range(link.DEFAULT_EDGE_CQI, 16))
-    assert link.linear_cqi_map(radius)[-1] == (
-        pytest.approx(radius), link.DEFAULT_EDGE_CQI)
+    assert max(v.distance_m for v in rep.vehicles) <= link.CELL_RADIUS_M
+    assert {v.cqi for v in rep.vehicles} == set(range(link.EDGE_CQI, 16))
+    cqi_map = link.linear_cqi_map()
+    assert cqi_map[-1] == (pytest.approx(link.CELL_RADIUS_M), link.EDGE_CQI)
+    if cqi is None:
+        with pytest.raises(phy.ConfigurationError):
+            link.cqi_from_distance(distance_m, cqi_map)
+    else:
+        assert link.cqi_from_distance(distance_m, cqi_map) == cqi
     run_replication(cfg, np.random.default_rng(6))
 
 
