@@ -127,8 +127,9 @@ class RunConfig:
     The one configuration record.  Construction checks every value and
     every combination a replication depends on, so a configuration that
     constructs also runs.  A float field holds a float, whatever number it
-    was given.  The cell, its CQI map, the RB overhead, the MIMO layers and
-    the UE capability are constants of `link` and `phy`, not fields.
+    was given.  The cell, its CQI map and lane count, the RB overhead, the
+    MIMO layers and the UE capability are constants of `link`, `scenario`
+    and `phy`, not fields.
     """
 
     scs_khz: int = 30
@@ -147,7 +148,6 @@ class RunConfig:
     interval_ms: float = 100.0           # period, or average gap
     density_veh_km_lane: float = 10.0
     packet_bytes: int = 300
-    lanes: int = scn.DEFAULT_LANES
     horizon_ms: float = 10_000.0
     warmup_ms: float = 200.0
     seed: int = 0
@@ -176,7 +176,7 @@ class RunConfig:
         num = phy.numerology(self.scs_khz)
         phy.total_rbs(self.bandwidth_mhz, self.scs_khz)
         phy.control_config(self.control_variant)
-        n_ue = scn.vehicle_count(self.density_veh_km_lane, self.lanes)
+        n_ue = scn.vehicle_count(self.density_veh_km_lane)
         slot = num.slot_ticks
         for ok, message in (
             (self.retransmission != "k_repetitions" or self.k in REPETITION_COUNTS,
@@ -185,7 +185,6 @@ class RunConfig:
              "harq needs at least one retransmission"),
             (self.harq_group_size >= 1, "harq group size must be positive"),
             (self.packet_bytes >= 1, "packet size must be positive"),
-            (self.lanes >= 1, "a road needs at least one lane"),
             (self.density_veh_km_lane >= 0, "density must be non-negative"),
             (n_ue >= 1, f"density {self.density_veh_km_lane:g} veh/km/lane places "
                         "no vehicle in the cell"),
@@ -317,7 +316,7 @@ class _Replication:
         control = phy.control_config(cfg.control_variant)
         n_rb_total = phy.total_rbs(cfg.bandwidth_mhz, cfg.scs_khz)
 
-        self.vehicles = scn.place_vehicles(cfg.density_veh_km_lane, rng, cfg.lanes)
+        self.vehicles = scn.place_vehicles(cfg.density_veh_km_lane, rng)
         n_ue = len(self.vehicles)
         self.ctx = ctx = RadioContext(num, proc, control, n_ue, rng)
 

@@ -1,12 +1,13 @@
 """Evaluation world: vehicles on a highway cell and packet generation.
 
 The gNB sits at the midpoint of a road segment of twice the cell radius
-(`link.CELL_RADIUS_M`); vehicles are placed uniformly along it and keep their
-position for the whole replication.  Lane offsets are negligible against the
-cell radius, so the distance to the gNB is the longitudinal distance, and
-its CQI is read off `link.linear_cqi_map`.  The radius is fixed: the map
-scales with it, so a larger cell would only scale the vehicle count, as a
-higher density does.
+(`link.CELL_RADIUS_M`), `LANES` lanes wide; vehicles are placed uniformly
+along it and keep their position for the whole replication.  A world is
+the vehicles' positions, then their arrival streams.  Lane offsets are
+negligible against the cell radius, so no lane is drawn: the distance to
+the gNB is the longitudinal distance, and its CQI is read off
+`link.linear_cqi_map`.  The radius and the lane count are fixed: each
+would only scale the vehicle count, as a higher density does.
 """
 
 from __future__ import annotations
@@ -19,36 +20,25 @@ import numpy as np
 from .link import CELL_RADIUS_M, cqi_from_distance, linear_cqi_map
 from .phy import ConfigurationError, ms_to_ticks
 
-DEFAULT_LANES = 6
+LANES = 6
 
 
 @dataclass(frozen=True)
 class Vehicle:
     id: int
-    lane: int
     position_m: float      # signed along the road, gNB at 0
-    distance_m: float
     cqi: int
 
 
-def vehicle_count(density_veh_km_lane: float, lanes: int = DEFAULT_LANES) -> int:
-    return round(density_veh_km_lane * lanes * 2 * CELL_RADIUS_M / 1000.0)
+def vehicle_count(density_veh_km_lane: float) -> int:
+    return round(density_veh_km_lane * LANES * 2 * CELL_RADIUS_M / 1000.0)
 
 
-def place_vehicles(density_veh_km_lane: float, rng: np.random.Generator,
-                   lanes: int = DEFAULT_LANES) -> list[Vehicle]:
-    n = vehicle_count(density_veh_km_lane, lanes)
-    positions = rng.uniform(-CELL_RADIUS_M, CELL_RADIUS_M, n)
-    lanes_drawn = rng.integers(1, lanes + 1, n)
+def place_vehicles(density_veh_km_lane: float, rng: np.random.Generator) -> list[Vehicle]:
+    positions = rng.uniform(-CELL_RADIUS_M, CELL_RADIUS_M, vehicle_count(density_veh_km_lane))
     cqi_map = linear_cqi_map()
-    out = []
-    for i in range(n):
-        distance = abs(float(positions[i]))
-        out.append(
-            Vehicle(i, int(lanes_drawn[i]), float(positions[i]), distance,
-                    cqi_from_distance(distance, cqi_map))
-        )
-    return out
+    return [Vehicle(i, x, cqi_from_distance(abs(x), cqi_map))
+            for i, x in enumerate(positions.tolist())]
 
 
 def nearest_neighbours(vehicles: list[Vehicle], m: int) -> list[tuple[int, ...]]:

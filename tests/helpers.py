@@ -28,9 +28,10 @@ def make_slot_grid(scs=30, direction="UL", slot_type="full", bw=20, control_vari
                     engine.SLOT_SYMBOLS[slot_type])
 
 
-# A world of one vehicle (one lane, 1.04 vehicles rounded to 1) sending a
-# packet every 100 ms: every hop meets otherwise empty grids and queues.
-ONE_VEHICLE = dict(lanes=1, density_veh_km_lane=0.6, interval_ms=100.0,
+# A world of one vehicle (0.1 veh/km/lane on the cell's six lanes: 1.04
+# vehicles, rounded to 1) sending a packet every 100 ms: every hop meets
+# otherwise empty grids and queues.
+ONE_VEHICLE = dict(density_veh_km_lane=0.1, interval_ms=100.0,
                    horizon_ms=1000.0, warmup_ms=100.0)
 
 

@@ -21,7 +21,7 @@ from nrv2x import scenario as scn
 from nrv2x.engine import (MetricsReport, ReplicationSummary, RunConfig, aggregate,
                           check_requirement, percentile_with_drops, relative_error,
                           run, run_replication)
-from helpers import make_context, replicate
+from helpers import ONE_VEHICLE, make_context, replicate, rows_by_packet, ticks
 
 GOLDEN = Path(__file__).parent / "data" / "golden_reports.json"
 GOLDEN_TRACES = Path(__file__).parent / "data" / "golden_trace_digests.json"
@@ -223,9 +223,9 @@ def test_forced_uplink_retransmissions_starve():
                     warmup_ms=50.0)
     rep, rows = replicate(cfg, ok=lambda leg: leg.hop.direction == "DL" or leg.attempts > n)
     s = rep.summary
-    assert (s.n_delivered, s.n_dropped, s.n_failed) == (172, 16417, 31)
+    assert (s.n_delivered, s.n_dropped, s.n_failed) == (158, 16433, 29)
     starved = [r for r in rows if r["detail"] == "retx_starved"]
-    assert len(starved) == 31
+    assert len(starved) == 29
     assert all(r["leg"] == 0 and r["disposition"] == "delivery_failed"
                and 2 <= r["attempts"] <= n + 1 for r in starved)
 
@@ -301,8 +301,8 @@ def test_overload_replication_pinned():
     cfg = RunConfig(scs_khz=60, slot_type="mini7", interval_ms=20.0,
                     density_veh_km_lane=60, horizon_ms=100.0, warmup_ms=40.0, seed=1)
     s = run_replication(cfg, np.random.default_rng(cfg.seed))
-    assert (s.n_generated, s.n_delivered, s.n_dropped, s.n_failed) == (1872, 1344, 528, 0)
-    assert float(s.total_ms.sum()) == 27186.175595238095
+    assert (s.n_generated, s.n_delivered, s.n_dropped, s.n_failed) == (1872, 1364, 508, 0)
+    assert float(s.total_ms.sum()) == 27504.223214285717
 
 
 @pytest.mark.parametrize("point", [
@@ -350,6 +350,101 @@ def test_harq_group_size_acts_only_on_broadcast_harq(point, acts):
     assert (rows[0] != rows[1]) == acts
 
 
+# -- exact relations and the zero-load closed form ------------------------------------
+#
+# What follows holds whatever the world draw: relations between runs that
+# share a world, and a whole packet's latency derived from `phy`'s tables
+# alone.  Unlike the golden rows, these survive a declared re-draw.
+
+_PACKET_FIELDS = ("disposition", "detail")     # the packet's, not the leg's
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_uplink_legs_ignore_the_downlink_cast(seed):
+    """Semi-static scheduling, LEP and no retransmission: the uplink neither
+    reads downlink state nor draws from the stream, so every uplink leg is
+    bitwise the same whether the packet is broadcast or unicast to one or
+    to three receivers.  The mini7 uplink is loaded enough for legs to wait
+    for resources, and unicast to three receivers drops packets downlink;
+    only the packet's outcome, not its uplink leg, may differ."""
+    uplinks = []
+    for cast in ({}, dict(dl_cast="unicast", unicast_m=1), dict(dl_cast="unicast", unicast_m=3)):
+        cfg = RunConfig(slot_type="mini7", density_veh_km_lane=40, interval_ms=20.0,
+                        horizon_ms=200.0, warmup_ms=100.0, **cast)
+        _, rows = replicate(cfg, seed=seed)
+        legs = [r for r in rows if r["leg"] == 0]
+        assert len(legs) > 1000 and any(r["wait_ms"] > 0 for r in legs)
+        uplinks.append({(r["vehicle"], r["gen_ms"]): _bits(
+            {k: v for k, v in r.items() if k not in _PACKET_FIELDS}) for r in legs})
+    assert uplinks[0] == uplinks[1] == uplinks[2]
+
+
+@pytest.mark.parametrize("load", [
+    ONE_VEHICLE,
+    dict(density_veh_km_lane=2, interval_ms=100.0, horizon_ms=1000.0, warmup_ms=100.0),
+    dict(density_veh_km_lane=10, interval_ms=20.0, horizon_ms=300.0, warmup_ms=100.0),
+], ids=["one_vehicle", "2_per_100ms", "10_per_20ms"])
+def test_latency_without_waits_ignores_the_bandwidth(load):
+    """When no packet waits for free resources, bandwidth only sets how many
+    RBs lie idle: the delivered latencies are bitwise equal at 10, 20 and
+    40 MHz."""
+    totals = []
+    for bw in (10, 20, 40):
+        rep, rows = replicate(RunConfig(bandwidth_mhz=bw, **load), seed=7)
+        assert rows and all(r["wait_ms"] == 0 for r in rows)
+        totals.append(rep.summary.total_ms)
+    assert totals[0].size >= 8
+    assert totals[0].tobytes() == totals[1].tobytes() == totals[2].tobytes()
+
+
+def _zero_load_decoded(num, proc, control, direction, n_symbols, ready):
+    """Decode tick of a transport block prepared at `ready` on an empty grid:
+    alignment to the first burst start at or after `ready` in the
+    direction's data region, the burst, then the receiver's half."""
+    region = phy.data_region(num, direction, control)
+    n = len(region) if n_symbols is None else n_symbols
+    slot = ready // num.slot_ticks
+    start = min(tick for s in (slot, slot + 1)
+                for sym in range(region.start, region.stop - n + 1)
+                if (tick := s * num.slot_ticks + sym * num.symbol_ticks) >= ready)
+    return start + n * num.symbol_ticks + proc.decode_half
+
+
+def zero_load_legs(scs, slot_type, control_variant, gen):
+    """(uplink, downlink) latency in ticks of a packet generated at `gen` on
+    idle grids under semi-static scheduling, from `phy`'s tables only.
+
+    Each leg is the sender's preparation half, alignment, airtime and the
+    receiver's decoding half.  The downlink leg is created at the first slot
+    boundary after the uplink is decoded and prepared at the gNB, less that
+    preparation half, which overlaps the hand-over gap."""
+    num = phy.numerology(scs)
+    proc = phy.processing_times(num.mu, phy.UE_CAPABILITY)
+    control = phy.control_config(control_variant)
+    n_symbols = {"full": None, "mini7": 7, "mini4": 4}[slot_type]
+    ul_done = _zero_load_decoded(num, proc, control, "UL", n_symbols, gen + proc.prepare_half)
+    boundary = -(-(ul_done + proc.prepare_half) // num.slot_ticks) * num.slot_ticks
+    dl_done = _zero_load_decoded(num, proc, control, "DL", n_symbols, boundary)
+    return ul_done - gen, dl_done - (boundary - proc.prepare_half)
+
+
+@pytest.mark.parametrize("control_variant", ["conf1", "conf2", "conf3"])
+@pytest.mark.parametrize("slot_type", ["full", "mini7", "mini4"])
+@pytest.mark.parametrize("scs", [15, 30, 60])
+def test_lone_vehicle_matches_the_zero_load_closed_form(scs, slot_type, control_variant):
+    """Every packet of a lone vehicle, semi-static broadcast, has the
+    closed-form zero-load latency on each leg, tick for tick."""
+    cfg = RunConfig(scs_khz=scs, slot_type=slot_type, control_variant=control_variant,
+                    **ONE_VEHICLE)
+    for seed in range(3):
+        rep, rows = replicate(cfg, seed=seed)
+        packets = rows_by_packet(rows)
+        assert len(packets) >= 8 and rep.summary.n_delivered == len(packets)
+        for (_, gen_ms), legs in packets.items():
+            want = zero_load_legs(scs, slot_type, control_variant, ticks(gen_ms))
+            assert tuple(ticks(leg["total_ms"]) for leg in legs) == want, gen_ms
+
+
 @pytest.mark.parametrize("fields", [
     dict(density_veh_km_lane=-1.0),
     dict(warmup_ms=600.0, horizon_ms=600.0),
@@ -366,12 +461,10 @@ def test_harq_group_size_acts_only_on_broadcast_harq(point, acts):
     dict(packet_bytes=0),
     dict(min_replications=0, max_replications=0),
     dict(dl_cast="unicast", unicast_m=20, density_veh_km_lane=1.0),
-    dict(lanes=-1),
     dict(seed=-1),
     dict(warmup_ms=100.2, horizon_ms=100.4),
     dict(warmup_ms=-1.0),
     dict(density_veh_km_lane=math.nan),
-    dict(lanes=1.5),
     dict(packet_bytes=300.5),
     dict(seed=True),
     dict(retransmission="k_repetitions", k=2.0),
@@ -389,8 +482,8 @@ def test_harq_group_size_acts_only_on_broadcast_harq(point, acts):
         "unknown_retransmission", "bad_repetition_count", "unknown_traffic",
         "unsupported_scs", "unsupported_bandwidth", "unknown_control_variant",
         "empty_packet", "no_replications", "more_receivers_than_vehicles",
-        "negative_lanes", "negative_seed", "no_whole_slot_after_warmup",
-        "negative_warmup", "nan_density", "fractional_lanes", "fractional_packet",
+        "negative_seed", "no_whole_slot_after_warmup", "negative_warmup",
+        "nan_density", "fractional_packet",
         "bool_seed", "float_repetition_count", "float_scs", "string_retx_count",
         "zero_error_target", "negative_error_target", "nan_error_target",
         "bool_interval", "bool_density", "string_horizon", "replications_past_t_table"])
@@ -403,7 +496,7 @@ def test_run_config_rejects_bad_values(fields):
 # invalid configurations (too many unicast receivers, HARQ without a
 # retransmission, fewer replications than the minimum), and values invalid
 # on their own, including those that used to fail only inside a run.
-# Worlds stay small: 2 lanes, 100 ms.
+# Worlds stay small: at most 3 veh/km/lane (31 vehicles), 100 ms.
 _PLAUSIBLE = dict(
     scs_khz=[15, 30, 60],
     bandwidth_mhz=[10, 20],
@@ -419,9 +512,8 @@ _PLAUSIBLE = dict(
     harq_group_size=[1, 3],
     traffic=["periodic", "aperiodic"],
     interval_ms=[5.0, 20.0],
-    density_veh_km_lane=[1.0, 10.0],
+    density_veh_km_lane=[0.3, 3.0],
     packet_bytes=[1, 300, 20_000],
-    lanes=[1, 2],
     horizon_ms=[50.0, 100.0],
     warmup_ms=[0.0, 20.0],
     seed=[0, 7],
@@ -433,7 +525,7 @@ _INVALID = dict(
     scs_khz=[45], bandwidth_mhz=[7], scheduling=["bogus"], retransmission=["bogus"],
     k=[3], slot_type=["mini2"], control_variant=["conf9"], harq_group_size=[0],
     traffic=["bursty"], interval_ms=[0.0, -5.0, 0.0001],
-    density_veh_km_lane=[-1.0, 0.0, 0.1, math.nan], packet_bytes=[0], lanes=[-1, 0],
+    density_veh_km_lane=[-1.0, 0.0, 0.01, math.nan], packet_bytes=[0],
     horizon_ms=[0.0, 0.3], warmup_ms=[-1.0, 60.0], seed=[-1],
     max_replications=[0, 1001],
 )
@@ -715,7 +807,7 @@ def test_arrival_stream_is_sorted_by_tick_vehicle_index(monkeypatch):
         return np.array(drawn[-1])
 
     monkeypatch.setattr(engine.scn, "generate_arrivals", recording)
-    cfg = RunConfig(lanes=1, density_veh_km_lane=2, traffic="aperiodic", interval_ms=0.002,
+    cfg = RunConfig(density_veh_km_lane=0.3, traffic="aperiodic", interval_ms=0.002,
                     horizon_ms=2.0, warmup_ms=0.0)
     rep = engine._Replication(cfg, np.random.default_rng(5))
     horizon = phy.ms_to_ticks(cfg.horizon_ms)
@@ -753,16 +845,6 @@ def test_arrival_runs_before_heap_events_of_its_tick():
     assert all(k == sorted(k) for k in shared)   # "arrival" < "data"
 
 
-if __name__ == "__main__":
-    # Rewrite the golden reports from the current engine.  Only a change
-    # that declares a model change may do this.
-    cases = _golden_cases()
-    for case in cases:
-        case["report"] = asdict(run(RunConfig(**case["config"])))
-        case["report"].pop("runtime_s")
-    GOLDEN.write_text(json.dumps(cases, indent=1))
-
-
 @pytest.mark.parametrize("seed", [0, 1, 31, 2024, 2**40 + 7])
 def test_scalar_draws_continue_the_vector_stream(seed):
     """n scalar `random()` calls give the n values of one `random(n)` call
@@ -785,7 +867,7 @@ def test_scalar_draws_continue_the_vector_stream(seed):
                         density_veh_km_lane=10, horizon_ms=300.0, warmup_ms=100.0)
         rng, world = np.random.default_rng(seed), np.random.default_rng(seed)
         rep = engine._Replication(cfg, rng)
-        for _ in scn.place_vehicles(cfg.density_veh_km_lane, world, cfg.lanes):
+        for _ in scn.place_vehicles(cfg.density_veh_km_lane, world):
             scn.generate_arrivals(cfg.traffic, cfg.interval_ms, cfg.horizon_ms, world)
         assert rng.bit_generator.state == world.bit_generator.state
         # a copy fails often enough for both outcomes to occur at every k
@@ -793,3 +875,19 @@ def test_scalar_draws_continue_the_vector_stream(seed):
         outcomes = [rep._attempt_ok(None) for _ in range(200)]
         assert outcomes == [bool((world.random(k) < bler).sum() < k) for _ in range(200)]
         assert 0 < sum(outcomes) < 200
+
+
+if __name__ == "__main__":
+    # Rewrite the golden reports and trace digests from the current engine,
+    # both keyed by the current configuration keys:
+    #   PYTHONPATH=src python tests/test_engine.py
+    # Only a change that declares a model change may do this.
+    cases = _golden_cases()
+    digests = {}
+    for case in cases:
+        cfg = RunConfig(**case["config"])
+        case["report"] = asdict(run(cfg))
+        case["report"].pop("runtime_s")
+        digests[case["report"]["config_key"]] = trace_digest(cfg, case["report"]["n_replications"])
+    GOLDEN.write_text(json.dumps(cases, indent=1))
+    GOLDEN_TRACES.write_text(json.dumps(digests, indent=1) + "\n")

@@ -18,13 +18,11 @@ def test_placement_uniform_and_within_cell():
     assert len(vehicles) == 831
     pos = np.array([v.position_m for v in vehicles])
     assert (np.abs(pos) <= 866.0).all()
-    assert all(v.distance_m == abs(v.position_m) for v in vehicles)
-    assert all(1 <= v.lane <= 6 for v in vehicles)
     # uniformity over the covered segment at desk scale
     _, p = sps.kstest((pos + 866) / 1732, "uniform")
     assert p > 1e-3
     # nearer vehicles never report worse channel quality
-    by_distance = sorted(vehicles, key=lambda v: v.distance_m)
+    by_distance = sorted(vehicles, key=lambda v: abs(v.position_m))
     cqis = [v.cqi for v in by_distance]
     assert all(a >= b for a, b in zip(cqis, cqis[1:]))
 
@@ -92,7 +90,7 @@ def test_cqi_map_spans_the_configured_cell(distance_m, cqi):
     distance past the edge is refused rather than given a CQI."""
     cfg = RunConfig(horizon_ms=300.0, warmup_ms=100.0)
     rep = engine._Replication(cfg, np.random.default_rng(6))
-    assert max(v.distance_m for v in rep.vehicles) <= link.CELL_RADIUS_M
+    assert max(abs(v.position_m) for v in rep.vehicles) <= link.CELL_RADIUS_M
     assert {v.cqi for v in rep.vehicles} == set(range(link.EDGE_CQI, 16))
     cqi_map = link.linear_cqi_map()
     assert cqi_map[-1] == (pytest.approx(link.CELL_RADIUS_M), link.EDGE_CQI)
@@ -125,7 +123,7 @@ def test_world_is_common_to_configurations_that_share_the_scenario(change):
         rngs = [np.random.default_rng(seed) for _ in range(2)]
         reps = [engine._Replication(RunConfig(**fields), rng)
                 for fields, rng in zip((base, {**base, **change}), rngs)]
-        a, b = ([(v.lane, v.position_m) for v in rep.vehicles] for rep in reps)
+        a, b = ([(v.position_m, v.cqi) for v in rep.vehicles] for rep in reps)
         assert a == b and len(a) > 50
         assert np.array_equal(reps[0].arrivals, reps[1].arrivals)
         assert len(reps[0].arrivals) > 1000
