@@ -24,13 +24,28 @@ single ``|=`` or ``&= ~``.  To probe a window, its fields are cut out and
 folded onto the lowest one by ceil(log2 n) shift-ORs, each halving
 (rounding up) the number of fields still to fold.  The lowest field then
 holds every RB occupied in some symbol of the window, and the consecutive
-free-RB search is a shift-and-AND run computation on its complement.
+free-RB search is a shift-and-AND run computation on its complement.  When
+the occupied RBs are RBs 0 to some RB, or none, as first fit leaves them
+until a release punches a hole, the window's one free run starts at the
+field's bit length and no run computation is needed.
 
 In a grid whose bursts span the whole data region no fold is needed.  Every
 commit writes the placement's RB mask into every symbol field of its slots,
 and every release clears it from every field, so all fields of a live slot
 are equal.  The fold of a window, which is all of them, is then its lowest
 field, and a probe reads one ``n_rb``-bit mask per slot.
+
+A scan starts at the first boundary: the first admissible start at or after
+its earliest tick, read from a per-grid table of each tick offset in a
+slot.  It lies in the next slot when the earliest tick is past the slot's
+last start, and that slot is never looked up; the scan limit still counts
+from the earliest tick's slot.  The deadline is bounded once, before the
+scan, as the last start tick whose burst, repeats included, ends in time,
+and with it the first slot whose first start lies past it: the scan stops
+there, or at the scan limit, and a start past the last start tick, which
+only the slot before it can hold, ends the scan.  Every slot the scan
+visits is looked up once, and a placement is committed into the slot
+already in hand; only its repeat slots are looked up again.
 
 Each live slot also keeps a "cannot fit" memo, one int: the fewest RBs
 known not to fit in any admissible window of that slot.  A first-fit scan
@@ -39,26 +54,26 @@ request there.  Later scans skip such a slot without probing it, as they
 skip a slot whose free area is below the request.  A commit only adds
 occupancy, so the memo stays true; `release` clears the memo of every slot
 it frees, and `release_expired` drops the memo together with the slot.
-Skipping never changes a result: the skipped slot still yields its first
-boundary, its deadline check and one step of the scan limit.
+Skipping never changes a result: the first boundary and the deadline's
+slot are fixed before the scan, and a skipped slot still takes one step of
+the scan limit.
 
 Saturated slots form long runs when the grid is overloaded, and each scan
 would walk them again.  For every request width ``n_rb`` the grid keeps one
 interval ``[a, b)`` of consecutive live slots that all skip that request.
-A scan that meets a skipped slot past its first boundary walks the whole
-skipped stretch, jumping from any slot inside the interval straight to
-``b``, and merges the stretch into the interval (or replaces the interval,
-if the two neither overlap nor touch).  Once the stretch reaches the first
-slot whose first start ends past the deadline, or the end of the scan
-limit, the scan fails with its first boundary, as the slot-by-slot scan
-does: a skipped slot there fails its deadline check, a slot that is not
-skipped fails it at its first start, and the scan limit ends the scan.  So
-the cost of a scan no longer grows with the backlog, and no result
-changes, since an interval holds only slots the scan would skip.  An
-interval stays true: a commit only adds occupancy, so it never invalidates
-one; `release` frees cells, so it clears every interval; and
-`release_expired` drops the slots below its horizon, so it clips every
-interval to start at the horizon and drops those that end at or below it.
+A scan that meets a skipped slot walks the whole skipped stretch, jumping
+from any slot inside the interval straight to ``b``, merges the stretch
+into the interval (or replaces the interval, if the two neither overlap nor
+touch), and probes the slot that ends the stretch, already looked up.  No
+start of a skipped slot fits, so a stretch that reaches the deadline's slot
+or the end of the scan limit fails the scan, and every failed scan returns
+its first boundary, whichever start or slot ends it.  So the cost of a scan
+no longer grows with the backlog, and no result changes, since an interval
+holds only slots the scan would skip.  An interval stays true: a commit
+only adds occupancy, so it never invalidates one; `release` frees cells, so
+it clears every interval; and `release_expired` drops the slots below its
+horizon, so it clips every interval to start at the horizon and drops those
+that end at or below it.
 
 A live slot's used area is its data area less its free area; the used area
 of a slot is written down for the utilization metrics only when
@@ -141,6 +156,17 @@ class SlotGrid:
         # each start's (tick offset in the slot, symbol, field shift)
         self._starts = tuple((sym * self.symbol_ticks, sym, (sym - self.region_start) * n_rb_total)
                              for sym in self.start_symbols)
+        # for each tick offset in a slot, the first admissible start at or
+        # after it: (slots ahead, its tick offset from this slot's start,
+        # the starts of its slot from it on, `_starts` itself when all)
+        starts = self._starts
+        first_start = []
+        for k, (offset, _, _) in enumerate(starts):
+            entry = (0, offset, starts[k:] if k else starts)
+            first_start += [entry] * (offset + 1 - len(first_start))
+        entry = (1, self.slot_ticks + starts[0][0], starts)
+        first_start += [entry] * (self.slot_ticks - len(first_start))
+        self._first_start = tuple(first_start)
         self.burst_ticks = n_symbols * self.symbol_ticks
         self._full = (1 << n_rb_total) - 1
         self._area = self.region_len * n_rb_total
@@ -166,14 +192,8 @@ class SlotGrid:
 
     def alignment(self, ready_tick: int) -> int:
         """First admissible start boundary at or after ready_tick."""
-        slot = ready_tick // self.slot_ticks
-        while True:
-            base = slot * self.slot_ticks
-            for sym in self.start_symbols:
-                tick = base + sym * self.symbol_ticks
-                if tick >= ready_tick:
-                    return tick
-            slot += 1
+        base = ready_tick - ready_tick % self.slot_ticks
+        return base + self._first_start[ready_tick - base][1]
 
     # -- allocation -----------------------------------------------------------
 
@@ -191,31 +211,47 @@ class SlotGrid:
         rectangle ends by max_tx_end_tick (or within the scan limit).  With
         repeats > 1 the same rectangle must be free in the following
         repeats-1 slots as well, and all of them are committed.
+
+        The scan starts at the first boundary, which may lie in the next
+        slot, and its limit counts from earliest_tick's slot.  The deadline
+        is bounded once, as the last start tick whose burst and repeats end
+        by max_tx_end_tick.  Each slot the scan visits is looked up once,
+        and a placement is committed into that slot without a second
+        lookup.
         """
-        if n_rb > self.n_rb:
-            raise ConfigurationError(f"{n_rb} RBs exceed the {self.n_rb}-RB carrier")
-        starts, burst, n_symbols = self._starts, self.burst_ticks, self.n_symbols
-        first_offset = starts[0][0]
-        slot_ticks = self.slot_ticks
-        area = n_rb * n_symbols
+        if not (0 < n_rb <= self.n_rb and repeats > 0):
+            raise ConfigurationError(
+                f"{n_rb} RBs x {repeats} repeats: the {self.n_rb}-RB carrier "
+                f"takes 1 to {self.n_rb} RBs, repeated at least once")
+        starts, slot_ticks, burst = self._starts, self.slot_ticks, self.burst_ticks
+        area = n_rb * self.n_symbols
         extra = (repeats - 1) * slot_ticks
         slots = self._slots
         slot = earliest_tick // slot_ticks
+        base = slot * slot_ticks
+        # the scan limit counts from earliest_tick's slot, admissible start or not
         end_slot = slot + scan_limit_slots
-        # the first slot whose first start ends past the deadline
-        late_slot = end_slot if max_tx_end_tick is None else (
-            (max_tx_end_tick - burst - extra - first_offset) // slot_ticks + 1)
-        first_boundary = -1
-        while slot < end_slot:
+        ahead, offset, todo = self._first_start[earliest_tick - base]
+        first_boundary = base + offset
+        slot += ahead
+        if max_tx_end_tick is None:
+            # every start before the scan limit is before last_tick
+            last_tick, stop = end_slot * slot_ticks, end_slot
+        else:
+            # the last start whose burst, repeats included, ends by the
+            # deadline, and the first slot whose first start is past it
+            last_tick = max_tx_end_tick - burst - extra
+            stop = (last_tick - starts[0][0]) // slot_ticks + 1
+            if stop > end_slot:
+                stop = end_slot
+        while slot < stop:
             s = slots.get(slot)
             # a burst that cannot fit this slot cannot start in it, repeats or not
-            skip = s is not None and (s.free_area < area or s.no_fit <= n_rb)
-            if skip and first_boundary >= 0:
-                # past the first boundary, a skipped slot only checks the
-                # deadline at its first start, so the scan fails once a
+            if s is not None and (s.free_area < area or s.no_fit <= n_rb):
+                # no start of a skipped slot fits, so the scan fails once a
                 # stretch of skipped slots reaches `stop`: walk the stretch,
-                # jumping over the known run, and remember it
-                stop = min(late_slot, end_slot)
+                # jumping over the known run, remember it, and probe the
+                # slot that ends it
                 run = self._full_runs.get(n_rb)
                 lo = slot
                 slot += 1
@@ -223,8 +259,8 @@ class SlotGrid:
                     if run is not None and run[0] <= slot < run[1]:
                         slot = run[1]
                         continue
-                    t = slots.get(slot)
-                    if t is None or (t.free_area >= area and t.no_fit > n_rb):
+                    s = slots.get(slot)
+                    if s is None or (s.free_area >= area and s.no_fit > n_rb):
                         break
                     slot += 1
                 if run is not None and lo <= run[1] and run[0] <= slot:
@@ -233,43 +269,39 @@ class SlotGrid:
                 else:
                     self._full_runs[n_rb] = [lo, slot]
                 if slot >= stop:
-                    return None, first_boundary
-                continue
-            base = slot * slot_ticks
-            for offset, sym, shift in starts:
-                tick = base + offset
-                if tick < earliest_tick:
-                    continue
-                if first_boundary < 0:
-                    first_boundary = tick
-                if max_tx_end_tick is not None and tick + burst + extra > max_tx_end_tick:
-                    return None, first_boundary
-                if skip:
-                    # no window of this slot fits; its later starts only
-                    # lie further past the deadline
                     break
+                todo = starts
+            base = slot * slot_ticks
+            for offset, sym, shift in todo:
+                tick = base + offset
+                if tick > last_tick:
+                    return None, first_boundary
                 rb = self._fit(slot, shift, n_rb, area, repeats, s)
                 if rb is not None:
                     cells = (((1 << n_rb) - 1) << rb) * self._rep << shift
-                    for idx in range(slot, slot + repeats):
-                        t = slots.get(idx)
-                        if t is None:
-                            t = slots[idx] = _Slot(self._area, self._no_fit_unknown)
-                        t.occ |= cells
-                        t.free_area -= area
+                    if s is None:
+                        s = slots[slot] = _Slot(self._area, self._no_fit_unknown)
+                    s.occ |= cells
+                    s.free_area -= area
+                    if repeats > 1:
+                        for idx in range(slot + 1, slot + repeats):
+                            t = slots.get(idx)
+                            if t is None:
+                                t = slots[idx] = _Slot(self._area, self._no_fit_unknown)
+                            t.occ |= cells
+                            t.free_area -= area
                     # tuple.__new__ skips the namedtuple's Python-level
                     # __new__ and its keyword handling: one call per placement
                     return tuple.__new__(Placement, (
-                        slot, sym, n_symbols, rb, n_rb, repeats, tick, tick + burst + extra,
+                        slot, sym, self.n_symbols, rb, n_rb, repeats, tick, tick + burst + extra,
                     )), first_boundary
             else:
                 # every start of the slot was probed and missed (the scan's
                 # first slot may have skipped starts before earliest_tick)
-                if repeats == 1 and s is not None and base + first_offset >= earliest_tick:
+                if repeats == 1 and s is not None and todo is starts:
                     s.no_fit = n_rb
+            todo = starts
             slot += 1
-        if first_boundary < 0:
-            first_boundary = self.alignment(earliest_tick)
         return None, first_boundary
 
     def _fit(
@@ -287,11 +319,15 @@ class SlotGrid:
                         return None
                     occ |= t.occ
         occ = (occ >> shift) & self._window
-        if not occ:
-            return 0
         for shift in self._fold:
             occ |= occ >> shift
-        runs = _run_starts(~occ & self._full, n_rb)
+        occ &= self._full
+        if not occ & (occ + 1):
+            # the occupied RBs are RBs 0 to some RB, or none: the window's
+            # one free run lies above them
+            rb = occ.bit_length()
+            return rb if rb + n_rb <= self.n_rb else None
+        runs = _run_starts(occ ^ self._full, n_rb)
         if not runs:
             return None
         return (runs & -runs).bit_length() - 1

@@ -1,5 +1,6 @@
 """Resource grid tests, checked against an exhaustive rectangle-search oracle."""
 
+import itertools
 import random
 
 import numpy as np
@@ -216,8 +217,10 @@ def test_grid_rejects_bursts_it_cannot_hold():
     for n_sym in (g.region_len + 1, 0):
         with pytest.raises(ConfigurationError):
             make_grid(n_symbols=n_sym)
-    with pytest.raises(ConfigurationError):
-        g.allocate(g.n_rb + 1, 0)
+    for n_rb, repeats in ((g.n_rb + 1, 1), (0, 1), (-1, 1), (2, 0), (2, -1)):
+        with pytest.raises(ConfigurationError):
+            g.allocate(n_rb, 0, repeats=repeats)
+    assert g.used_area_in(0, 4 * g.slot_ticks) == 0
 
 
 def test_first_fit_deterministic():
@@ -533,31 +536,94 @@ def test_known_run_is_jumped_not_walked():
         assert CountingSlots.gets <= 12
 
 
-def test_overloaded_grid_scans_few_slots_per_allocation():
-    """On the overloaded 60 kHz mini7 point (criterion 8a's configuration on
-    a 100 ms horizon), the saturated-run jump and the "cannot fit" memo keep
-    first fit at a few slot lookups per `allocate` call: about 4.4, against
-    about 35 with either of them disabled, for the same results."""
-    cfg = RunConfig(scs_khz=60, slot_type="mini7", interval_ms=20.0,
-                    density_veh_km_lane=60.0, horizon_ms=100.0, warmup_ms=40.0, seed=1)
+def _counted_run(cfg):
+    """One replication of `cfg` whose grids count their slot lookups;
+    returns its summary and the result of every `allocate` call."""
     rep = engine._Replication(
         cfg, np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0]))
-    calls = 0
+    results = []
 
-    def counted(allocate):
+    def recorded(allocate):
         def call(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return allocate(*args, **kwargs)
+            result = allocate(*args, **kwargs)
+            results.append(result)
+            return result
         return call
 
     for grid in (rep._ul.grid, rep._dl.grid):
         grid._slots = CountingSlots(grid._slots)
-        grid.allocate = counted(grid.allocate)
+        grid.allocate = recorded(grid.allocate)
     CountingSlots.gets = 0
-    summary = rep.run()
+    return rep.run(), results
+
+
+def test_overloaded_grid_scans_few_slots_per_allocation():
+    """On the overloaded 60 kHz mini7 point (criterion 8a's configuration on
+    a 100 ms horizon), the saturated-run jump and the "cannot fit" memo keep
+    first fit at a few slot lookups per `allocate` call: about 2.0, against
+    about 34 with either of them disabled, for the same results."""
+    cfg = RunConfig(scs_khz=60, slot_type="mini7", interval_ms=20.0,
+                    density_veh_km_lane=60.0, horizon_ms=100.0, warmup_ms=40.0, seed=1)
+    summary, results = _counted_run(cfg)
     assert summary.n_dropped > 0.2 * summary.n_generated   # the grid is overloaded
-    assert calls > 5000 and CountingSlots.gets <= 6 * calls
+    calls = len(results)
+    assert calls > 5000 and CountingSlots.gets <= 2.5 * calls
+
+
+def test_full_slot_traffic_looks_each_slot_up_once():
+    """On the paper's typical sweep point (the `flat_load` benchmark's
+    configuration on a short horizon) every allocation is placed at its
+    first boundary, and each `allocate` call looks up exactly one slot: the
+    one it commits into.  A scan that also visited the earliest tick's slot
+    when that slot has no admissible start left, or that looked the slot up
+    again to commit into it, would count more."""
+    cfg = RunConfig(scs_khz=30, bandwidth_mhz=20, slot_type="full", scheduling="semi_static",
+                    dl_cast="broadcast", mcs_table="LEP", traffic="periodic", interval_ms=20.0,
+                    density_veh_km_lane=40.0, horizon_ms=200.0, warmup_ms=60.0, seed=1)
+    _, results = _counted_run(cfg)
+    assert len(results) > 5000
+    assert all(p is not None and p.start_tick == boundary for p, boundary in results)
+    assert CountingSlots.gets == len(results)
+
+
+def test_scan_boundaries_match_oracle():
+    """Every earliest tick across one slot, on full-slot, mini7 and mini4
+    grids of each numerology and direction, empty or with the first two
+    slots holding no room, with scan limits of 1 and 2 slots or none and
+    deadlines that let the burst at the first boundary or at the next
+    slot's first start end exactly in time, one tick early or one tick
+    late: every result equals the oracle's.  A first slot with no
+    admissible start left still counts toward the scan limit."""
+    n_cases = n_limited = 0
+    for scs, direction, n_sym, filled in itertools.product(
+            (15, 30, 60), ("UL", "DL"), (None, 7, 4), (False, True)):
+        g = make_grid(scs=scs, n_rb=3, direction=direction, n_symbols=n_sym)
+        oracle = _OracleGrid(g)
+        if filled:
+            for slot in (1, 2):
+                for sym in g.start_symbols[::g.n_symbols]:
+                    request = (g.n_rb, slot * g.slot_ticks + sym * g.symbol_ticks)
+                    g.allocate(*request)
+                    oracle.allocate(*request)
+        first_start = g.start_symbols[0] * g.symbol_ticks
+        for earliest in range(g.slot_ticks, 2 * g.slot_ticks):
+            boundary = g.alignment(earliest)
+            next_start = (boundary // g.slot_ticks + 1) * g.slot_ticks + first_start
+            deadlines = [None] + [start + g.burst_ticks + d
+                                  for start in (boundary, next_start) for d in (-1, 0, 1)]
+            for limit, deadline in itertools.product((1, 2, 100_000), deadlines):
+                args = (2, earliest, 1, deadline, limit)
+                p, got_boundary = g.allocate(*args)
+                got = None if p is None else (p.slot_idx, p.sym_start, p.rb_start)
+                assert (got, got_boundary) == oracle.allocate(*args), (
+                    scs, direction, n_sym, filled, args)
+                n_cases += 1
+                if p is not None:
+                    g.release(p)
+                    oracle.release(p)
+                elif limit == 1 and boundary >= 2 * g.slot_ticks:
+                    n_limited += 1
+    assert n_cases > 100_000 and n_limited > 1000
 
 
 def test_expiry_clips_known_runs():
