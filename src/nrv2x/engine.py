@@ -10,21 +10,26 @@ Every hop of a packet is a leg, and every leg runs one state machine.  The
 uplink is leg 0; the downlink hand-over adds one leg for a broadcast, whose
 HARQ group is its count of pending receivers, or one leg per unicast
 receiver.  An attempt is a ``_DATA`` event: the first-fit data chain, then
-an outcome from ``_Replication._attempt_ok``.  A failed HARQ attempt raises
-a ``_NACK``, which leads through a ``_DCI`` (the retransmission's grant or
-assignment) to the next ``_DATA``; the last allowed failure, or an attempt
-that finds no resources, closes the leg.  What depends on direction is data
-in a ``_Hop``, one per direction and replication: the direction's data grid
-and each vehicle's RB footprint on it, the data chain's deadline and scan
-limit, the outcome and detail of a starved or failed leg, the control
-channel that carries its NACK, and whether a scheduling request follows the
-NACK (uplink).  The control plane both directions share (the DCI queue, the
+an outcome from ``_Replication._attempt_ok``, which a replication that
+cannot draw an error (no retransmission scheme, LEP table) never asks.  A
+failed HARQ attempt raises a ``_NACK``, which leads through a ``_DCI`` (the
+retransmission's grant or assignment) to the next ``_DATA``; the last
+allowed failure, or an attempt that finds no resources, closes the leg.
+What depends on direction is data in a ``_Hop``, one per direction and
+replication: the direction's data grid and each vehicle's RB footprint on
+it; the data chain's arguments for a first attempt and for a
+retransmission, each a tuple of repeats, deadline rule (the packet's own
+deadline, none, or a fixed span from the attempt) and scan limit; the
+outcome and detail of a starved or failed leg; the control channel that
+carries its NACK; and whether a scheduling request follows the NACK
+(uplink).  The control plane both directions share (the DCI queue, the
 scheduling-request cadence, the random stream) is the replication's
-``control.RadioContext``.  A delivered uplink leg hands the packet over to
-the downlink.  The packet resolves with its last downlink leg, to its worst
-leg's state: dropped if any leg was dropped, else failed if any failed,
-else delivered.  Dynamic scheduling puts a per-vehicle signalling process
-(``_SIG_DCI``, ``_SIG_DATA``) before the uplink's first attempt.
+``control.RadioContext``.  The uplink leg's resolution hands a delivered
+packet over to the downlink: it pushes the ``_INGEST`` that creates the
+downlink legs.  The packet resolves with its last downlink leg, to its
+worst leg's state: dropped if any leg was dropped, else failed if any
+failed, else delivered.  Dynamic scheduling puts a per-vehicle signalling
+process (``_SIG_DCI``, ``_SIG_DATA``) before the uplink's first attempt.
 
 Two protocol details shape congestion behaviour.  First, a UE runs one
 signalling process: when a fresh packet supersedes a stale one, the
@@ -51,11 +56,12 @@ runs.
 Arrivals never enter the calendar.  They are generated for the whole
 horizon when a replication is set up and laid out as one stream, a compact
 integer array of (tick, vehicle, deadline) rows sorted by (tick, vehicle,
-index), the deadline being the vehicle's next arrival.  The loop merges
-that stream with the calendar, which holds only in-flight events and the
-periodic flushes: an arrival goes first when its tick is at or before the
-earliest bucket's, as it would had every arrival been pushed up front,
-before every other event.
+index), the deadline being the vehicle's next arrival.  Its rows from the
+warm-up on are the replication's counted packets, so set-up counts them
+once.  The loop merges that stream with the calendar, which holds only
+in-flight events and the periodic flushes: an arrival goes first when its
+tick is at or before the earliest bucket's, as it would had every arrival
+been pushed up front, before every other event.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ import time
 import zlib
 from dataclasses import dataclass, field, fields
 from itertools import chain
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,6 +96,10 @@ REPETITION_COUNTS = (2, 4, 8)
 # ints would take several times the memory of the array
 _ARRIVAL_CHUNK = 256
 _NO_ARRIVAL = (math.inf, -1, -1)
+# the deadline rule of a data chain whose deadline is the packet's own: its
+# vehicle's next arrival (the other rules: None, no deadline; a span of ticks
+# from the attempt's tick)
+_PACKET_DEADLINE = -1
 
 # packet / leg resolution states, ordered so that a packet's outcome is its
 # worst leg's
@@ -238,8 +248,8 @@ class _Hop(NamedTuple):
     direction: str
     grid: SlotGrid        # the direction's data grid
     rbs: list             # per vehicle: the RBs its packet takes, None if it cannot fit
-    first: Callable       # (now, packet) -> data_chain (repeats, deadline, scan limit)
-    retx: Callable        # the same for a retransmission
+    first: tuple          # a first attempt's (repeats, deadline rule, scan limit)
+    retx: tuple           # the same for a retransmission
     starved: tuple        # (state, detail) when an attempt finds no resources, by retx
     error: str            # detail of a leg whose last attempt failed
     nack: tuple           # the NACK's channel: (occasion after a ready tick, transmit ticks)
@@ -362,10 +372,9 @@ class _Replication:
         # Downlink: every attempt must start within the staleness span plus
         # two slots, within the scan cap.  Uplink data is NACKed on the
         # PUCCH, downlink data on the PDCCH.
-        cap, dl_span = self.scan_cap, stale_span + 2 * num.slot_ticks
-        dl_args = lambda now, pkt: (repeats, now + dl_span, cap)  # noqa: E731
-        self._ul = hop("UL", lambda now, pkt: (repeats, pkt.deadline, NO_SCAN_LIMIT),
-                       lambda now, pkt: (1, None, cap),
+        cap = self.scan_cap
+        dl_args = (repeats, stale_span + 2 * num.slot_ticks, cap)
+        self._ul = hop("UL", (repeats, _PACKET_DEADLINE, NO_SCAN_LIMIT), (1, None, cap),
                        ((_DROPPED, "expired"), (_FAILED, "retx_starved")), "ul_error",
                        (ctx.pucch_occasion, ctx.tt_pucch), True)
         self._dl = hop("DL", dl_args, dl_args,
@@ -380,7 +389,9 @@ class _Replication:
         # any, and the newest packet's downlink legs
         self._waiting: list[_Leg | None] = [None] * n_ue
         self._dl_active: list = [()] * n_ue
-        self.summary = ReplicationSummary()
+        # every arrival from the warm-up on is a counted packet
+        self.summary = ReplicationSummary(
+            n_generated=int(np.count_nonzero(self.arrivals[:, 0] >= self.warmup)))
         # latencies of the delivered packets, in ticks
         self._uls: list[int] = []
         self._dls: list[int] = []
@@ -437,8 +448,6 @@ class _Replication:
         """A packet arrives; it goes stale at the vehicle's next arrival."""
         pkt = _Packet(vid, now, deadline, now >= self.warmup)
         leg = pkt.ul = _Leg(pkt, self._ul, self._ul.rbs[vid], now, 1)
-        if pkt.counted:
-            self.summary.n_generated += 1
         if leg.n_rb is None:
             self._resolve_leg(leg, _DROPPED, "ul_unallocatable")
             return
@@ -473,7 +482,9 @@ class _Replication:
         ctx = self.ctx
         hop = leg.hop
         retx = leg.done > 0
-        repeats, deadline, scan = (hop.retx if retx else hop.first)(now, leg.pkt)
+        repeats, rule, scan = hop.retx if retx else hop.first
+        deadline = (None if rule is None else leg.pkt.deadline if rule == _PACKET_DEADLINE
+                    else now + rule)
         placement, align, wait, delivered = lat.data_chain(
             ctx, hop.grid, now, leg.n_rb, repeats, deadline, scan)
         if placement is None:
@@ -484,7 +495,7 @@ class _Replication:
         if not retx:
             leg.first, leg.align, leg.wait = now, align, wait
             leg.attempts = self._repeats
-        if self._attempt_ok(leg):
+        if self._lossless or self._attempt_ok(leg):
             self._resolve_leg(leg, _DELIVERED, "", delivered)
         elif leg.attempts <= self._nack_limit:
             self._push(delivered, _NACK, leg)
@@ -501,8 +512,9 @@ class _Replication:
         for LEP, although LEP's target BLER is 0.1: such a LEP transmission
         always arrives.  ROADMAP item 2 holds the decision on that rule.
         Which of these cases applies is decided once per replication, in
-        `__init__` (`_lossless`, `_retx`).  Tests override this method to
-        force outcomes.
+        `__init__` (`_lossless`, `_retx`), and `_on_data` does not call
+        this method when `_lossless` holds.  Tests override it to force
+        outcomes, on configurations that draw them.
         """
         if self._lossless:
             return True
@@ -540,34 +552,32 @@ class _Replication:
 
     def _resolve_leg(self, leg: _Leg, state: int, detail: str,
                      delivered: int = 0) -> None:
-        """Close a pending leg.  A delivered uplink hands its packet over;
-        the packet resolves with its uplink or with its last downlink leg."""
+        """Close a pending leg.  A delivered uplink hands its packet over to
+        the downlink, whose legs `_on_ingest` creates at the next slot
+        boundary, the gNB's preparation overlapping the gap; the packet
+        resolves with its uplink or with its last downlink leg."""
         if leg.state != _PENDING:
             return
         leg.state = state
         pkt = leg.pkt
         if leg is pkt.ul:
             if state == _DELIVERED:
-                self._hand_over(pkt, delivered)
+                ctx = self.ctx
+                ready = delivered + ctx.prepare_half
+                self._push(-(-ready // ctx.slot_ticks) * ctx.slot_ticks - ctx.prepare_half,
+                           _INGEST, pkt)
             else:
                 self._finish_packet(pkt, state, detail)
             return
         pkt.legs_open -= 1
-        pkt.state = max(pkt.state, state)
+        if state > pkt.state:
+            pkt.state = state
         if detail and not pkt.detail:
             pkt.detail = detail
         if pkt.legs_open == 0:
             self._finish_packet(pkt, pkt.state, pkt.detail)
 
     # -- downlink hand-over --------------------------------------------------------
-
-    def _hand_over(self, pkt: _Packet, delivered: int) -> None:
-        """Schedule creation of the downlink leg(s) at the hand-over
-        boundary (next slot start, gNB preparation overlapping the gap)."""
-        ctx = self.ctx
-        ready = delivered + ctx.prepare_half
-        boundary = -(-ready // ctx.slot_ticks) * ctx.slot_ticks
-        self._push(boundary - ctx.prepare_half, _INGEST, pkt)
 
     def _on_ingest(self, now: int, pkt: _Packet) -> None:
         vid = pkt.vehicle
@@ -611,8 +621,10 @@ class _Replication:
             s = self.summary
             if state == _DELIVERED:
                 s.n_delivered += 1
+                legs = pkt.legs
+                done = legs[0].done if len(legs) == 1 else max([leg.done for leg in legs])
                 self._uls.append(pkt.ul.done - pkt.gen)
-                self._dls.append(max([leg.done for leg in pkt.legs]) - pkt.legs[0].created)
+                self._dls.append(done - legs[0].created)
             elif state == _DROPPED:
                 s.n_dropped += 1
                 # a leg that fits no carrier drops its packet, which counts once

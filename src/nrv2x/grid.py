@@ -29,11 +29,13 @@ the occupied RBs are RBs 0 to some RB, or none, as first fit leaves them
 until a release punches a hole, the window's one free run starts at the
 field's bit length and no run computation is needed.
 
-In a grid whose bursts span the whole data region no fold is needed.  Every
-commit writes the placement's RB mask into every symbol field of its slots,
-and every release clears it from every field, so all fields of a live slot
-are equal.  The fold of a window, which is all of them, is then its lowest
-field, and a probe reads one ``n_rb``-bit mask per slot.
+A grid whose bursts span the whole data region keeps one field per slot.
+Every commit there would write the placement's RB mask into every symbol
+field of its slots, and every release would clear it from every field, so
+all fields of a live slot would be equal, and the fold of a window, which is
+all of them, would be its lowest field.  So that field alone stands for the
+slot: ``rep`` is 1, no fold is needed, and a commit, a release and a probe
+each work on one ``n_rb``-bit mask.
 
 A scan starts at the first boundary: the first admissible start at or after
 its earliest tick, read from a per-grid table of each tick offset in a
@@ -125,7 +127,7 @@ class _Slot:
     __slots__ = ("occ", "free_area", "no_fit")
 
     def __init__(self, area: int, no_fit: int):
-        self.occ = 0            # RB x symbol occupancy, one n_rb-bit field per symbol
+        self.occ = 0            # an n_rb-bit field per symbol, one if bursts span the region
         self.free_area = area
         self.no_fit = no_fit    # fewest RBs known not to fit
 
@@ -170,16 +172,14 @@ class SlotGrid:
         self.burst_ticks = n_symbols * self.symbol_ticks
         self._full = (1 << n_rb_total) - 1
         self._area = self.region_len * n_rb_total
-        # the lowest bit of each of the burst's symbol fields
-        self._rep = sum(1 << (i * n_rb_total) for i in range(n_symbols))
-        if n_symbols == self.region_len:
-            # all fields of a live slot are equal: a window is its lowest field
-            self._window, self._fold = self._full, ()
-        else:
-            # every bit of the burst's fields, and the shifts folding them
-            # onto the lowest one
-            self._window = self._rep * self._full
-            self._fold = _fold_shifts(n_symbols, n_rb_total)
+        # a burst spanning the data region writes every symbol field alike,
+        # so its grid keeps one field per slot
+        n_fields = 1 if n_symbols == self.region_len else n_symbols
+        # the lowest bit of each of the burst's fields, every bit of them, and
+        # the shifts folding them onto the lowest one
+        self._rep = sum(1 << (i * n_rb_total) for i in range(n_fields))
+        self._window = self._rep * self._full
+        self._fold = _fold_shifts(n_fields, n_rb_total)
         # the empty memo: more RBs than the carrier has
         self._no_fit_unknown = n_rb_total + 1
         self._slots: dict[int, _Slot] = {}
@@ -219,10 +219,11 @@ class SlotGrid:
         and a placement is committed into that slot without a second
         lookup.
         """
-        if not (0 < n_rb <= self.n_rb and repeats > 0):
+        if not (0 < n_rb <= self.n_rb and repeats > 0 and scan_limit_slots > 0):
             raise ConfigurationError(
-                f"{n_rb} RBs x {repeats} repeats: the {self.n_rb}-RB carrier "
-                f"takes 1 to {self.n_rb} RBs, repeated at least once")
+                f"{n_rb} RBs x {repeats} repeats within {scan_limit_slots} slots: the "
+                f"{self.n_rb}-RB carrier takes 1 to {self.n_rb} RBs, repeated at least "
+                "once, in a scan of at least one slot")
         starts, slot_ticks, burst = self._starts, self.slot_ticks, self.burst_ticks
         area = n_rb * self.n_symbols
         extra = (repeats - 1) * slot_ticks

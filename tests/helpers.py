@@ -48,6 +48,8 @@ def replicate(cfg, ok=None, seed=0):
         cls = Forced
     rows = []
     rep = cls(cfg, np.random.default_rng(seed), rows)
+    # a lossless replication asks for no outcome, so none can be forced on it
+    assert ok is None or not rep._lossless, "forced outcomes need a lossy configuration"
     rep.run()
     return rep, rows
 

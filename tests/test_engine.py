@@ -731,6 +731,59 @@ def test_calendar_replays_the_sequence_heap(config):
     assert out[0] == out[1]
 
 
+def test_flat_load_packet_runs_three_events():
+    """On the paper's typical sweep point (the `flat_load` benchmark's
+    configuration on a short horizon) the calendar runs exactly three events
+    per packet, its uplink `_DATA`, its `_INGEST` and its downlink `_DATA`,
+    plus the periodic flushes; and, the configuration being lossless, no
+    attempt asks `_attempt_ok` for an outcome.  Counts, not times, so the
+    shape of the hot path is pinned on any host."""
+
+    class Asked(_Watched):
+        asked = 0
+
+        def _attempt_ok(self, leg):
+            self.asked += 1
+            return super()._attempt_ok(leg)
+
+    cfg = RunConfig(scs_khz=30, bandwidth_mhz=20, slot_type="full", scheduling="semi_static",
+                    dl_cast="broadcast", mcs_table="LEP", traffic="periodic", interval_ms=20.0,
+                    density_veh_km_lane=40.0, horizon_ms=200.0, warmup_ms=60.0, seed=1)
+    rep = Asked(cfg, np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0]))
+    flushes = len(rep._calendar)
+    s = rep.run()
+    n = len(rep.arrivals)
+    assert n > 2500 and s.n_delivered == s.n_generated > 0
+    assert rep.kinds == {engine._DATA: 2 * n, engine._INGEST: n, engine._FLUSH: flushes}
+    assert rep.asked == 0
+
+
+@pytest.mark.parametrize("point", [
+    dict(),
+    dict(dl_cast="unicast", unicast_m=2),
+    dict(scheduling="semi_static", harq_max_retx=2, dl_cast="unicast", unicast_m=2),
+])
+def test_generated_packets_are_the_counted_packets(point):
+    """`n_generated`, counted from the arrival stream at set-up, equals the
+    number of counted packets the trace holds, on small points whose
+    packets are superseded, unallocatable, starved or fail HARQ.  The
+    warm-up falls exactly on an arrival, which counts."""
+    fields = {**dict(scs_khz=60, bandwidth_mhz=10, packet_bytes=1000, retransmission="harq",
+                     harq_max_retx=1, scheduling="dynamic", interval_ms=10.0,
+                     density_veh_km_lane=20, horizon_ms=200.0), **point}
+    probe = engine._Replication(RunConfig(warmup_ms=60.0, **fields), np.random.default_rng(0))
+    at = int(probe.arrivals[len(probe.arrivals) // 3, 0])
+    rep, rows = replicate(RunConfig(warmup_ms=at / phy.TICKS_PER_MS, **fields))
+    assert rep.warmup == at and (rep.arrivals[:, 0] == at).sum() >= 1
+    packets = rows_by_packet(rows)
+    assert rep.summary.n_generated == len(packets) == sum(r["leg"] == 0 for r in rows)
+    assert min(ticks(gen_ms) for _, gen_ms in packets) == at
+    details = {r["detail"] for r in rows}
+    assert {"superseded", "dl_superseded"} & details
+    assert {"ul_unallocatable", "dl_unallocatable"} & details
+    assert any(r["disposition"] == "delivery_failed" for r in rows)
+
+
 def test_import_loads_no_scipy():
     """Neither importing nrv2x, nor `engine.run` through its stopping rule,
     nor `nrv2x run` loads scipy: the package does not depend on it.  Nor

@@ -220,6 +220,9 @@ def test_grid_rejects_bursts_it_cannot_hold():
     for n_rb, repeats in ((g.n_rb + 1, 1), (0, 1), (-1, 1), (2, 0), (2, -1)):
         with pytest.raises(ConfigurationError):
             g.allocate(n_rb, 0, repeats=repeats)
+    for scan_limit in (0, -5):
+        with pytest.raises(ConfigurationError):
+            g.allocate(2, 0, scan_limit_slots=scan_limit)
     assert g.used_area_in(0, 4 * g.slot_ticks) == 0
 
 
@@ -348,9 +351,9 @@ def test_memo_matches_oracle_random_ops():
 def test_region_long_fields_stay_equal_random_ops():
     """Random requests with 1-3 repeats and deadlines, releases with and
     without a not-before tick, and expiries on small grids whose bursts
-    span the data region: after every operation every symbol field of each
-    live slot equals its lowest one (the window a probe reads), and every
-    result equals the oracle's."""
+    span the data region: after every operation each live slot's occupancy
+    is one field, which stands for all of the slot's equal symbol fields,
+    and every result equals the oracle's."""
     rng = random.Random(29)
     counts = dict.fromkeys(("allocate", "release", "release_partly", "expire"), 0)
     for case in range(30):
@@ -385,10 +388,7 @@ def test_region_long_fields_stay_equal_random_ops():
                 assert g.release_expired(now) == oracle.release_expired(now)
                 counts["expire"] += 1
             for idx, s in g._slots.items():
-                lowest = s.occ & g._full
-                for sym in range(1, g.region_len):
-                    assert (s.occ >> (sym * g.n_rb)) & g._full == lowest, (case, op, idx, sym)
-                assert s.occ >> (g.region_len * g.n_rb) == 0, (case, op, idx)
+                assert 0 <= s.occ < 1 << g.n_rb, (case, op, idx)
     assert counts["allocate"] > 2000 and min(counts.values()) > 100, counts
 
 
