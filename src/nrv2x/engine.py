@@ -9,32 +9,35 @@ radio latency falls below the relative-error target.
 Every hop of a packet is a leg, and every leg runs one state machine.  The
 uplink is leg 0; the downlink hand-over adds one leg for a broadcast, whose
 HARQ group is its count of pending receivers, or one leg per unicast
-receiver.  An attempt is a ``_DATA`` event: the first-fit data chain, then
-an outcome from ``_Replication._attempt_ok``, which a replication that
-cannot draw an error (no retransmission scheme, LEP table) never asks.  A
-failed HARQ attempt raises a ``_NACK``, which leads through a ``_DCI`` (the
-retransmission's grant or assignment) to the next ``_DATA``; the last
-allowed failure, or an attempt that finds no resources, closes the leg.
-What depends on direction is data in a ``_Hop``, one per direction and
+receiver.  A leg starts in ``_Replication._start``: semi-static scheduling
+prepares its first attempt at once, dynamic scheduling asks for a grant.
+Every grant request, first or after a ``_NACK``, is ``_request``: a
+scheduling request on the PUCCH (uplink only), then a ``_DCI`` carrying the
+grant or assignment, then the attempt.  An attempt is a ``_DATA`` event:
+the first-fit data chain, then an outcome from ``_attempt_ok``, which a
+replication that cannot draw an error (no retransmission scheme, LEP table)
+never asks.  A failed HARQ attempt raises a ``_NACK``; the last allowed
+failure, or an attempt that finds no resources, closes the leg.  What
+depends on direction is data in a ``_Hop``, one per direction and
 replication: the direction's data grid and each vehicle's RB footprint on
 it; the data chain's arguments for a first attempt and for a
 retransmission, each a tuple of repeats, deadline rule (the packet's own
 deadline, none, or a fixed span from the attempt) and scan limit; the
 outcome and detail of a starved or failed leg; the control channel that
-carries its NACK; and whether a scheduling request follows the NACK
-(uplink).  The control plane both directions share (the DCI queue, the
-scheduling-request cadence, the random stream) is the replication's
+carries its NACK; and whether a grant request starts with a scheduling
+request (uplink).  The control plane both directions share (the DCI queue,
+the scheduling-request cadence, the random stream) is the replication's
 ``control.RadioContext``.  The uplink leg's resolution hands a delivered
 packet over to the downlink: it pushes the ``_INGEST`` that creates the
 downlink legs.  The packet resolves with its last downlink leg, to its
 worst leg's state: dropped if any leg was dropped, else failed if any
-failed, else delivered.  Dynamic scheduling puts a per-vehicle signalling
-process (``_SIG_DCI``, ``_SIG_DATA``) before the uplink's first attempt.
+failed, else delivered.
 
-Two protocol details shape congestion behaviour.  First, a UE runs one
-signalling process: when a fresh packet supersedes a stale one, the
-in-flight scheduling request or grant serves the newest packet rather than
-re-entering the queue, which bounds the DCI backlog at one message per UE.
+Two protocol details shape congestion behaviour.  First, a UE has one grant
+request in flight: a packet that arrives while its vehicle's uplink leg
+waits for its first grant supersedes the stale packet and takes the leg
+over, so the request serves the newest packet rather than re-entering the
+queue, which bounds the DCI backlog at one message per UE.
 Second, the hand-over between the legs happens outside the radio budget:
 the uplink packet leaves the radio domain once decoded, and its downlink
 counterpart is created against the next slot boundary with the gNB-side
@@ -86,7 +89,7 @@ from .grid import NO_SCAN_LIMIT, SlotGrid
 
 # kinds of calendar event, dispatched in the replication loop; numbered from
 # 0, _FLUSH last.  Arrivals come from their own stream.
-(_SIG_DCI, _SIG_DATA, _INGEST, _DCI, _DATA, _NACK, _FLUSH) = range(7)
+(_INGEST, _DCI, _DATA, _NACK, _FLUSH) = range(5)
 
 _FLUSH_INTERVAL_MS = 50.0
 # burst length in symbols by slot type; None: the whole data region
@@ -253,7 +256,7 @@ class _Hop(NamedTuple):
     starved: tuple        # (state, detail) when an attempt finds no resources, by retx
     error: str            # detail of a leg whose last attempt failed
     nack: tuple           # the NACK's channel: (occasion after a ready tick, transmit ticks)
-    sr_after_nack: bool   # the NACK is followed by a scheduling request
+    sr: bool              # a grant request starts with a scheduling request
 
 
 class _Leg:
@@ -385,8 +388,9 @@ class _Replication:
         # order, and a heap of the ticks that hold a bucket
         self._calendar: dict[int, list] = {}
         self._heap: list[int] = []
-        # per vehicle: the uplink leg whose grant request is in flight, if
-        # any, and the newest packet's downlink legs
+        # per vehicle: its latest uplink leg under dynamic scheduling, whose
+        # first grant request is in flight while it is pending and unplaced,
+        # and the newest packet's downlink legs
         self._waiting: list[_Leg | None] = [None] * n_ue
         self._dl_active: list = [()] * n_ue
         # every arrival from the warm-up on is a counted packet
@@ -415,8 +419,8 @@ class _Replication:
         heap, calendar = self._heap, self._calendar
         heappop = heapq.heappop
         on_gen = self._on_gen
-        handlers = (self._on_sig_dci, self._on_sig_data, self._on_ingest,
-                    self._on_dci, self._on_data, self._on_nack, self._on_flush)
+        handlers = (self._on_ingest, self._on_dci, self._on_data, self._on_nack,
+                    self._on_flush)
         rows = self.arrivals
         arrivals = chain.from_iterable(rows[i:i + _ARRIVAL_CHUNK].tolist()
                                        for i in range(0, len(rows), _ARRIVAL_CHUNK))
@@ -442,37 +446,40 @@ class _Replication:
         s.util_dl = self._dl.grid.utilization(*window)
         return s
 
-    # -- arrivals and uplink signalling -------------------------------------------
+    # -- arrivals --------------------------------------------------------------------
 
     def _on_gen(self, now: int, vid: int, deadline: int) -> None:
         """A packet arrives; it goes stale at the vehicle's next arrival."""
         pkt = _Packet(vid, now, deadline, now >= self.warmup)
-        leg = pkt.ul = _Leg(pkt, self._ul, self._ul.rbs[vid], now, 1)
-        if leg.n_rb is None:
-            self._resolve_leg(leg, _DROPPED, "ul_unallocatable")
-            return
-        ctx = self.ctx
-        if not self._dynamic:
-            self._push(now + ctx.prepare_half, _DATA, leg)
-            return
-        prev = self._waiting[vid]
-        self._waiting[vid] = leg
-        if prev is not None:
-            # the request in flight will serve the newest packet
-            self._resolve_leg(prev, _DROPPED, "superseded")
-            return
-        self._push(lat.sr_chain(ctx, now) + ctx.decode_half, _SIG_DCI, vid)
-
-    def _on_sig_dci(self, now: int, vid: int) -> None:
-        self._push(lat.grant_chain(self.ctx, now) + self.ctx.prepare_half, _SIG_DATA, vid)
-
-    def _on_sig_data(self, now: int, vid: int) -> None:
-        """The grant issued to this UE serves its newest waiting packet."""
         leg = self._waiting[vid]
-        self._waiting[vid] = None
-        self._on_data(now, leg)
+        if leg is not None and leg.state == _PENDING and not leg.done:
+            # the request in flight serves the newest packet
+            self._finish_packet(leg.pkt, _DROPPED, "superseded")
+            leg.pkt, leg.created, pkt.ul = pkt, now, leg
+            return
+        leg = pkt.ul = _Leg(pkt, self._ul, self._ul.rbs[vid], now, 1)
+        if self._dynamic:
+            self._waiting[vid] = leg
+        self._start(leg, now)
 
     # -- the leg state machine ------------------------------------------------------
+
+    def _start(self, leg: _Leg, now: int) -> None:
+        """A new leg: dropped if its packet fits no carrier, else its grant
+        request (dynamic) or its first prepared attempt (semi-static)."""
+        if leg.n_rb is None:
+            self._resolve_leg(leg, _DROPPED, f"{leg.hop.direction.lower()}_unallocatable")
+        elif self._dynamic:
+            self._request(leg, now)
+        else:
+            self._push(now + self.ctx.prepare_half, _DATA, leg)
+
+    def _request(self, leg: _Leg, tick: int) -> None:
+        """Ask for the leg's next grant at `tick`: (uplink) a scheduling
+        request, then the DCI."""
+        if leg.hop.sr:
+            tick = lat.sr_chain(self.ctx, tick)
+        self._push(tick + self.ctx.decode_half, _DCI, leg)
 
     def _on_data(self, now: int, leg: _Leg) -> None:
         """A (re)transmission of the leg from the instant its data is
@@ -534,15 +541,11 @@ class _Replication:
         return not (self.ctx.uniform() < self._bler)
 
     def _on_nack(self, now: int, leg: _Leg) -> None:
-        """The NACK hop, then (uplink) a scheduling request, then the grant."""
+        """The NACK hop, then the request for the retransmission's grant."""
         if leg.state != _PENDING:
             return
-        ctx = self.ctx
         leg.attempts += 1
-        done = lat.nack_chain(ctx, leg.hop.nack, now)
-        if leg.hop.sr_after_nack:
-            done = lat.sr_chain(ctx, done)
-        self._push(done + ctx.decode_half, _DCI, leg)
+        self._request(leg, lat.nack_chain(self.ctx, leg.hop.nack, now))
 
     def _on_dci(self, now: int, leg: _Leg) -> None:
         """The DCI granting or assigning the leg's next attempt."""
@@ -593,14 +596,8 @@ class _Replication:
         pkt.legs = legs
         pkt.legs_open = len(legs)
         self._dl_active[vid] = legs
-        ctx = self.ctx
-        kind, tick = ((_DCI, now + ctx.decode_half) if self._dynamic
-                      else (_DATA, now + ctx.prepare_half))
         for leg in legs:
-            if leg.n_rb is None:
-                self._resolve_leg(leg, _DROPPED, "dl_unallocatable")
-            else:
-                self._push(tick, kind, leg)
+            self._start(leg, now)
 
     # -- resolution -------------------------------------------------------------------
 
@@ -639,7 +636,7 @@ class _Replication:
         `COMPONENTS` order; all 0 for a leg never placed.
 
         Before its first attempt comes signalling, then preparation, cut
-        short for a packet that superseded another while its request was in
+        short for a packet that took the leg over while its request was in
         flight.  What its latest placed attempt adds past the first one's
         decode, and what the k - 1 repetitions add, is `retx`.
         """

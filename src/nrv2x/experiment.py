@@ -10,9 +10,8 @@ is checked before any point runs.  A run's one record is its result row
 object on one line, which round-trips every value with its type.  A sweep
 appends one line per completed point to ``results.jsonl``, so re-running it
 skips finished points; it refuses a directory whose row for a point's key
-holds another seed.  A JSON sidecar records the code version and the sweep
-specification of the last invocation.  A figure's series split the selected
-rows by every field but the x axis that varies among them.
+holds another seed.  A figure's series split the selected rows by every
+field but the x axis that varies among them.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from pathlib import Path
 
 import yaml
 
-from . import __version__
 from .engine import MetricsReport, RunConfig, run
 from .phy import ConfigurationError
 
@@ -177,11 +175,10 @@ def result_row(cfg: RunConfig, report: MetricsReport) -> dict:
     return {**dataclasses.asdict(cfg), **dataclasses.asdict(report)}
 
 
-def _resume_state(table: Path, sidecar_path: Path, points: list[RunConfig]) -> set[str]:
-    """The keys of the points a sweep's output directory completed.  A table
-    that `read_results` refuses, a row for a point's key at another seed, or
-    a sidecar that is not a JSON mapping is a ConfigurationError, raised
-    before either file is touched."""
+def _resume_state(table: Path, points: list[RunConfig]) -> set[str]:
+    """The keys of the points a sweep's output table completed.  A table
+    that `read_results` refuses, or a row for a point's key at another seed,
+    is a ConfigurationError, raised before the table is touched."""
     try:
         seeds = ({row["config_key"]: row["seed"] for row in read_results(table)}
                  if table.exists() else {})
@@ -189,9 +186,7 @@ def _resume_state(table: Path, sidecar_path: Path, points: list[RunConfig]) -> s
             if seeds.get(cfg.key(), cfg.seed) != cfg.seed:
                 raise ValueError(f"{table.name} holds {cfg.key()} at seed "
                                  f"{seeds[cfg.key()]}, not at the sweep's seed {cfg.seed}")
-        if sidecar_path.exists() and not isinstance(json.loads(sidecar_path.read_text()), dict):
-            raise ValueError(f"{sidecar_path.name} is not a mapping")
-    except (OSError, ValueError) as exc:   # ConfigurationError, JSONDecodeError too
+    except (OSError, ValueError) as exc:   # ConfigurationError too
         raise ConfigurationError(f"cannot resume {table.parent}: {exc}") from None
     return set(seeds)
 
@@ -203,20 +198,14 @@ def run_sweep(spec: ExperimentSpec, out_dir: str | Path, progress=None) -> Path:
     output directory that `_resume_state` refuses (a point's row at another
     seed, say) raises `ConfigurationError` before any point runs.  Completed
     points (config keys already present in the table) are skipped, so an
-    interrupted sweep resumes where it stopped.  The sidecar is replaced
-    atomically, so a reader sees the old one or the new one.
+    interrupted sweep resumes where it stopped.
     """
     points = spec.points()
     out = Path(out_dir)
     table = out / "results.jsonl"
-    sidecar_path = out / "results.meta.json"
-    done = _resume_state(table, sidecar_path, points)
+    done = _resume_state(table, points)
     output_dir(out)
     points = [p for p in points if p.key() not in done]
-    tmp = sidecar_path.with_suffix(".tmp")
-    tmp.write_text(json.dumps({"version": __version__, "spec": dataclasses.asdict(spec)},
-                              indent=1, sort_keys=True))
-    tmp.replace(sidecar_path)
     parallel = spec.workers > 1 and len(points) > 1
     with (ProcessPoolExecutor(spec.workers) if parallel else nullcontext()) as pool, \
             open(table, "a") as fh:

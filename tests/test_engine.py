@@ -697,8 +697,8 @@ class _SeqHeap(engine._Replication):
 
     def run(self):
         heap = self._events
-        handlers = (self._on_sig_dci, self._on_sig_data, self._on_ingest,
-                    self._on_dci, self._on_data, self._on_nack, self._on_flush)
+        handlers = (self._on_ingest, self._on_dci, self._on_data, self._on_nack,
+                    self._on_flush)
         arrivals = iter(self.arrivals.tolist())
         at, vid, deadline = next(arrivals, engine._NO_ARRIVAL)
         while heap:
@@ -782,6 +782,34 @@ def test_generated_packets_are_the_counted_packets(point):
     assert {"superseded", "dl_superseded"} & details
     assert {"ul_unallocatable", "dl_unallocatable"} & details
     assert any(r["disposition"] == "delivery_failed" for r in rows)
+
+
+@pytest.mark.parametrize("control_variant, density", [("conf1", 40), ("conf1", 20),
+                                                      ("conf2", 60)])
+def test_superseding_packet_reuses_the_request_in_flight(monkeypatch, control_variant,
+                                                          density):
+    """Under dynamic scheduling a UE has one grant request in flight: a
+    packet that arrives while its vehicle's uplink waits for its first
+    grant takes that request over instead of sending a scheduling request
+    of its own.  Without HARQ every scheduling request is a first one, so
+    one is sent per arrival that neither superseded a waiting packet nor
+    fits no carrier."""
+    calls = []
+    sr_chain = engine.lat.sr_chain
+
+    def counted(*args):
+        calls.append(args)
+        return sr_chain(*args)
+
+    monkeypatch.setattr(engine.lat, "sr_chain", counted)
+    cfg = RunConfig(scheduling="dynamic", traffic="aperiodic", interval_ms=20.0,
+                    control_variant=control_variant, density_veh_km_lane=density,
+                    horizon_ms=300.0, warmup_ms=0.0)
+    rep, rows = replicate(cfg, seed=3)
+    uplinks = Counter(r["detail"] for r in rows if r["leg"] == 0)
+    assert sum(uplinks.values()) == len(rep.arrivals)
+    assert uplinks["superseded"] > 0
+    assert len(calls) == len(rep.arrivals) - uplinks["superseded"] - uplinks["ul_unallocatable"]
 
 
 def test_import_loads_no_scipy():

@@ -76,7 +76,7 @@ def test_invalid_combinations_rejected():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_invalid_point_rejects_the_sweep_before_any_row(tmp_path, workers, capsys):
     """One invalid point stops a sweep before any point runs, serial or
-    parallel: no row, no sidecar, and the CLI exits 2."""
+    parallel: no row, no directory, and the CLI exits 2."""
     doc = {"base": dict(FAST_BASE), "axes": {"scs_khz": [30, 45]}, "workers": workers}
     with pytest.raises(ConfigurationError, match="subcarrier spacing"):
         run_sweep(spec_from_mapping(doc), tmp_path / "api")
@@ -121,7 +121,7 @@ def test_points_outside_the_readable_key_get_their_own_rows(tmp_path, axis):
 def test_interrupted_sweep_resumes(tmp_path):
     """A sweep stopped after its first point keeps that point's row, which
     holds every RunConfig field of the point; the rerun adds each remaining
-    point exactly once.  The sidecar holds the version and the spec."""
+    point exactly once."""
     spec = spec_from_mapping({"base": FAST_BASE, "axes": {"density_veh_km_lane": [10, 20, 30]}})
 
     def interrupt(report):
@@ -135,8 +135,6 @@ def test_interrupted_sweep_resumes(tmp_path):
     for row in rows:
         cfg = RunConfig(**{f.name: row[f.name] for f in dataclasses.fields(RunConfig)})
         assert cfg.key() == row["config_key"] and cfg in spec.points()
-    meta = json.loads((tmp_path / "results.meta.json").read_text())
-    assert set(meta) == {"version", "spec"} and spec_from_mapping(meta["spec"]) == spec
     assert not list(tmp_path.glob("*.tmp"))
 
 
@@ -159,6 +157,8 @@ def test_empty_axes_single_run():
 
 
 def test_sweep_resumable_no_duplicates(tmp_path):
+    """A rerun skips completed points; a `results.meta.json` that older
+    versions wrote beside the table is neither read nor touched."""
     spec = ExperimentSpec(base=dict(FAST_BASE),
                           axes={"density_veh_km_lane": [10, 20]})
     table = run_sweep(spec, tmp_path)
@@ -168,12 +168,13 @@ def test_sweep_resumable_no_duplicates(tmp_path):
     table = run_sweep(spec, tmp_path)
     assert len(read_results(table)) == 2
     # extending an axis only adds the new point
+    stale = write_input(tmp_path / "results.meta.json", "{bad")
     spec2 = ExperimentSpec(base=dict(FAST_BASE),
                            axes={"density_veh_km_lane": [10, 20, 40]})
     run_sweep(spec2, tmp_path)
     assert len(read_results(table)) == 3
-    meta = (tmp_path / "results.meta.json").read_text()
-    assert "density_veh_km_lane" in meta
+    assert stale.read_text() == "{bad"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results.jsonl", "results.meta.json"]
 
 
 def table_line(cfg):
@@ -209,8 +210,6 @@ BAD_TABLES = [
 
 
 @pytest.mark.parametrize("name, content, message", [
-    pytest.param("results.meta.json", "{bad", "Expecting property name", id="sidecar_not_json"),
-    pytest.param("results.meta.json", "[]", "not a mapping", id="sidecar_list"),
     pytest.param("results.jsonl", b"\xff\xfe", "can't decode", id="table_not_text"),
     *(pytest.param("results.jsonl", *p.values, id=p.id) for p in BAD_TABLES),
     pytest.param("results.jsonl", table_line(_SEED_1),
@@ -219,7 +218,7 @@ BAD_TABLES = [
 ])
 def test_sweep_refuses_to_resume_a_foreign_directory(tmp_path, capsys, name, content,
                                                       message):
-    """An output directory whose table or sidecar a sweep did not write is
+    """An output directory whose table a sweep did not write is
     rejected before any point runs: nothing is written there, and the CLI
     exits 2 with `error: cannot resume`."""
     spec_path = write_spec(tmp_path, {"base": dict(FAST_BASE)})
@@ -448,17 +447,15 @@ def test_seed_has_no_option_of_its_own(tmp_path, capsys):
 
 
 def test_sweep_seed_is_set_like_any_field(tmp_path, capsys):
-    """`--set seed=N` overrides the base seed: every row and the sidecar's
-    spec hold it.  Resuming that directory at another seed exits 2, naming
-    both seeds, and runs no point: both files stay byte-identical."""
+    """`--set seed=N` overrides the base seed: every row holds it.
+    Resuming that directory at another seed exits 2, naming both seeds,
+    and runs no point: the table stays byte-identical."""
     spec_path = write_spec(tmp_path, {"base": dict(FAST_BASE, seed=3),
                                       "axes": {"density_veh_km_lane": [10, 20]}})
     out = tmp_path / "out"
     assert cli.main(["sweep", "--spec", str(spec_path), "--set", "seed=5",
                      "--out", str(out)]) == 0
     assert [r["seed"] for r in read_results(out / "results.jsonl")] == [5, 5]
-    meta_path = out / "results.meta.json"
-    assert json.loads(meta_path.read_text())["spec"]["base"]["seed"] == 5
     before = {p: p.read_bytes() for p in out.iterdir()}
     capsys.readouterr()
     assert cli.main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 2
