@@ -49,6 +49,19 @@ only the slot before it can hold, ends the scan.  Every slot the scan
 visits is looked up once, and a placement is committed into the slot
 already in hand; only its repeat slots are looked up again.
 
+A grid whose bursts span the data region has one start per slot, and there
+a request without repeats is first placed at its first boundary, if it can
+be, before the scan is built.  The boundary is the slot's one start, or the
+next slot's when the earliest tick is past it; it must lie inside the scan
+limit, and its burst must end by the deadline.  Its slot is looked up once:
+an absent slot takes the request at RB 0, and a slot whose occupied RBs are
+RBs 0 to some RB takes it just above them if the carrier has room.  The
+scan would return the same: it would start at that slot, which neither the
+memo nor a run skips while the request fits there, and its one probe would
+take `_fit`'s prefix branch and write no memo and no run.  Every other
+case (a hole left by `release`, no room, a boundary past the deadline or
+the scan limit, repeats, several starts per slot) goes to the scan.
+
 Each live slot also keeps a "cannot fit" memo, one int: the fewest RBs
 known not to fit in any admissible window of that slot.  A first-fit scan
 that probed every start symbol of a slot and found no room records its
@@ -172,9 +185,10 @@ class SlotGrid:
         self.burst_ticks = n_symbols * self.symbol_ticks
         self._full = (1 << n_rb_total) - 1
         self._area = self.region_len * n_rb_total
-        # a burst spanning the data region writes every symbol field alike,
-        # so its grid keeps one field per slot
-        n_fields = 1 if n_symbols == self.region_len else n_symbols
+        # a burst spanning the data region has one start per slot and writes
+        # every symbol field alike, so its grid keeps one field per slot
+        self._one_start = len(self._starts) == 1
+        n_fields = 1 if self._one_start else n_symbols
         # the lowest bit of each of the burst's fields, every bit of them, and
         # the shifts folding them onto the lowest one
         self._rep = sum(1 << (i * n_rb_total) for i in range(n_fields))
@@ -217,13 +231,44 @@ class SlotGrid:
         is bounded once, as the last start tick whose burst and repeats end
         by max_tx_end_tick.  Each slot the scan visits is looked up once,
         and a placement is committed into that slot without a second
-        lookup.
+        lookup.  On a grid with one start per slot, a request without
+        repeats that fits above the occupied RBs of its first boundary's
+        slot, in time, is placed there without the scan, as the scan would
+        place it.
         """
         if not (0 < n_rb <= self.n_rb and repeats > 0 and scan_limit_slots > 0):
             raise ConfigurationError(
                 f"{n_rb} RBs x {repeats} repeats within {scan_limit_slots} slots: the "
                 f"{self.n_rb}-RB carrier takes 1 to {self.n_rb} RBs, repeated at least "
                 "once, in a scan of at least one slot")
+        if self._one_start and repeats == 1:
+            # placement at the first boundary: the scan's first probe, taken
+            # without the scan when the boundary is inside the scan limit,
+            # its burst ends by the deadline and its slot's occupied RBs are
+            # a prefix
+            slot_ticks, burst = self.slot_ticks, self.burst_ticks
+            offset, sym, _ = self._starts[0]
+            slot = earliest_tick // slot_ticks
+            tick = slot * slot_ticks + offset
+            ahead = tick < earliest_tick  # past the slot's one start
+            if ahead:
+                slot += 1
+                tick += slot_ticks
+            # the scan limit counts from earliest_tick's slot, `ahead` before the boundary's
+            if ahead < scan_limit_slots and (max_tx_end_tick is None
+                                              or tick + burst <= max_tx_end_tick):
+                slots = self._slots
+                s = slots.get(slot)
+                occ = 0 if s is None else s.occ
+                rb = occ.bit_length()
+                if not occ & (occ + 1) and rb + n_rb <= self.n_rb:
+                    if s is None:
+                        s = slots[slot] = _Slot(self._area, self._no_fit_unknown)
+                    s.occ = occ | ((1 << n_rb) - 1) << rb
+                    s.free_area -= n_rb * self.n_symbols
+                    return tuple.__new__(Placement, (
+                        slot, sym, self.n_symbols, rb, n_rb, 1, tick, tick + burst,
+                    )), tick
         starts, slot_ticks, burst = self._starts, self.slot_ticks, self.burst_ticks
         area = n_rb * self.n_symbols
         extra = (repeats - 1) * slot_ticks

@@ -404,7 +404,8 @@ def test_release_clears_memo():
     assert (p.slot_idx, p.rb_start) == (0, 0)
 
 
-def test_memo_skips_rejected_slot_without_probing(monkeypatch):
+def _recorded_probes(monkeypatch):
+    """The slot of every `SlotGrid._fit` call from now on, in call order."""
     probes = []
     fit = SlotGrid._fit
 
@@ -413,6 +414,11 @@ def test_memo_skips_rejected_slot_without_probing(monkeypatch):
         return fit(self, slot, *args)
 
     monkeypatch.setattr(SlotGrid, "_fit", counting_fit)
+    return probes
+
+
+def test_memo_skips_rejected_slot_without_probing(monkeypatch):
+    probes = _recorded_probes(monkeypatch)
     for n_sym in range(1, region_len(60) + 1):
         g = make_grid(scs=60, n_rb=5, n_symbols=n_sym)
         # bursts back to back in slot 0 on RBs 1 and 3: every window keeps
@@ -570,13 +576,16 @@ def test_overloaded_grid_scans_few_slots_per_allocation():
     assert calls > 5000 and CountingSlots.gets <= 2.5 * calls
 
 
-def test_full_slot_traffic_looks_each_slot_up_once():
+def test_full_slot_traffic_looks_each_slot_up_once(monkeypatch):
     """On the paper's typical sweep point (the `flat_load` benchmark's
     configuration on a short horizon) every allocation is placed at its
     first boundary, and each `allocate` call looks up exactly one slot: the
     one it commits into.  A scan that also visited the earliest tick's slot
     when that slot has no admissible start left, or that looked the slot up
-    again to commit into it, would count more."""
+    again to commit into it, would count more.  None of them enters the
+    scan: the placement at the first boundary takes every one without a
+    probe."""
+    probes = _recorded_probes(monkeypatch)
     cfg = RunConfig(scs_khz=30, bandwidth_mhz=20, slot_type="full", scheduling="semi_static",
                     dl_cast="broadcast", mcs_table="LEP", traffic="periodic", interval_ms=20.0,
                     density_veh_km_lane=40.0, horizon_ms=200.0, warmup_ms=60.0, seed=1)
@@ -584,6 +593,39 @@ def test_full_slot_traffic_looks_each_slot_up_once():
     assert len(results) > 5000
     assert all(p is not None and p.start_tick == boundary for p, boundary in results)
     assert CountingSlots.gets == len(results)
+    assert probes == []
+
+
+def test_first_boundary_placement_reaches_its_bounds(monkeypatch):
+    """On full-slot grids of each numerology and direction, a burst that
+    ends exactly at the deadline, and a boundary in the next slot that the
+    scan limit of two slots just reaches, are both placed at the first
+    boundary without a probe."""
+    probes = _recorded_probes(monkeypatch)
+    for scs, direction in itertools.product((15, 30, 60), ("UL", "DL")):
+        g = make_grid(scs=scs, direction=direction)
+        start = g.alignment(0)
+        p, boundary = g.allocate(3, start, max_tx_end_tick=start + g.burst_ticks)
+        assert (p.slot_idx, p.rb_start, boundary) == (0, 0, start)
+        late = start + 1  # past slot 0's one start
+        p, boundary = g.allocate(3, late, max_tx_end_tick=g.alignment(late) + g.burst_ticks,
+                                 scan_limit_slots=2)
+        assert (p.slot_idx, p.rb_start, p.start_tick) == (1, 0, boundary)
+    assert probes == []
+
+
+def test_hole_at_first_boundary_is_placed_by_the_scan(monkeypatch):
+    """A full-slot grid whose first boundary's slot has a released hole below
+    its occupied RBs: the placement at the first boundary declines it, and
+    the scan's one probe puts the request in the hole at its lowest RB."""
+    probes = _recorded_probes(monkeypatch)
+    g = make_grid(n_rb=8)
+    low, _ = g.allocate(2, 0)
+    g.allocate(3, 0)
+    g.release(low)
+    p, boundary = g.allocate(1, 0)
+    assert (p.slot_idx, p.rb_start, p.start_tick) == (0, 0, boundary)
+    assert probes == [0]
 
 
 def test_scan_boundaries_match_oracle():
