@@ -29,13 +29,19 @@ the occupied RBs are RBs 0 to some RB, or none, as first fit leaves them
 until a release punches a hole, the window's one free run starts at the
 field's bit length and no run computation is needed.
 
-A grid whose bursts span the whole data region keeps one field per slot.
-Every commit there would write the placement's RB mask into every symbol
-field of its slots, and every release would clear it from every field, so
-all fields of a live slot would be equal, and the fold of a window, which is
-all of them, would be its lowest field.  So that field alone stands for the
-slot: ``rep`` is 1, no fold is needed, and a commit, a release and a probe
-each work on one ``n_rb``-bit mask.
+A grid whose bursts are longer than half the data region, 2n > R for a
+burst of n symbols in a region of R (full slots, and mini7 bursts in a
+region of 13 symbols, or 11 at 60 kHz ECP), is single-layer and keeps one
+field per slot.  Two of its starts differ by at most R - n < n symbols, so
+every two windows of a slot share a symbol.  An RB that a placement holds
+in some symbol is then held in a symbol of every window, so every window's
+fold is the OR of all of the slot's fields, every start of the slot gives
+the same probe answer, and two placements in one slot never share an RB.
+That OR alone stands for the slot: ``rep`` is 1, every start's field shift
+is 0, a commit, a release and a probe each work on one ``n_rb``-bit mask,
+and a scan probes only the first start it may take in each slot.  The
+fold (`_fold_shifts`, a window of several fields) serves mini4 alone,
+whose windows need not meet.
 
 A scan starts at the first boundary: the first admissible start at or after
 its earliest tick, read from a per-grid table of each tick offset in a
@@ -49,26 +55,27 @@ only the slot before it can hold, ends the scan.  Every slot the scan
 visits is looked up once, and a placement is committed into the slot
 already in hand; only its repeat slots are looked up again.
 
-A grid whose bursts span the data region has one start per slot, and there
-a request without repeats is first placed at its first boundary, if it can
-be, before the scan is built.  The boundary is the slot's one start, or the
-next slot's when the earliest tick is past it; it must lie inside the scan
-limit, and its burst must end by the deadline.  Its slot is looked up once:
-an absent slot takes the request at RB 0, and a slot whose occupied RBs are
-RBs 0 to some RB takes it just above them if the carrier has room.  The
-scan would return the same: it would start at that slot, which neither the
-memo nor a run skips while the request fits there, and its one probe would
-take `_fit`'s prefix branch and write no memo and no run.  Every other
-case (a hole left by `release`, no room, a boundary past the deadline or
-the scan limit, repeats, several starts per slot) goes to the scan.
+On a single-layer grid a request without repeats is first placed at its
+first boundary, if it can be, before the scan is built.  The boundary must
+lie inside the scan limit, and its burst must end by the deadline.  Its
+slot is looked up once: an absent slot takes the request at RB 0, and a
+slot whose occupied RBs are RBs 0 to some RB takes it just above them if
+the carrier has room.  The scan would return the same: it would start at
+that slot, which neither the memo nor a run skips while the request fits
+there, and its one probe would take `_fit`'s prefix branch and write no
+memo and no run.  Every other case (a hole left by `release`, no room, a
+boundary past the deadline or the scan limit, repeats, a grid of several
+layers) goes to the scan, which takes the slot already in hand.
 
 Each live slot also keeps a "cannot fit" memo, one int: the fewest RBs
 known not to fit in any admissible window of that slot.  A first-fit scan
 that probed every start symbol of a slot and found no room records its
-request there.  Later scans skip such a slot without probing it, as they
-skip a slot whose free area is below the request.  A commit only adds
-occupancy, so the memo stays true; `release` clears the memo of every slot
-it frees, and `release_expired` drops the memo together with the slot.
+request there; on a single-layer grid one probe decides the slot, even
+one whose earlier starts lie before the earliest tick.  Later scans skip
+such a slot without probing it, as they skip a slot whose free area is
+below the request.  A commit only adds occupancy, so the memo stays true;
+`release` clears the memo of every slot it frees, and `release_expired`
+drops the memo together with the slot.
 Skipping never changes a result: the first boundary and the deadline's
 slot are fixed before the scan, and a skipped slot still takes one step of
 the scan limit.
@@ -140,7 +147,7 @@ class _Slot:
     __slots__ = ("occ", "free_area", "no_fit")
 
     def __init__(self, area: int, no_fit: int):
-        self.occ = 0            # an n_rb-bit field per symbol, one if bursts span the region
+        self.occ = 0            # an n_rb-bit field per symbol, one on a single-layer grid
         self.free_area = area
         self.no_fit = no_fit    # fewest RBs known not to fit
 
@@ -168,27 +175,29 @@ class SlotGrid:
         # admissible start symbols inside one slot
         self.start_symbols = tuple(range(self.region_start,
                                          self.region_start + self.region_len - n_symbols + 1))
+        # a burst longer than half the data region shares a symbol with every
+        # window of its slot, so its grid keeps one field per slot
+        self._one_layer = 2 * n_symbols > self.region_len
+        n_fields, field_bits = (1, 0) if self._one_layer else (n_symbols, n_rb_total)
         # each start's (tick offset in the slot, symbol, field shift)
-        self._starts = tuple((sym * self.symbol_ticks, sym, (sym - self.region_start) * n_rb_total)
-                             for sym in self.start_symbols)
+        starts = self._starts = tuple(
+            (sym * self.symbol_ticks, sym, (sym - self.region_start) * field_bits)
+            for sym in self.start_symbols)
+        # the starts a scan probes in a slot: one decides a single-layer slot
+        probed = self._probed = starts[:1] if self._one_layer else starts
         # for each tick offset in a slot, the first admissible start at or
         # after it: (slots ahead, its tick offset from this slot's start,
-        # the starts of its slot from it on, `_starts` itself when all)
-        starts = self._starts
+        # the starts to probe in its slot, `_probed` itself when all of them)
         first_start = []
         for k, (offset, _, _) in enumerate(starts):
-            entry = (0, offset, starts[k:] if k else starts)
-            first_start += [entry] * (offset + 1 - len(first_start))
-        entry = (1, self.slot_ticks + starts[0][0], starts)
+            todo = probed if k == 0 else (starts[k],) if self._one_layer else starts[k:]
+            first_start += [(0, offset, todo)] * (offset + 1 - len(first_start))
+        entry = (1, self.slot_ticks + starts[0][0], probed)
         first_start += [entry] * (self.slot_ticks - len(first_start))
         self._first_start = tuple(first_start)
         self.burst_ticks = n_symbols * self.symbol_ticks
         self._full = (1 << n_rb_total) - 1
         self._area = self.region_len * n_rb_total
-        # a burst spanning the data region has one start per slot and writes
-        # every symbol field alike, so its grid keeps one field per slot
-        self._one_start = len(self._starts) == 1
-        n_fields = 1 if self._one_start else n_symbols
         # the lowest bit of each of the burst's fields, every bit of them, and
         # the shifts folding them onto the lowest one
         self._rep = sum(1 << (i * n_rb_total) for i in range(n_fields))
@@ -231,7 +240,8 @@ class SlotGrid:
         is bounded once, as the last start tick whose burst and repeats end
         by max_tx_end_tick.  Each slot the scan visits is looked up once,
         and a placement is committed into that slot without a second
-        lookup.  On a grid with one start per slot, a request without
+        lookup.  On a single-layer grid (bursts longer than half the data
+        region) the scan probes one start per slot, and a request without
         repeats that fits above the occupied RBs of its first boundary's
         slot, in time, is placed there without the scan, as the scan would
         place it.
@@ -241,44 +251,35 @@ class SlotGrid:
                 f"{n_rb} RBs x {repeats} repeats within {scan_limit_slots} slots: the "
                 f"{self.n_rb}-RB carrier takes 1 to {self.n_rb} RBs, repeated at least "
                 "once, in a scan of at least one slot")
-        if self._one_start and repeats == 1:
-            # placement at the first boundary: the scan's first probe, taken
-            # without the scan when the boundary is inside the scan limit,
-            # its burst ends by the deadline and its slot's occupied RBs are
-            # a prefix
-            slot_ticks, burst = self.slot_ticks, self.burst_ticks
-            offset, sym, _ = self._starts[0]
-            slot = earliest_tick // slot_ticks
-            tick = slot * slot_ticks + offset
-            ahead = tick < earliest_tick  # past the slot's one start
-            if ahead:
-                slot += 1
-                tick += slot_ticks
-            # the scan limit counts from earliest_tick's slot, `ahead` before the boundary's
-            if ahead < scan_limit_slots and (max_tx_end_tick is None
-                                              or tick + burst <= max_tx_end_tick):
-                slots = self._slots
-                s = slots.get(slot)
-                occ = 0 if s is None else s.occ
-                rb = occ.bit_length()
-                if not occ & (occ + 1) and rb + n_rb <= self.n_rb:
-                    if s is None:
-                        s = slots[slot] = _Slot(self._area, self._no_fit_unknown)
-                    s.occ = occ | ((1 << n_rb) - 1) << rb
-                    s.free_area -= n_rb * self.n_symbols
-                    return tuple.__new__(Placement, (
-                        slot, sym, self.n_symbols, rb, n_rb, 1, tick, tick + burst,
-                    )), tick
-        starts, slot_ticks, burst = self._starts, self.slot_ticks, self.burst_ticks
-        area = n_rb * self.n_symbols
-        extra = (repeats - 1) * slot_ticks
-        slots = self._slots
+        slot_ticks, burst, slots = self.slot_ticks, self.burst_ticks, self._slots
         slot = earliest_tick // slot_ticks
         base = slot * slot_ticks
-        # the scan limit counts from earliest_tick's slot, admissible start or not
-        end_slot = slot + scan_limit_slots
         ahead, offset, todo = self._first_start[earliest_tick - base]
         first_boundary = base + offset
+        known = -1  # the slot the placement at the first boundary looked up
+        # placement at the first boundary: the scan's first probe, taken
+        # without the scan when the boundary is inside the scan limit, its
+        # burst ends by the deadline and its slot's occupied RBs are a prefix
+        if self._one_layer and repeats == 1 and ahead < scan_limit_slots and (
+                max_tx_end_tick is None or first_boundary + burst <= max_tx_end_tick):
+            known = slot + ahead
+            s = slots.get(known)
+            occ = 0 if s is None else s.occ
+            rb = occ.bit_length()
+            if not occ & (occ + 1) and rb + n_rb <= self.n_rb:
+                if s is None:
+                    s = slots[known] = _Slot(self._area, self._no_fit_unknown)
+                s.occ = occ | ((1 << n_rb) - 1) << rb
+                s.free_area -= n_rb * self.n_symbols
+                return tuple.__new__(Placement, (
+                    known, todo[0][1], self.n_symbols, rb, n_rb, 1,
+                    first_boundary, first_boundary + burst,
+                )), first_boundary
+        probed = self._probed
+        area = n_rb * self.n_symbols
+        extra = (repeats - 1) * slot_ticks
+        # the scan limit counts from earliest_tick's slot, admissible start or not
+        end_slot = slot + scan_limit_slots
         slot += ahead
         if max_tx_end_tick is None:
             # every start before the scan limit is before last_tick
@@ -287,11 +288,12 @@ class SlotGrid:
             # the last start whose burst, repeats included, ends by the
             # deadline, and the first slot whose first start is past it
             last_tick = max_tx_end_tick - burst - extra
-            stop = (last_tick - starts[0][0]) // slot_ticks + 1
+            stop = (last_tick - probed[0][0]) // slot_ticks + 1
             if stop > end_slot:
                 stop = end_slot
         while slot < stop:
-            s = slots.get(slot)
+            if slot != known:
+                s = slots.get(slot)
             # a burst that cannot fit this slot cannot start in it, repeats or not
             if s is not None and (s.free_area < area or s.no_fit <= n_rb):
                 # no start of a skipped slot fits, so the scan fails once a
@@ -316,7 +318,7 @@ class SlotGrid:
                     self._full_runs[n_rb] = [lo, slot]
                 if slot >= stop:
                     break
-                todo = starts
+                todo = probed
             base = slot * slot_ticks
             for offset, sym, shift in todo:
                 tick = base + offset
@@ -343,10 +345,11 @@ class SlotGrid:
                     )), first_boundary
             else:
                 # every start of the slot was probed and missed (the scan's
-                # first slot may have skipped starts before earliest_tick)
-                if repeats == 1 and s is not None and todo is starts:
+                # first slot may have skipped starts before earliest_tick,
+                # which a single-layer slot's one probe decides as well)
+                if repeats == 1 and s is not None and (todo is probed or self._one_layer):
                     s.no_fit = n_rb
-            todo = starts
+            todo = probed
             slot += 1
         return None, first_boundary
 
@@ -381,8 +384,8 @@ class SlotGrid:
     def release(self, p: Placement, not_before_tick: int | None = None) -> None:
         """Undo a committed placement (superseded packet), repeat slots whose
         transmission has not started by not_before_tick only."""
-        first = p.sym_start - self.region_start
-        kept = ~((((1 << p.n_rb) - 1) << p.rb_start) * self._rep << (first * self.n_rb))
+        shift = self._starts[p.sym_start - self.region_start][2]
+        kept = ~((((1 << p.n_rb) - 1) << p.rb_start) * self._rep << shift)
         area = p.n_rb * p.n_symbols
         for idx in range(p.slot_idx, p.slot_idx + p.repeats):
             if idx < self._released_before:
