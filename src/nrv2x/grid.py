@@ -67,15 +67,26 @@ memo and no run.  Every other case (a hole left by `release`, no room, a
 boundary past the deadline or the scan limit, repeats, a grid of several
 layers) goes to the scan, which takes the slot already in hand.
 
+A scan skips a slot without probing it when the slot's occupancy bits
+leave too few cells for the request.  A request of ``n_rb`` RBs needs
+``n_rb`` clear bits in each field its burst covers, one on a single-layer
+grid and n on mini4, so a slot with more than ``room`` bits set, its cell
+count less ``n_rb`` times those fields, cannot take it.  On a full slot
+this is the free-area test.  On mini7 it is exact while the slot's
+occupied RBs are RBs 0 to some RB, as first fit leaves them: the free RBs
+are then one run, and the request fits exactly when they are enough.
+
 Each live slot also keeps a "cannot fit" memo, one int: the fewest RBs
 known not to fit in any admissible window of that slot.  A first-fit scan
 that probed every start symbol of a slot and found no room records its
 request there; on a single-layer grid one probe decides the slot, even
 one whose earlier starts lie before the earliest tick.  Later scans skip
-such a slot without probing it, as they skip a slot whose free area is
-below the request.  A commit only adds occupancy, so the memo stays true;
-`release` clears the memo of every slot it frees, and `release_expired`
-drops the memo together with the slot.
+such a slot without probing it.  On a single-layer grid the count decides
+every slot without a hole left by `release`, so the memo matters only on
+slots with such a hole and on mini4, whose windows the count does not tell
+apart.  A commit only adds occupancy, so the memo stays true; `release` clears the
+memo of every slot it frees, and `release_expired` drops the memo together
+with the slot.
 Skipping never changes a result: the first boundary and the deadline's
 slot are fixed before the scan, and a skipped slot still takes one step of
 the scan limit.
@@ -97,8 +108,12 @@ it clears every interval; and `release_expired` drops the slots below its
 horizon, so it clips every interval to start at the horizon and drops those
 that end at or below it.
 
-A live slot's used area is its data area less its free area; the used area
-of a slot is written down for the utilization metrics only when
+A live slot's occupancy bits are its only record of what is used, so
+commits and releases do no area arithmetic.  Its used area is its set bits
+times the symbols one bit stands for: n on a single-layer grid, whose bit
+is an RB held for a whole burst (two placements in one slot never share an
+RB), and 1 on mini4, whose bit is one RB of one symbol.  The used area of a
+slot is written down for the utilization metrics only when
 `release_expired` drops the slot.
 """
 
@@ -144,11 +159,10 @@ def _fold_shifts(n_fields: int, width: int) -> tuple[int, ...]:
 
 
 class _Slot:
-    __slots__ = ("occ", "free_area", "no_fit")
+    __slots__ = ("occ", "no_fit")
 
-    def __init__(self, area: int, no_fit: int):
+    def __init__(self, no_fit: int):
         self.occ = 0            # an n_rb-bit field per symbol, one on a single-layer grid
-        self.free_area = area
         self.no_fit = no_fit    # fewest RBs known not to fit
 
 
@@ -159,7 +173,6 @@ class SlotGrid:
     def __init__(self, num: NumerologyProfile, n_rb_total: int, control: ControlConfig,
                  direction: str, n_symbols: int | None = None):
         region = data_region(num, direction, control)
-        self.num = num
         self.n_rb = n_rb_total
         self.region_start = region.start
         self.region_len = len(region)
@@ -198,6 +211,12 @@ class SlotGrid:
         self.burst_ticks = n_symbols * self.symbol_ticks
         self._full = (1 << n_rb_total) - 1
         self._area = self.region_len * n_rb_total
+        # a slot's occupancy bits, the symbols one of them stands for, and the
+        # fields a burst covers: a slot with more than `_bits - n_rb * _fields`
+        # bits set has no room for n_rb RBs
+        self._bits, self._per_bit = ((n_rb_total, n_symbols) if self._one_layer
+                                     else (self._area, 1))
+        self._fields = n_fields
         # the lowest bit of each of the burst's fields, every bit of them, and
         # the shifts folding them onto the lowest one
         self._rep = sum(1 << (i * n_rb_total) for i in range(n_fields))
@@ -268,15 +287,14 @@ class SlotGrid:
             rb = occ.bit_length()
             if not occ & (occ + 1) and rb + n_rb <= self.n_rb:
                 if s is None:
-                    s = slots[known] = _Slot(self._area, self._no_fit_unknown)
+                    s = slots[known] = _Slot(self._no_fit_unknown)
                 s.occ = occ | ((1 << n_rb) - 1) << rb
-                s.free_area -= n_rb * self.n_symbols
                 return tuple.__new__(Placement, (
                     known, todo[0][1], self.n_symbols, rb, n_rb, 1,
                     first_boundary, first_boundary + burst,
                 )), first_boundary
         probed = self._probed
-        area = n_rb * self.n_symbols
+        room = self._bits - n_rb * self._fields
         extra = (repeats - 1) * slot_ticks
         # the scan limit counts from earliest_tick's slot, admissible start or not
         end_slot = slot + scan_limit_slots
@@ -295,7 +313,7 @@ class SlotGrid:
             if slot != known:
                 s = slots.get(slot)
             # a burst that cannot fit this slot cannot start in it, repeats or not
-            if s is not None and (s.free_area < area or s.no_fit <= n_rb):
+            if s is not None and (s.occ.bit_count() > room or s.no_fit <= n_rb):
                 # no start of a skipped slot fits, so the scan fails once a
                 # stretch of skipped slots reaches `stop`: walk the stretch,
                 # jumping over the known run, remember it, and probe the
@@ -308,7 +326,7 @@ class SlotGrid:
                         slot = run[1]
                         continue
                     s = slots.get(slot)
-                    if s is None or (s.free_area >= area and s.no_fit > n_rb):
+                    if s is None or (s.occ.bit_count() <= room and s.no_fit > n_rb):
                         break
                     slot += 1
                 if run is not None and lo <= run[1] and run[0] <= slot:
@@ -324,20 +342,18 @@ class SlotGrid:
                 tick = base + offset
                 if tick > last_tick:
                     return None, first_boundary
-                rb = self._fit(slot, shift, n_rb, area, repeats, s)
+                rb = self._fit(slot, shift, n_rb, room, repeats, s)
                 if rb is not None:
                     cells = (((1 << n_rb) - 1) << rb) * self._rep << shift
                     if s is None:
-                        s = slots[slot] = _Slot(self._area, self._no_fit_unknown)
+                        s = slots[slot] = _Slot(self._no_fit_unknown)
                     s.occ |= cells
-                    s.free_area -= area
                     if repeats > 1:
                         for idx in range(slot + 1, slot + repeats):
                             t = slots.get(idx)
                             if t is None:
-                                t = slots[idx] = _Slot(self._area, self._no_fit_unknown)
+                                t = slots[idx] = _Slot(self._no_fit_unknown)
                             t.occ |= cells
-                            t.free_area -= area
                     # tuple.__new__ skips the namedtuple's Python-level
                     # __new__ and its keyword handling: one call per placement
                     return tuple.__new__(Placement, (
@@ -354,17 +370,17 @@ class SlotGrid:
         return None, first_boundary
 
     def _fit(
-        self, slot: int, shift: int, n_rb: int, area: int, repeats: int, s: _Slot | None,
+        self, slot: int, shift: int, n_rb: int, room: int, repeats: int, s: _Slot | None,
     ) -> int | None:
         """Lowest free RB of an n_rb-wide window whose first symbol's field
         starts at bit `shift` in `slot` (state `s`) and its repeat slots, or
-        None."""
+        None; a repeat slot with more than `room` bits set has no room."""
         occ = 0 if s is None else s.occ
         if repeats > 1:
             for r in range(1, repeats):
                 t = self._slots.get(slot + r)
                 if t is not None:
-                    if t.free_area < area:
+                    if t.occ.bit_count() > room:
                         return None
                     occ |= t.occ
         occ = (occ >> shift) & self._window
@@ -386,7 +402,6 @@ class SlotGrid:
         transmission has not started by not_before_tick only."""
         shift = self._starts[p.sym_start - self.region_start][2]
         kept = ~((((1 << p.n_rb) - 1) << p.rb_start) * self._rep << shift)
-        area = p.n_rb * p.n_symbols
         for idx in range(p.slot_idx, p.slot_idx + p.repeats):
             if idx < self._released_before:
                 continue
@@ -397,7 +412,6 @@ class SlotGrid:
             if s is None:
                 continue
             s.occ &= kept
-            s.free_area += area
             s.no_fit = self._no_fit_unknown
             self._full_runs.clear()
 
@@ -411,7 +425,7 @@ class SlotGrid:
         used = self._used_area
         for i in stale:
             # a slot allocated again after it expired adds to its first life
-            used[i] = used.get(i, 0) + self._area - self._slots.pop(i).free_area
+            used[i] = used.get(i, 0) + self._slots.pop(i).occ.bit_count() * self._per_bit
         if stale:
             self._released_before = max(self._released_before, max(stale) + 1)
             self._full_runs = {n_rb: [max(a, horizon), b]
@@ -431,5 +445,5 @@ class SlotGrid:
         first = -(-start_tick // self.slot_ticks)
         last = end_tick // self.slot_ticks  # exclusive
         used = sum(a for i, a in self._used_area.items() if first <= i < last)
-        return used + sum(self._area - s.free_area
-                          for i, s in self._slots.items() if first <= i < last)
+        return used + self._per_bit * sum(s.occ.bit_count()
+                                          for i, s in self._slots.items() if first <= i < last)

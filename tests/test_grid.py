@@ -244,12 +244,13 @@ class _OracleGrid:
     """Cell-set model of one direction, independent of SlotGrid's masks and
     memo: brute-force first fit of the grid's burst length with the
     deadline and scan-limit rules of `SlotGrid.allocate`, plus its release
-    and expiry bookkeeping."""
+    and expiry bookkeeping and the used area it keeps of expired slots."""
 
     def __init__(self, grid):
         self.g = grid
         self.cells = set()          # (slot, symbol, rb)
         self.touched = set()        # slots committed to since they last expired
+        self.used = {}              # slot -> cells it held when it expired
         self.released_before = 0
 
     def _cells(self, slot, sym, n_sym, rb, n_rb):
@@ -299,16 +300,28 @@ class _OracleGrid:
     def release_expired(self, now_tick):
         horizon = now_tick // self.g.slot_ticks
         stale = {s for s in self.touched if s < horizon}
+        for slot, _, _ in self.cells:
+            if slot in stale:
+                self.used[slot] = self.used.get(slot, 0) + 1
         self.cells = {c for c in self.cells if c[0] not in stale}
         self.touched -= stale
         if stale:
             self.released_before = max(self.released_before, max(stale) + 1)
         return len(stale)
 
+    def used_area_in(self, start_tick, end_tick):
+        first, last = -(-start_tick // self.g.slot_ticks), end_tick // self.g.slot_ticks
+        return (sum(a for slot, a in self.used.items() if first <= slot < last)
+                + sum(first <= slot < last for slot, _, _ in self.cells))
+
+
+WHOLE = (0, 10**9)   # ticks: every slot the random operations reach
+
 
 def test_memo_matches_oracle_random_ops():
     """Random calls on small, dense grids: every result, placement and first
-    boundary alike, equals the memo-free oracle's."""
+    boundary alike, and the used area over the whole horizon after every
+    call equal the memo-free oracle's."""
     rng = random.Random(11)
     n_allocs = n_misses = 0
     for case in range(40):
@@ -344,6 +357,7 @@ def test_memo_matches_oracle_random_ops():
             else:
                 now += rng.randint(0, 2 * g.slot_ticks)
                 assert g.release_expired(now) == oracle.release_expired(now)
+            assert g.used_area_in(*WHOLE) == oracle.used_area_in(*WHOLE), (case, op)
     # the sequences are dense enough to reject often
     assert n_misses > n_allocs // 10
 
@@ -355,7 +369,8 @@ def test_region_long_fields_stay_equal_random_ops():
     them, on every numerology and direction, with one or two control
     symbols.  After every operation each live slot's occupancy is one
     field, which stands for the OR of all of the slot's symbol fields, and
-    every result equals the oracle's."""
+    every result and the used area over the whole horizon equal the
+    oracle's."""
     rng = random.Random(29)
     counts = dict.fromkeys(("allocate", "release", "release_partly", "expire"), 0)
     shapes = set()
@@ -398,6 +413,7 @@ def test_region_long_fields_stay_equal_random_ops():
                 counts["expire"] += 1
             for idx, s in g._slots.items():
                 assert 0 <= s.occ < 1 << g.n_rb, (case, op, idx)
+            assert g.used_area_in(*WHOLE) == oracle.used_area_in(*WHOLE), (case, op)
     assert counts["allocate"] > 2000 and min(counts.values()) > 100, counts
     # full slots and several starts per slot, on regions of 10 to 13 symbols
     assert {n for n, _ in shapes} == {10, 11, 12, 13} and {m for _, m in shapes} == {False, True}
@@ -597,10 +613,23 @@ def test_overloaded_grid_scans_few_slots_per_allocation(monkeypatch):
     a 100 ms horizon), the saturated-run jump and the "cannot fit" memo keep
     first fit at a few slot lookups per `allocate` call: about 2.0, against
     about 34 with either of them disabled, for the same results.  The grid
-    is single-layer, so a scan probes one start of each slot it visits,
+    is single-layer, so a scan probes one start of each slot it visits, a
+    slot with fewer free RBs than the request is skipped by their count,
     and a request that fits at its first boundary is placed without a
-    probe: about 0.62 probes per call, against 1.76 when every start of a
-    slot was probed."""
+    probe.  No slot without a released hole is probed in vain: every probe
+    places the request, about 0.46 probes per call, against 0.62 (965 of
+    them misses) when a slot was skipped by its free area and 1.76 when
+    every start of a slot was probed."""
+    misses = []
+    fit = SlotGrid._fit
+
+    def missing_fit(self, slot, *args):
+        rb = fit(self, slot, *args)
+        if rb is None:
+            misses.append(slot)
+        return rb
+
+    monkeypatch.setattr(SlotGrid, "_fit", missing_fit)
     probes = _recorded_probes(monkeypatch)
     cfg = RunConfig(scs_khz=60, slot_type="mini7", interval_ms=20.0,
                     density_veh_km_lane=60.0, horizon_ms=100.0, warmup_ms=40.0, seed=1)
@@ -608,7 +637,8 @@ def test_overloaded_grid_scans_few_slots_per_allocation(monkeypatch):
     assert summary.n_dropped > 0.2 * summary.n_generated   # the grid is overloaded
     calls = len(results)
     assert calls > 5000 and CountingSlots.gets <= 2.5 * calls
-    assert len(probes) <= 0.8 * calls
+    assert probes and misses == []
+    assert len(probes) <= 0.5 * calls
 
 
 def test_full_slot_traffic_looks_each_slot_up_once(monkeypatch):
@@ -653,18 +683,19 @@ def test_mini7_first_boundary_between_starts(monkeypatch):
     """On mini7 grids of each numerology and direction, an earliest tick
     between two starts of a slot whose occupied RBs are RBs 0 to some RB:
     the request is placed at the next start, just above them, with one slot
-    lookup and no probe.  A request that no longer fits there is decided by
-    one probe of that slot, already in hand; its miss writes the memo,
-    though the slot's earlier starts were skipped, and a later request
-    from the slot's start skips the slot unprobed.  Every result equals the
-    oracle's."""
+    lookup and no probe.  A request wider than the slot's free RBs skips the
+    slot, already in hand, by its count alone, unprobed.  A slot whose free
+    RBs, left by releases, are enough in number but not adjacent is decided
+    by one probe; its miss writes the memo, though the slot's earlier
+    starts were skipped, and a later request from the slot's start skips
+    the slot unprobed.  Every result equals the oracle's."""
     probes = _recorded_probes(monkeypatch)
     for scs, direction in itertools.product((15, 30, 60), ("UL", "DL")):
-        g = make_grid(scs=scs, n_rb=6, direction=direction, n_symbols=7)
-        assert 2 * g.n_symbols > g.region_len and len(g.start_symbols) > 3
-        oracle = _OracleGrid(g)
-        g._slots = CountingSlots(g._slots)
-        between = g.start_symbols[1] * g.symbol_ticks + 1   # past the second start
+        def fresh_grid():
+            g = make_grid(scs=scs, n_rb=6, direction=direction, n_symbols=7)
+            assert 2 * g.n_symbols > g.region_len and len(g.start_symbols) > 3
+            g._slots = CountingSlots(g._slots)
+            return g, _OracleGrid(g)
 
         def allocate(*args):
             CountingSlots.gets = 0
@@ -673,16 +704,28 @@ def test_mini7_first_boundary_between_starts(monkeypatch):
             assert ((p.slot_idx, p.sym_start, p.rb_start), boundary) == oracle.allocate(*args)
             return p, boundary
 
+        g, oracle = fresh_grid()
+        between = g.start_symbols[1] * g.symbol_ticks + 1   # past the second start
         allocate(2, 0)
         p, boundary = allocate(3, between)
         assert (p.slot_idx, p.sym_start, p.rb_start) == (0, g.start_symbols[2], 2)
         assert p.start_tick == boundary and probes == [] and CountingSlots.gets == 1
         p, _ = allocate(2, between)   # one RB left in slot 0
         assert (p.slot_idx, p.sym_start) == (1, g.start_symbols[0])
-        assert probes == [0, 1] and CountingSlots.gets == 2
-        assert g._slots[0].no_fit == 2
+        assert probes == [1] and CountingSlots.gets == 2
         p, _ = allocate(2, 0)
         assert p.slot_idx == 1 and 0 not in probes, (scs, direction)
+
+        g, oracle = fresh_grid()
+        placed = [allocate(2, 0)[0] for _ in range(3)]
+        for p in placed[::2]:   # RBs 2 and 3 stay: four free RBs, no three adjacent
+            g.release(p)
+            oracle.release(p)
+        p, _ = allocate(3, between)
+        assert (p.slot_idx, p.sym_start) == (1, g.start_symbols[0]) and probes == [0, 1]
+        assert g._slots[0].no_fit == 3
+        p, _ = allocate(3, 0)
+        assert p.slot_idx == 1 and probes == [1], (scs, direction)
 
 
 def test_hole_at_first_boundary_is_placed_by_the_scan(monkeypatch):

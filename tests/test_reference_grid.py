@@ -8,7 +8,7 @@ import pytest
 
 from nrv2x import engine
 from nrv2x.engine import RunConfig
-from nrv2x.grid import NO_SCAN_LIMIT, Placement
+from nrv2x.grid import NO_SCAN_LIMIT, Placement, SlotGrid
 
 
 class ReferenceGrid:
@@ -124,16 +124,18 @@ class ReferenceReplication(engine._Replication):
 
 
 LOADED = dict(scs_khz=30, bandwidth_mhz=10, interval_ms=20.0, warmup_ms=20.0)
+DYNAMIC_HARQ_UNICAST = dict(
+    LOADED, scheduling="dynamic", control_variant="conf2", retransmission="harq",
+    harq_max_retx=2, dl_cast="unicast", unicast_m=3, traffic="aperiodic",
+    density_veh_km_lane=30.0, horizon_ms=80.0)
 POINTS = {
     # criterion 8a's overloaded grid
     "mini7_60khz_rho60": dict(LOADED, scs_khz=60, slot_type="mini7", density_veh_km_lane=60.0,
                               horizon_ms=80.0),
     "mini7_k2_rho40": dict(LOADED, slot_type="mini7", retransmission="k_repetitions", k=2,
                            density_veh_km_lane=40.0, horizon_ms=60.0),
-    "mini4_dynamic_harq_unicast_rho30": dict(
-        LOADED, slot_type="mini4", scheduling="dynamic", control_variant="conf2",
-        retransmission="harq", harq_max_retx=2, dl_cast="unicast", unicast_m=3,
-        traffic="aperiodic", density_veh_km_lane=30.0, horizon_ms=80.0),
+    "mini4_dynamic_harq_unicast_rho30": dict(DYNAMIC_HARQ_UNICAST, slot_type="mini4"),
+    "mini7_dynamic_harq_unicast_rho30": dict(DYNAMIC_HARQ_UNICAST, slot_type="mini7"),
     "full_rho80": dict(LOADED, slot_type="full", density_veh_km_lane=80.0, horizon_ms=100.0),
 }
 
@@ -144,13 +146,28 @@ def _replicate(cls, cfg):
     return rep, rep.run(), rows
 
 
-@pytest.mark.parametrize("point", POINTS.values(), ids=POINTS.keys())
-def test_engine_matches_reference_grid(point):
+# points whose engine run releases placements on a single-layer grid
+RELEASING_ONE_LAYER = {"mini7_dynamic_harq_unicast_rho30"}
+
+
+@pytest.mark.parametrize("name", POINTS)
+def test_engine_matches_reference_grid(name, monkeypatch):
     """Loaded points of every slot type, with repetitions, dynamic HARQ
-    unicast and releases: the reference replication's trace rows, counts,
-    latency samples and utilisation equal the engine's bit for bit."""
-    cfg = RunConfig(seed=1, **point)
+    unicast and releases, on mini4 and on a single-layer mini7 grid: the
+    reference replication's trace rows, counts, latency samples and
+    utilisation equal the engine's bit for bit."""
+    one_layer_releases = []
+    release = SlotGrid.release
+
+    def counted_release(grid, *args, **kwargs):
+        if 2 * grid.n_symbols > grid.region_len:
+            one_layer_releases.append(args[0])
+        return release(grid, *args, **kwargs)
+
+    monkeypatch.setattr(SlotGrid, "release", counted_release)
+    cfg = RunConfig(seed=1, **POINTS[name])
     rep, summary, rows = _replicate(engine._Replication, cfg)
+    assert bool(one_layer_releases) == (name in RELEASING_ONE_LAYER), len(one_layer_releases)
     ref, ref_summary, ref_rows = _replicate(ReferenceReplication, cfg)
     assert isinstance(ref._ul.grid, ReferenceGrid) and isinstance(ref._dl.grid, ReferenceGrid)
     assert len(rows) > 1000 and summary.n_dropped + summary.n_failed > 0
