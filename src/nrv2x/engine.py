@@ -57,14 +57,16 @@ attempt that decodes it.  So no bucket gains an event while, or after, it
 runs.
 
 Arrivals never enter the calendar.  They are generated for the whole
-horizon when a replication is set up and laid out as one stream, a compact
-integer array of (tick, vehicle, deadline) rows sorted by (tick, vehicle,
-index), the deadline being the vehicle's next arrival.  Its rows from the
-warm-up on are the replication's counted packets, so set-up counts them
-once.  The loop merges that stream with the calendar, which holds only
-in-flight events and the periodic flushes: an arrival goes first when its
-tick is at or before the earliest bucket's, as it would had every arrival
-been pushed up front, before every other event.
+horizon when a replication is set up, every vehicle's by one call that
+returns the ticks flat, vehicle after vehicle, with a count per vehicle.
+They are laid out as one stream, a compact integer array of (tick,
+vehicle, deadline) rows sorted by (tick, vehicle, index), the deadline
+being the vehicle's next arrival.  Its rows from the warm-up on are the
+replication's counted packets, so set-up counts them once.  The loop
+merges that stream with the calendar, which holds only in-flight events
+and the periodic flushes: an arrival goes first when its tick is at or
+before the earliest bucket's, as it would had every arrival been pushed up
+front, before every other event.
 """
 
 from __future__ import annotations
@@ -337,16 +339,15 @@ class _Replication:
             scn.nearest_neighbours(self.vehicles, cfg.unicast_m)
             if cfg.dl_cast == "unicast" else None
         )
-        times = [scn.generate_arrivals(cfg.traffic, cfg.interval_ms, cfg.horizon_ms, rng)
-                 for _ in self.vehicles]
+        flat, counts = scn.generate_arrivals(cfg.traffic, cfg.interval_ms, cfg.horizon_ms,
+                                             n_ue, rng)
 
         self.warmup = phy.ms_to_ticks(cfg.warmup_ms)
         self.horizon = phy.ms_to_ticks(cfg.horizon_ms)
         # The arrival stream: (tick, vehicle, deadline) rows in (tick, vehicle,
-        # index) order.  A vehicle's last arrival lies past the horizon, so an
-        # arrival inside it finds its deadline in the next entry.
-        flat = np.concatenate(times)
-        vehicle = np.repeat(np.arange(n_ue), [len(t) for t in times])
+        # index) order.  A vehicle's last arrival lies at or past the horizon,
+        # so an arrival inside it finds its deadline in the next entry.
+        vehicle = np.repeat(np.arange(n_ue), counts)
         gen = np.flatnonzero(flat < self.horizon)
         order = gen[np.argsort(flat[gen], kind="stable")]
         self.arrivals = np.column_stack((flat[order], vehicle[order], flat[order + 1]))

@@ -14,9 +14,12 @@ that both the engine and the calibration check read.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .phy import ConfigurationError, load_rows
 
@@ -81,7 +84,11 @@ def linear_cqi_map() -> tuple[tuple[float, int], ...]:
 
 
 def cqi_from_distance(distance_m: float, cqi_map: tuple[tuple[float, int], ...]) -> int:
-    """CQI of the first map entry whose bound covers the distance."""
+    """CQI of the first map entry whose bound covers the distance.
+
+    `scenario.place_vehicles` finds the same entry for every vehicle at
+    once, by one search over the bounds.
+    """
     if distance_m < 0 or distance_m > cqi_map[-1][0]:
         raise ConfigurationError(f"distance {distance_m} m outside the mapped cell")
     for bound, cqi in cqi_map:
@@ -155,10 +162,15 @@ def rbs_for_packet(payload_bits: int, mcs: McsEntry, n_symbols: int,
                            key=lambda n: transport_block_size(mcs, n, n_symbols))
 
 
+@functools.cache
 def footprints(mcs_table: str, n_symbols: int, payload_bits: int,
-               max_rb: int | None = None) -> dict[int, int | None]:
+               max_rb: int | None = None) -> Mapping[int, int | None]:
     """RBs a packet takes at each CQI of the map, in map order; None where
-    it does not fit in `max_rb` RBs."""
+    it does not fit in `max_rb` RBs.
+
+    The table depends only on its arguments, so it is built once per
+    argument tuple and shared, read-only, by every later call.
+    """
     out: dict[int, int | None] = {}
     for _, cqi in linear_cqi_map():
         try:
@@ -166,7 +178,7 @@ def footprints(mcs_table: str, n_symbols: int, payload_bits: int,
                                       max_rb)
         except AllocationInfeasible:
             out[cqi] = None
-    return out
+    return MappingProxyType(out)
 
 
 def mean_rbs_over_cell(mcs_table: str, n_symbols: int, payload_bits: int = 2400) -> float:

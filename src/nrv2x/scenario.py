@@ -3,9 +3,11 @@
 The gNB sits at the midpoint of a road segment of twice the cell radius
 (`link.CELL_RADIUS_M`), `LANES` lanes wide; vehicles are placed uniformly
 along it and keep their position for the whole replication.  A world is
-the vehicles' positions, then their arrival streams.  Lane offsets are
-negligible against the cell radius, so no lane is drawn: the distance to
-the gNB is the longitudinal distance, and its CQI is read off
+the vehicles' positions, then their arrival streams, each drawn for every
+vehicle at once: the positions are one vector draw, periodic phases are a
+second, and only aperiodic gaps are drawn vehicle by vehicle.  Lane offsets
+are negligible against the cell radius, so no lane is drawn: the distance
+to the gNB is the longitudinal distance, and its CQI is read off
 `link.linear_cqi_map`.  The radius and the lane count are fixed: each
 would only scale the vehicle count, as a higher density does.
 """
@@ -13,18 +15,17 @@ would only scale the vehicle count, as a higher density does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .link import CELL_RADIUS_M, cqi_from_distance, linear_cqi_map
+from .link import CELL_RADIUS_M, linear_cqi_map
 from .phy import ConfigurationError, ms_to_ticks
 
 LANES = 6
 
 
-@dataclass(frozen=True)
-class Vehicle:
+class Vehicle(NamedTuple):
     id: int
     position_m: float      # signed along the road, gNB at 0
     cqi: int
@@ -35,10 +36,21 @@ def vehicle_count(density_veh_km_lane: float) -> int:
 
 
 def place_vehicles(density_veh_km_lane: float, rng: np.random.Generator) -> list[Vehicle]:
+    """Vehicles at uniform positions, from one vector draw.
+
+    Each CQI is that of the first map entry whose bound is at or above the
+    vehicle's distance, as `link.cqi_from_distance` gives it; one left-sided
+    search over the bounds finds them all.
+    """
     positions = rng.uniform(-CELL_RADIUS_M, CELL_RADIUS_M, vehicle_count(density_veh_km_lane))
-    cqi_map = linear_cqi_map()
-    return [Vehicle(i, x, cqi_from_distance(abs(x), cqi_map))
-            for i, x in enumerate(positions.tolist())]
+    bounds, cqis = zip(*linear_cqi_map())
+    distance = np.abs(positions)
+    entry = np.searchsorted(bounds, distance)
+    try:
+        cqi = np.take(cqis, entry)
+    except IndexError:  # a distance past the last bound
+        raise ConfigurationError(f"distance {distance.max()} m outside the mapped cell") from None
+    return list(map(Vehicle, range(len(positions)), positions.tolist(), cqi.tolist()))
 
 
 def nearest_neighbours(vehicles: list[Vehicle], m: int) -> list[tuple[int, ...]]:
@@ -65,28 +77,45 @@ def nearest_neighbours(vehicles: list[Vehicle], m: int) -> list[tuple[int, ...]]
     return out
 
 
-def generate_arrivals(kind: str, interval_ms: float, horizon_ms: float,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Arrival ticks for one vehicle: every in-horizon arrival plus one past
-    the horizon so the last packet has a staleness deadline.
+def generate_arrivals(kind: str, interval_ms: float, horizon_ms: float, n_ue: int,
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Arrival ticks of `n_ue` vehicles: each vehicle's in-horizon arrivals
+    and its first arrival at or after the horizon, so its last packet has a
+    staleness deadline.
 
-    Periodic traffic has a fixed period and a random phase.  Aperiodic gaps
-    are interval/2 plus an exponential of the same mean, so the expected gap
-    equals the interval and no gap is shorter than half of it.
+    Returns the ticks flat, vehicle after vehicle, and each vehicle's count.
+    Periodic traffic has a fixed period and a random phase per vehicle; the
+    phases are one vector draw, which gives the values and leaves the
+    generator where one scalar draw per vehicle would.  Aperiodic gaps are
+    interval/2 plus an exponential of the same mean, so the expected gap
+    equals the interval and no gap is shorter than half of it; a vehicle's
+    gaps are drawn until it passes the horizon, vehicle after vehicle.
     """
     horizon = ms_to_ticks(horizon_ms)
     if kind == "periodic":
         period = ms_to_ticks(interval_ms)
-        phase = int(rng.integers(0, period))
-        n = (horizon - phase) // period + 2
-        return phase + period * np.arange(n, dtype=np.int64)
+        phases = rng.integers(0, period, size=n_ue)
+        # q + 1 arrivals fall inside the horizon when the phase is below r,
+        # q otherwise, and one more ends each list
+        q, r = divmod(horizon, period)
+        counts = (phases < r) + (q + 1)
+        # flat entry i, the k-th of its vehicle, is phase + period * k, with
+        # k = i less the vehicle's first entry
+        first = np.cumsum(counts) - counts
+        ticks = np.repeat(phases - period * first, counts)
+        ticks += period * np.arange(len(ticks))
+        return ticks, counts
     times = []
-    t = float(rng.uniform(0.0, interval_ms))
+    counts = []
     half = interval_ms / 2.0
-    while True:
-        tick = ms_to_ticks(t)
-        times.append(tick)
-        if tick >= horizon:
-            break
-        t += half + float(rng.exponential(half))
-    return np.array(times, dtype=np.int64)
+    for _ in range(n_ue):
+        start = len(times)
+        t = float(rng.uniform(0.0, interval_ms))
+        while True:
+            tick = ms_to_ticks(t)
+            times.append(tick)
+            if tick >= horizon:
+                break
+            t += half + float(rng.exponential(half))
+        counts.append(len(times) - start)
+    return np.array(times, dtype=np.int64), np.array(counts, dtype=np.int64)

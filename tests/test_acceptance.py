@@ -42,17 +42,21 @@ def test_criterion_1_flat_load_latency():
     under two minutes per point."""
     failures = []
     details = []
+    walls = []
     for table in ("LEP", "HEP"):
         for density in (10, 20, 40, 60, 80):
             cfg = RunConfig(mcs_table=table, density_veh_km_lane=density,
                             interval_ms=100.0, **ACC)
             r = run(cfg)
             wall = r.runtime_s
-            details.append(f"{table}@{density}: {r.mean_ms:.3f} ms in {wall:.0f} s")
+            details.append(f"{table}@{density}: {r.mean_ms:.3f} ms")
+            walls.append(f"{table}@{density}: {wall:.0f} s")
             if not 1.4 <= r.mean_ms <= 1.7:
                 failures.append(f"{table}@{density} mean {r.mean_ms:.3f}")
             if wall >= 120:
                 failures.append(f"{table}@{density} took {wall:.0f} s")
+    # the wall times differ from run to run, so they stay off the ACCEPTANCE line
+    print(f"criterion 1 wall times: {'; '.join(walls)}")
     _line("1 flat-load anchor", not failures, "; ".join(details))
     assert not failures, failures
 

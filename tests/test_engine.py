@@ -305,6 +305,48 @@ def test_overload_replication_pinned():
     assert float(s.total_ms.sum()) == 27504.223214285717
 
 
+def test_dynamic_harq_unicast_replication_pinned():
+    """The first replication of a short dynamic conf2 point with HARQ and
+    unicast to the m = 3 nearest vehicles at 20 veh/km/lane, aperiodic:
+    counts, latency sum and both utilisations are pinned bit for bit, so the
+    grant, NACK and release paths cannot change results unnoticed under
+    load."""
+    cfg = RunConfig(scs_khz=30, slot_type="full", scheduling="dynamic",
+                    control_variant="conf2", retransmission="harq", harq_max_retx=2,
+                    dl_cast="unicast", unicast_m=3, traffic="aperiodic", interval_ms=20.0,
+                    density_veh_km_lane=20, horizon_ms=230.0, warmup_ms=200.0, seed=1)
+    seed = np.random.SeedSequence(cfg.seed).spawn(1)[0]
+    s = run_replication(cfg, np.random.default_rng(seed))
+    assert (s.n_generated, s.n_delivered, s.n_dropped, s.n_failed,
+            s.n_unallocatable) == (319, 318, 0, 1, 0)
+    assert float(s.total_ms.sum()) == 1814.5505952380954
+    assert (s.util_ul, s.util_dl) == (0.28104575163398693, 0.884640522875817)
+
+
+def test_world_is_built_once_per_replication(monkeypatch):
+    """A periodic replication draws every vehicle's arrivals in one call,
+    and the RB footprint tables of a configuration are built once: a second
+    replication of it sizes no packet."""
+    calls = Counter()
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(engine.scn, "generate_arrivals")
+    counting(engine.lnk, "rbs_for_packet")
+    cfg = RunConfig(density_veh_km_lane=60, traffic="periodic", interval_ms=20.0, **FAST)
+    engine._Replication(cfg, np.random.default_rng(1))
+    assert calls["generate_arrivals"] == 1
+    calls.clear()
+    engine._Replication(cfg, np.random.default_rng(2))
+    assert (calls["generate_arrivals"], calls["rbs_for_packet"]) == (1, 0)
+
+
 @pytest.mark.parametrize("point", [
     dict(density_veh_km_lane=40),
     dict(density_veh_km_lane=40, retransmission="k_repetitions", k=2),
@@ -884,8 +926,9 @@ def test_arrival_stream_is_sorted_by_tick_vehicle_index(monkeypatch):
     generate = engine.scn.generate_arrivals
 
     def recording(*args):
-        drawn.append(generate(*args).tolist())
-        return np.array(drawn[-1])
+        times, counts = generate(*args)
+        drawn.extend(w.tolist() for w in np.split(times, np.cumsum(counts)[:-1]))
+        return times, counts
 
     monkeypatch.setattr(engine.scn, "generate_arrivals", recording)
     cfg = RunConfig(density_veh_km_lane=0.3, traffic="aperiodic", interval_ms=0.002,
@@ -948,8 +991,8 @@ def test_scalar_draws_continue_the_vector_stream(seed):
                         density_veh_km_lane=10, horizon_ms=300.0, warmup_ms=100.0)
         rng, world = np.random.default_rng(seed), np.random.default_rng(seed)
         rep = engine._Replication(cfg, rng)
-        for _ in scn.place_vehicles(cfg.density_veh_km_lane, world):
-            scn.generate_arrivals(cfg.traffic, cfg.interval_ms, cfg.horizon_ms, world)
+        n_ue = len(scn.place_vehicles(cfg.density_veh_km_lane, world))
+        scn.generate_arrivals(cfg.traffic, cfg.interval_ms, cfg.horizon_ms, n_ue, world)
         assert rng.bit_generator.state == world.bit_generator.state
         # a copy fails often enough for both outcomes to occur at every k
         rep._bler = bler = 0.9

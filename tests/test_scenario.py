@@ -29,7 +29,8 @@ def test_placement_uniform_and_within_cell():
 
 def test_periodic_arrivals():
     rng = np.random.default_rng(2)
-    times = scn.generate_arrivals("periodic", 20.0, 200.0, rng)
+    times, counts = scn.generate_arrivals("periodic", 20.0, 200.0, 1, rng)
+    assert counts.tolist() == [len(times)]
     in_horizon = times[times < phy.ms_to_ticks(200.0)]
     assert len(in_horizon) == 10
     gaps = np.diff(times)
@@ -40,7 +41,7 @@ def test_periodic_arrivals():
 
 def test_aperiodic_gap_distribution():
     rng = np.random.default_rng(3)
-    times = scn.generate_arrivals("aperiodic", 20.0, 2_000_000.0, rng)
+    times, _ = scn.generate_arrivals("aperiodic", 20.0, 2_000_000.0, 1, rng)
     gaps = np.diff(times) / phy.TICKS_PER_MS
     assert gaps.min() >= 10.0 - 1e-9          # never below half the average
     assert gaps.mean() == pytest.approx(20.0, rel=0.02)
@@ -48,8 +49,62 @@ def test_aperiodic_gap_distribution():
 
 def test_per_vehicle_phases_differ():
     rng = np.random.default_rng(4)
-    phases = {int(scn.generate_arrivals("periodic", 100.0, 500.0, rng)[0]) for _ in range(50)}
+    times, counts = scn.generate_arrivals("periodic", 100.0, 500.0, 50, rng)
+    phases = set(times[np.cumsum(counts) - counts].tolist())
     assert len(phases) > 40
+
+
+@pytest.mark.parametrize("interval_ms, horizon_ms", [
+    (20.0, 990.0), (50.0, 990.0), (100.0, 990.0), (3 / phy.TICKS_PER_MS, 1.0),
+], ids=["20ms", "50ms", "100ms", "3ticks"])
+@pytest.mark.parametrize("seed", [0, 31, 2**40 + 7])
+def test_periodic_world_equals_per_vehicle_draws(seed, interval_ms, horizon_ms):
+    """One vector draw of the phases gives every vehicle the arrivals that
+    one scalar draw per vehicle gives, and leaves the generator where those
+    draws leave it.  Each vehicle's list ends at its first arrival at or
+    after the horizon.  The 990 ms horizon is no whole number of periods, so
+    vehicles differ in their counts; with a 3-tick period and a 1 ms horizon
+    a third of the vehicles have an arrival on the horizon itself, which
+    ends their list."""
+    n_ue = 624
+    vector, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    times, counts = scn.generate_arrivals("periodic", interval_ms, horizon_ms, n_ue, vector)
+    period, horizon = phy.ms_to_ticks(interval_ms), phy.ms_to_ticks(horizon_ms)
+    want = []
+    for _ in range(n_ue):
+        phase = int(scalar.integers(0, period))
+        ticks = (phase + period * np.arange(horizon // period + 2)).tolist()
+        want.append(ticks[:next(i for i, t in enumerate(ticks) if t >= horizon) + 1])
+    assert counts.tolist() == [len(w) for w in want]
+    assert len(set(counts.tolist())) == (1 if horizon % period == 0 else 2)
+    assert times.tolist() == [t for w in want for t in w]
+    assert vector.bit_generator.state == scalar.bit_generator.state
+
+
+@pytest.mark.parametrize("density", [10, 60, 80])
+def test_vehicle_cqis_equal_the_map_lookup(density):
+    """The CQIs found by one search over the map's bounds are those the
+    map's own lookup gives each vehicle."""
+    cqi_map = link.linear_cqi_map()
+    edges = [0.0] + [bound for bound, _ in cqi_map]
+
+    class OnTheEdges:
+        """Puts the vehicles on the map's bin edges, on both sides of the gNB."""
+
+        def uniform(self, low, high, size):
+            return np.resize(edges + [-e for e in edges], size)
+
+    for rng in (np.random.default_rng(density), OnTheEdges()):
+        vehicles = scn.place_vehicles(density, rng)
+        assert len(vehicles) == scn.vehicle_count(density)
+        assert [v.cqi for v in vehicles] == [
+            link.cqi_from_distance(abs(v.position_m), cqi_map) for v in vehicles]
+
+
+def test_vehicle_past_the_map_is_refused(monkeypatch):
+    monkeypatch.setattr(scn, "CELL_RADIUS_M", 2 * link.CELL_RADIUS_M)
+    with pytest.raises(phy.ConfigurationError):
+        scn.place_vehicles(80, np.random.default_rng(7))
 
 
 def test_nearest_neighbours_match_bruteforce():
