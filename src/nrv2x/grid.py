@@ -63,9 +63,11 @@ slot whose occupied RBs are RBs 0 to some RB takes it just above them if
 the carrier has room.  The scan would return the same: it would start at
 that slot, which neither the memo nor a run skips while the request fits
 there, and its one probe would take `_fit`'s prefix branch and write no
-memo and no run.  Every other case (a hole left by `release`, no room, a
-boundary past the deadline or the scan limit, repeats, a grid of several
-layers) goes to the scan, which takes the slot already in hand.
+memo and no run.  A boundary whose slot lies in the known run of its
+width (below) is not tried there, and its slot is not looked up.  Every
+other case (a hole left by `release`, no room, a boundary past the
+deadline or the scan limit, repeats, a grid of several layers) goes to
+the scan, which takes the slot already in hand when there is one.
 
 A scan skips a slot without probing it when the slot's occupancy bits
 leave too few cells for the request.  A request of ``n_rb`` RBs needs
@@ -107,6 +109,20 @@ only adds occupancy, so it never invalidates one; `release` frees cells, so
 it clears every interval; and `release_expired` drops the slots below its
 horizon, so it clips every interval to start at the horizon and drops those
 that end at or below it.
+
+On an overloaded grid many requests start inside such an interval, since
+the full slots lie just ahead of the tick the traffic has reached.  So
+`allocate` checks the run first: when the first boundary's slot lies in
+``[a, b)``, the scan takes that slot as skipped without looking it up,
+jumps to ``b`` and walks on from there, and the first-boundary placement
+is not tried.  That placement could not take the request, and the scan
+would have skipped the slot and jumped to the same place.  No slot of the
+interval is probed, so no memo is written there, and a run does not depend
+on `repeats`, so the check holds for every request.  Only then comes the
+first-boundary placement, and then the scan.  The grid also keeps a bound
+that no run ends past, raised whenever a run grows, so a request whose
+first boundary lies past every run, as nearly every request on a grid
+that is not overloaded does, does not look its width's run up.
 
 A live slot's occupancy bits are its only record of what is used, so
 commits and releases do no area arithmetic.  Its used area is its set bits
@@ -227,6 +243,7 @@ class SlotGrid:
         self._slots: dict[int, _Slot] = {}
         # n_rb -> [a, b]: live slots a..b-1 all skipped by that request
         self._full_runs: dict[int, list[int]] = {}
+        self._runs_end = 0  # no run ends past this slot; never lowered
         self._used_area: dict[int, int] = {}  # slots dropped by release_expired
         self._released_before = 0  # slots below this index have been freed
 
@@ -260,7 +277,12 @@ class SlotGrid:
         by max_tx_end_tick.  Each slot the scan visits is looked up once,
         and a placement is committed into that slot without a second
         lookup.  On a single-layer grid (bursts longer than half the data
-        region) the scan probes one start per slot, and a request without
+        region) the scan probes one start per slot.
+
+        The order is: the known run of skipped slots for `n_rb`, then the
+        placement at the first boundary, then the scan.  A first boundary
+        whose slot lies in the run is not looked up: the scan starts at the
+        run's end.  Otherwise, on a single-layer grid, a request without
         repeats that fits above the occupied RBs of its first boundary's
         slot, in time, is placed there without the scan, as the scan would
         place it.
@@ -275,11 +297,16 @@ class SlotGrid:
         base = slot * slot_ticks
         ahead, offset, todo = self._first_start[earliest_tick - base]
         first_boundary = base + offset
-        known = -1  # the slot the placement at the first boundary looked up
+        known = -1  # the slot whose state `s` the scan starts with in hand
+        # a first boundary in the known run of slots this width skips is
+        # neither looked up nor tried: the scan starts at the run's end (a
+        # boundary past every run's end is in none)
+        run = self._full_runs.get(n_rb) if slot + ahead < self._runs_end else None
+        in_run = run is not None and run[0] <= slot + ahead < run[1]
         # placement at the first boundary: the scan's first probe, taken
         # without the scan when the boundary is inside the scan limit, its
         # burst ends by the deadline and its slot's occupied RBs are a prefix
-        if self._one_layer and repeats == 1 and ahead < scan_limit_slots and (
+        if not in_run and self._one_layer and repeats == 1 and ahead < scan_limit_slots and (
                 max_tx_end_tick is None or first_boundary + burst <= max_tx_end_tick):
             known = slot + ahead
             s = slots.get(known)
@@ -309,6 +336,23 @@ class SlotGrid:
             stop = (last_tick - probed[0][0]) // slot_ticks + 1
             if stop > end_slot:
                 stop = end_slot
+        if in_run:
+            # the scan would skip the first slot and jump to the run's end:
+            # walk the skipped slots past it into the run, and probe the
+            # slot that ends the walk, in hand; no start of a skipped slot
+            # fits, so a walk that reaches `stop` fails the scan
+            slot = run[1]
+            while slot < stop:
+                s = slots.get(slot)
+                if s is None or (s.occ.bit_count() <= room and s.no_fit > n_rb):
+                    break
+                slot += 1
+            run[1] = slot
+            if slot > self._runs_end:
+                self._runs_end = slot
+            if slot >= stop:
+                return None, first_boundary
+            known, todo = slot, probed
         while slot < stop:
             if slot != known:
                 s = slots.get(slot)
@@ -334,6 +378,8 @@ class SlotGrid:
                     run[1] = max(run[1], slot)
                 else:
                     self._full_runs[n_rb] = [lo, slot]
+                if slot > self._runs_end:
+                    self._runs_end = slot
                 if slot >= stop:
                     break
                 todo = probed

@@ -134,6 +134,9 @@ POINTS = {
                               horizon_ms=80.0),
     "mini7_k2_rho40": dict(LOADED, slot_type="mini7", retransmission="k_repetitions", k=2,
                            density_veh_km_lane=40.0, horizon_ms=60.0),
+    # overloaded: saturated runs, repeats and a grid of several layers meet
+    "mini4_k2_rho40": dict(LOADED, slot_type="mini4", retransmission="k_repetitions", k=2,
+                           density_veh_km_lane=40.0, horizon_ms=55.0),
     "mini4_dynamic_harq_unicast_rho30": dict(DYNAMIC_HARQ_UNICAST, slot_type="mini4"),
     "mini7_dynamic_harq_unicast_rho30": dict(DYNAMIC_HARQ_UNICAST, slot_type="mini7"),
     "full_rho80": dict(LOADED, slot_type="full", density_veh_km_lane=80.0, horizon_ms=100.0),
@@ -155,19 +158,30 @@ def test_engine_matches_reference_grid(name, monkeypatch):
     """Loaded points of every slot type, with repetitions, dynamic HARQ
     unicast and releases, on mini4 and on a single-layer mini7 grid: the
     reference replication's trace rows, counts, latency samples and
-    utilisation equal the engine's bit for bit."""
+    utilisation equal the engine's bit for bit.  Every point makes requests
+    whose first boundary lies in the grid's known run of slots that skip
+    the request's width, which the scan starts past without looking up."""
     one_layer_releases = []
-    release = SlotGrid.release
+    in_run = []
+    release, allocate = SlotGrid.release, SlotGrid.allocate
 
     def counted_release(grid, *args, **kwargs):
         if 2 * grid.n_symbols > grid.region_len:
             one_layer_releases.append(args[0])
         return release(grid, *args, **kwargs)
 
+    def counted_allocate(grid, n_rb, earliest_tick, *args, **kwargs):
+        run = grid._full_runs.get(n_rb)
+        if run is not None and run[0] <= grid.alignment(earliest_tick) // grid.slot_ticks < run[1]:
+            in_run.append(earliest_tick)
+        return allocate(grid, n_rb, earliest_tick, *args, **kwargs)
+
     monkeypatch.setattr(SlotGrid, "release", counted_release)
+    monkeypatch.setattr(SlotGrid, "allocate", counted_allocate)
     cfg = RunConfig(seed=1, **POINTS[name])
     rep, summary, rows = _replicate(engine._Replication, cfg)
     assert bool(one_layer_releases) == (name in RELEASING_ONE_LAYER), len(one_layer_releases)
+    assert in_run
     ref, ref_summary, ref_rows = _replicate(ReferenceReplication, cfg)
     assert isinstance(ref._ul.grid, ReferenceGrid) and isinstance(ref._dl.grid, ReferenceGrid)
     assert len(rows) > 1000 and summary.n_dropped + summary.n_failed > 0
