@@ -96,33 +96,29 @@ the scan limit.
 Saturated slots form long runs when the grid is overloaded, and each scan
 would walk them again.  For every request width ``n_rb`` the grid keeps one
 interval ``[a, b)`` of consecutive live slots that all skip that request.
-A scan that meets a skipped slot walks the whole skipped stretch, jumping
-from any slot inside the interval straight to ``b``, merges the stretch
-into the interval (or replaces the interval, if the two neither overlap nor
-touch), and probes the slot that ends the stretch, already looked up.  No
-start of a skipped slot fits, so a stretch that reaches the deadline's slot
-or the end of the scan limit fails the scan, and every failed scan returns
-its first boundary, whichever start or slot ends it.  So the cost of a scan
-no longer grows with the backlog, and no result changes, since an interval
-holds only slots the scan would skip.  An interval stays true: a commit
-only adds occupancy, so it never invalidates one; `release` frees cells, so
-it clears every interval; and `release_expired` drops the slots below its
-horizon, so it clips every interval to start at the horizon and drops those
-that end at or below it.
-
-On an overloaded grid many requests start inside such an interval, since
-the full slots lie just ahead of the tick the traffic has reached.  So
-`allocate` checks the run first: when the first boundary's slot lies in
-``[a, b)``, the scan takes that slot as skipped without looking it up,
-jumps to ``b`` and walks on from there, and the first-boundary placement
-is not tried.  That placement could not take the request, and the scan
-would have skipped the slot and jumped to the same place.  No slot of the
-interval is probed, so no memo is written there, and a run does not depend
-on `repeats`, so the check holds for every request.  Only then comes the
-first-boundary placement, and then the scan.  The grid also keeps a bound
-that no run ends past, raised whenever a run grows, so a request whose
-first boundary lies past every run, as nearly every request on a grid
-that is not overloaded does, does not look its width's run up.
+A request whose first boundary's slot lies in ``[a, b)``, as many do on an
+overloaded grid, since the full slots lie just ahead of the tick the
+traffic has reached, starts its scan at ``b``: that slot is not looked up
+and the first-boundary placement is not tried.  A scan that meets a skipped
+slot walks the whole skipped stretch in one walk, the only one over skipped
+slots.  The walk jumps from ``a`` straight to ``b`` when the stretch begins
+at ``a`` or reaches it from below, and the stretch is merged into the
+interval, whose ends move in place (or replaces it, if the two neither
+overlap nor touch); the scan then probes the slot that ends the stretch,
+already looked up.  No start of a skipped slot fits, so a stretch that
+reaches the deadline's slot or the end of the scan limit fails the scan,
+and every failed scan returns its first boundary, whichever start or slot
+ends it.  So the cost of a scan no longer grows with the backlog, and no
+result changes, since an interval holds only slots the scan would skip, no
+slot of it is probed, so no memo is written there, and it does not depend
+on `repeats`.  An interval stays true: a commit only adds occupancy, so it
+never invalidates one; `release` frees cells, so it clears every interval;
+and `release_expired` drops the slots below its horizon, so it clips every
+interval to start at the horizon and drops those that end at or below it.
+The grid also keeps a bound that no interval ends past, raised whenever one
+grows, so a request whose first boundary lies past every interval, as
+nearly every request on a grid that is not overloaded does, does not look
+its width's interval up.
 
 A live slot's occupancy bits are its only record of what is used, so
 commits and releases do no area arithmetic.  Its used area is its set bits
@@ -279,13 +275,13 @@ class SlotGrid:
         lookup.  On a single-layer grid (bursts longer than half the data
         region) the scan probes one start per slot.
 
-        The order is: the known run of skipped slots for `n_rb`, then the
-        placement at the first boundary, then the scan.  A first boundary
-        whose slot lies in the run is not looked up: the scan starts at the
-        run's end.  Otherwise, on a single-layer grid, a request without
-        repeats that fits above the occupied RBs of its first boundary's
-        slot, in time, is placed there without the scan, as the scan would
-        place it.
+        The order is: a first boundary whose slot lies in the known run of
+        skipped slots for `n_rb` moves the scan's start to the run's end,
+        without looking that slot up; otherwise, on a single-layer grid, a
+        request without repeats that fits above the occupied RBs of its
+        first boundary's slot, in time, is placed there without the scan,
+        as the scan would place it; then the scan, whose one walk over a
+        stretch of skipped slots jumps the run where the stretch meets it.
         """
         if not (0 < n_rb <= self.n_rb and repeats > 0 and scan_limit_slots > 0):
             raise ConfigurationError(
@@ -297,18 +293,22 @@ class SlotGrid:
         base = slot * slot_ticks
         ahead, offset, todo = self._first_start[earliest_tick - base]
         first_boundary = base + offset
+        # the scan limit counts from earliest_tick's slot, admissible start or not
+        end_slot = slot + scan_limit_slots
+        slot += ahead
         known = -1  # the slot whose state `s` the scan starts with in hand
         # a first boundary in the known run of slots this width skips is
         # neither looked up nor tried: the scan starts at the run's end (a
         # boundary past every run's end is in none)
-        run = self._full_runs.get(n_rb) if slot + ahead < self._runs_end else None
-        in_run = run is not None and run[0] <= slot + ahead < run[1]
+        run = self._full_runs.get(n_rb) if slot < self._runs_end else None
+        if run is not None and run[0] <= slot < run[1]:
+            slot, todo = run[1], self._probed
         # placement at the first boundary: the scan's first probe, taken
         # without the scan when the boundary is inside the scan limit, its
         # burst ends by the deadline and its slot's occupied RBs are a prefix
-        if not in_run and self._one_layer and repeats == 1 and ahead < scan_limit_slots and (
+        elif self._one_layer and repeats == 1 and slot < end_slot and (
                 max_tx_end_tick is None or first_boundary + burst <= max_tx_end_tick):
-            known = slot + ahead
+            known = slot
             s = slots.get(known)
             occ = 0 if s is None else s.occ
             rb = occ.bit_length()
@@ -323,9 +323,6 @@ class SlotGrid:
         probed = self._probed
         room = self._bits - n_rb * self._fields
         extra = (repeats - 1) * slot_ticks
-        # the scan limit counts from earliest_tick's slot, admissible start or not
-        end_slot = slot + scan_limit_slots
-        slot += ahead
         if max_tx_end_tick is None:
             # every start before the scan limit is before last_tick
             last_tick, stop = end_slot * slot_ticks, end_slot
@@ -336,23 +333,6 @@ class SlotGrid:
             stop = (last_tick - probed[0][0]) // slot_ticks + 1
             if stop > end_slot:
                 stop = end_slot
-        if in_run:
-            # the scan would skip the first slot and jump to the run's end:
-            # walk the skipped slots past it into the run, and probe the
-            # slot that ends the walk, in hand; no start of a skipped slot
-            # fits, so a walk that reaches `stop` fails the scan
-            slot = run[1]
-            while slot < stop:
-                s = slots.get(slot)
-                if s is None or (s.occ.bit_count() <= room and s.no_fit > n_rb):
-                    break
-                slot += 1
-            run[1] = slot
-            if slot > self._runs_end:
-                self._runs_end = slot
-            if slot >= stop:
-                return None, first_boundary
-            known, todo = slot, probed
         while slot < stop:
             if slot != known:
                 s = slots.get(slot)
@@ -360,22 +340,24 @@ class SlotGrid:
             if s is not None and (s.occ.bit_count() > room or s.no_fit <= n_rb):
                 # no start of a skipped slot fits, so the scan fails once a
                 # stretch of skipped slots reaches `stop`: walk the stretch,
-                # jumping over the known run, remember it, and probe the
-                # slot that ends it
+                # merge it into the known run, jumping the run at the first
+                # of its slots the walk meets, and probe the slot that ends
+                # the stretch
                 run = self._full_runs.get(n_rb)
                 lo = slot
                 slot += 1
-                while slot < stop:
-                    if run is not None and run[0] <= slot < run[1]:
-                        slot = run[1]
-                        continue
+                meet = max(run[0], slot) if run is not None and lo <= run[0] else -1
+                while True:
+                    if slot == meet:
+                        run[0], slot = lo, run[1]
+                    if slot >= stop:
+                        break
                     s = slots.get(slot)
                     if s is None or (s.occ.bit_count() <= room and s.no_fit > n_rb):
                         break
                     slot += 1
-                if run is not None and lo <= run[1] and run[0] <= slot:
-                    run[0] = min(run[0], lo)
-                    run[1] = max(run[1], slot)
+                if run is not None and run[0] <= lo <= run[1]:
+                    run[1] = slot
                 else:
                     self._full_runs[n_rb] = [lo, slot]
                 if slot > self._runs_end:

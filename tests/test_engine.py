@@ -1,5 +1,6 @@
 import hashlib
 import heapq
+import itertools
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -439,34 +440,38 @@ def test_latency_without_waits_ignores_the_bandwidth(load):
     assert totals[0].tobytes() == totals[1].tobytes() == totals[2].tobytes()
 
 
-def _zero_load_decoded(num, proc, control, direction, n_symbols, ready):
+def _zero_load_decoded(num, proc, control, direction, n_symbols, k, ready):
     """Decode tick of a transport block prepared at `ready` on an empty grid:
     alignment to the first burst start at or after `ready` in the
-    direction's data region, the burst, then the receiver's half."""
+    direction's data region, the burst and its k - 1 repeats in the
+    following slots, then the receiver's half."""
     region = phy.data_region(num, direction, control)
     n = len(region) if n_symbols is None else n_symbols
     slot = ready // num.slot_ticks
     start = min(tick for s in (slot, slot + 1)
                 for sym in range(region.start, region.stop - n + 1)
                 if (tick := s * num.slot_ticks + sym * num.symbol_ticks) >= ready)
-    return start + n * num.symbol_ticks + proc.decode_half
+    return start + (k - 1) * num.slot_ticks + n * num.symbol_ticks + proc.decode_half
 
 
-def zero_load_legs(scs, slot_type, control_variant, gen):
+def zero_load_legs(scs, slot_type, control_variant, gen, k=1):
     """(uplink, downlink) latency in ticks of a packet generated at `gen` on
-    idle grids under semi-static scheduling, from `phy`'s tables only.
+    idle grids under semi-static scheduling, from `phy`'s tables only, each
+    burst sent k times in consecutive slots.
 
-    Each leg is the sender's preparation half, alignment, airtime and the
-    receiver's decoding half.  The downlink leg is created at the first slot
-    boundary after the uplink is decoded and prepared at the gNB, less that
-    preparation half, which overlaps the hand-over gap."""
+    Each leg is the sender's preparation half, alignment, airtime, k - 1
+    slots of repeats and the receiver's decoding half.  The downlink leg is
+    created at the first slot boundary after the uplink is decoded and
+    prepared at the gNB, less that preparation half, which overlaps the
+    hand-over gap."""
     num = phy.numerology(scs)
     proc = phy.processing_times(num.mu, phy.UE_CAPABILITY)
     control = phy.control_config(control_variant)
     n_symbols = {"full": None, "mini7": 7, "mini4": 4}[slot_type]
-    ul_done = _zero_load_decoded(num, proc, control, "UL", n_symbols, gen + proc.prepare_half)
+    ul_done = _zero_load_decoded(num, proc, control, "UL", n_symbols, k,
+                                 gen + proc.prepare_half)
     boundary = -(-(ul_done + proc.prepare_half) // num.slot_ticks) * num.slot_ticks
-    dl_done = _zero_load_decoded(num, proc, control, "DL", n_symbols, boundary)
+    dl_done = _zero_load_decoded(num, proc, control, "DL", n_symbols, k, boundary)
     return ul_done - gen, dl_done - (boundary - proc.prepare_half)
 
 
@@ -475,16 +480,22 @@ def zero_load_legs(scs, slot_type, control_variant, gen):
 @pytest.mark.parametrize("scs", [15, 30, 60])
 def test_lone_vehicle_matches_the_zero_load_closed_form(scs, slot_type, control_variant):
     """Every packet of a lone vehicle, semi-static broadcast, has the
-    closed-form zero-load latency on each leg, tick for tick."""
+    closed-form zero-load latency on each leg, tick for tick: without
+    retransmission, and with k = 2, 4 and 8 repetitions, whose outcomes are
+    forced to succeed, since LEP repetitions draw errors."""
     cfg = RunConfig(scs_khz=scs, slot_type=slot_type, control_variant=control_variant,
                     **ONE_VEHICLE)
-    for seed in range(3):
-        rep, rows = replicate(cfg, seed=seed)
+    for k, seed in itertools.product((1, 2, 4, 8), range(3)):
+        if k == 1:
+            rep, rows = replicate(cfg, seed=seed)
+        else:
+            rep, rows = replicate(replace(cfg, retransmission="k_repetitions", k=k),
+                                  ok=lambda leg: True, seed=seed)
         packets = rows_by_packet(rows)
         assert len(packets) >= 8 and rep.summary.n_delivered == len(packets)
         for (_, gen_ms), legs in packets.items():
-            want = zero_load_legs(scs, slot_type, control_variant, ticks(gen_ms))
-            assert tuple(ticks(leg["total_ms"]) for leg in legs) == want, gen_ms
+            want = zero_load_legs(scs, slot_type, control_variant, ticks(gen_ms), k)
+            assert tuple(ticks(leg["total_ms"]) for leg in legs) == want, (k, gen_ms)
 
 
 @pytest.mark.parametrize("fields", [

@@ -636,10 +636,13 @@ def test_known_run_is_jumped_not_walked():
     same width whose first boundary lies inside it looks up no slot of the
     run, its first boundary's slot included: it fails without a lookup when
     its scan ends inside the run, and is placed past the run's end after
-    looking up only that slot."""
+    looking up only that slot.  A stretch that begins below a known run
+    looks up its own slots, jumps from the run's first slot to its end
+    without looking up a slot of the run, and extends the run down to the
+    stretch's first slot."""
     for n_sym in range(1, region_len() + 1):
         g = make_grid(n_rb=8, n_symbols=n_sym)
-        for slot in range(1, 201):
+        for slot in range(201):
             _fill(g, slot, 8)
         # 7 of 8 RBs over the burst exceed the free area any slot of the
         # stretch keeps, its symbols past the last back-to-back burst
@@ -661,6 +664,12 @@ def test_known_run_is_jumped_not_walked():
         CountingSlots.gets = 0
         assert g.allocate(8, g.slot_ticks, max_tx_end_tick=11 * g.slot_ticks)[0] is None
         assert CountingSlots.gets <= 12
+        assert g.allocate(6, 5 * g.slot_ticks, scan_limit_slots=196)[0] is None
+        assert g._full_runs[6] == [5, 201]
+        for n_rb, below in ((7, [0]), (6, [0, 1, 2, 3, 4])):
+            CountingSlots.looked_up = []
+            assert g.allocate(n_rb, 0, scan_limit_slots=201)[0] is None
+            assert CountingSlots.looked_up == below and g._full_runs[n_rb] == [0, 201]
 
 
 def _counted_run(cfg):

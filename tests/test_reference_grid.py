@@ -151,6 +151,21 @@ def _replicate(cls, cfg):
 
 # points whose engine run releases placements on a single-layer grid
 RELEASING_ONE_LAYER = {"mini7_dynamic_harq_unicast_rho30"}
+# points where a stretch of skipped slots reaches a known run from below
+REACHING_RUNS_FROM_BELOW = {"mini4_dynamic_harq_unicast_rho30",
+                            "mini7_dynamic_harq_unicast_rho30"}
+
+
+class LookedUpSlots(dict):
+    """A grid's slot table that lists the slots asked of `get`."""
+
+    def __init__(self, slots):
+        super().__init__(slots)
+        self.looked_up = []
+
+    def get(self, *args):
+        self.looked_up.append(args[0])
+        return super().get(*args)
 
 
 @pytest.mark.parametrize("name", POINTS)
@@ -160,9 +175,13 @@ def test_engine_matches_reference_grid(name, monkeypatch):
     reference replication's trace rows, counts, latency samples and
     utilisation equal the engine's bit for bit.  Every point makes requests
     whose first boundary lies in the grid's known run of slots that skip
-    the request's width, which the scan starts past without looking up."""
+    the request's width, which the scan starts past without looking up.
+    On the dynamic HARQ unicast points, and only there, a scan's stretch of
+    skipped slots also reaches the run from below: it jumps the run without
+    looking up any of its slots, and the run's first slot moves down."""
     one_layer_releases = []
     in_run = []
+    from_below = []
     release, allocate = SlotGrid.release, SlotGrid.allocate
 
     def counted_release(grid, *args, **kwargs):
@@ -171,10 +190,19 @@ def test_engine_matches_reference_grid(name, monkeypatch):
         return release(grid, *args, **kwargs)
 
     def counted_allocate(grid, n_rb, earliest_tick, *args, **kwargs):
+        if not isinstance(grid._slots, LookedUpSlots):
+            grid._slots = LookedUpSlots(grid._slots)
         run = grid._full_runs.get(n_rb)
-        if run is not None and run[0] <= grid.alignment(earliest_tick) // grid.slot_ticks < run[1]:
+        a, b = (0, 0) if run is None else run
+        if a <= grid.alignment(earliest_tick) // grid.slot_ticks < b:
             in_run.append(earliest_tick)
-        return allocate(grid, n_rb, earliest_tick, *args, **kwargs)
+        grid._slots.looked_up.clear()
+        result = allocate(grid, n_rb, earliest_tick, *args, **kwargs)
+        run = grid._full_runs.get(n_rb)
+        if run is not None and run[0] < a and b <= run[1] and not any(
+                a <= slot < b for slot in grid._slots.looked_up):
+            from_below.append(earliest_tick)
+        return result
 
     monkeypatch.setattr(SlotGrid, "release", counted_release)
     monkeypatch.setattr(SlotGrid, "allocate", counted_allocate)
@@ -182,6 +210,7 @@ def test_engine_matches_reference_grid(name, monkeypatch):
     rep, summary, rows = _replicate(engine._Replication, cfg)
     assert bool(one_layer_releases) == (name in RELEASING_ONE_LAYER), len(one_layer_releases)
     assert in_run
+    assert bool(from_below) == (name in REACHING_RUNS_FROM_BELOW), len(from_below)
     ref, ref_summary, ref_rows = _replicate(ReferenceReplication, cfg)
     assert isinstance(ref._ul.grid, ReferenceGrid) and isinstance(ref._dl.grid, ReferenceGrid)
     assert len(rows) > 1000 and summary.n_dropped + summary.n_failed > 0
