@@ -9,9 +9,9 @@ radio latency falls below the relative-error target.
 Every hop of a packet is a leg, and every leg runs one state machine.  The
 uplink is leg 0; the downlink hand-over adds one leg for a broadcast, whose
 HARQ group is its count of pending receivers, or one leg per unicast
-receiver.  A leg starts in ``_Replication._start``: semi-static scheduling
-prepares its first attempt at once, dynamic scheduling asks for a grant.
-Every grant request, first or after a ``_NACK``, is ``_request``: a
+receiver.  Every attempt of a leg starts in ``_Replication._start``: a
+semi-static first attempt is prepared at once; a retransmission after a
+``_NACK``, or any attempt under dynamic scheduling, asks for a grant: a
 scheduling request on the PUCCH (uplink only), then a ``_DCI`` carrying the
 grant or assignment, then the attempt.  An attempt is a ``_DATA`` event:
 the first-fit data chain, then an outcome from ``_attempt_ok``, which a
@@ -78,7 +78,7 @@ import time
 import zlib
 from dataclasses import dataclass, field, fields
 from itertools import chain
-from typing import NamedTuple
+from operator import attrgetter
 
 import numpy as np
 
@@ -247,7 +247,8 @@ class RunConfig:
         return "-".join(parts) + f"-{zlib.crc32(repr(values).encode()):08x}"
 
 
-class _Hop(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class _Hop:
     """What a leg's direction decides; one per direction and replication."""
 
     direction: str
@@ -335,10 +336,6 @@ class _Replication:
         n_ue = len(self.vehicles)
         self.ctx = ctx = RadioContext(num, proc, control, n_ue, rng)
 
-        self.receivers = (
-            scn.nearest_neighbours(self.vehicles, cfg.unicast_m)
-            if cfg.dl_cast == "unicast" else None
-        )
         flat, counts = scn.generate_arrivals(cfg.traffic, cfg.interval_ms, cfg.horizon_ms,
                                              n_ue, rng)
 
@@ -384,6 +381,10 @@ class _Replication:
         self._dl = hop("DL", dl_args, dl_args,
                        ((_DROPPED, "dl_starved"), (_FAILED, "dl_starved")), "dl_error",
                        (ctx.pdcch_occasion_after, ctx.tt_pdcch), False)
+        # per vehicle under unicast: its receivers' RB footprints on the downlink
+        self._receiver_rbs = None if cfg.dl_cast != "unicast" else [
+            [self._dl.rbs[r] for r in rs]
+            for rs in scn.nearest_neighbours(self.vehicles, cfg.unicast_m)]
 
         # in-flight events and flushes: tick -> [(kind, payload), ...] in push
         # order, and a heap of the ticks that hold a bucket
@@ -466,21 +467,19 @@ class _Replication:
     # -- the leg state machine ------------------------------------------------------
 
     def _start(self, leg: _Leg, now: int) -> None:
-        """A new leg: dropped if its packet fits no carrier, else its grant
-        request (dynamic) or its first prepared attempt (semi-static)."""
+        """The next attempt of the leg, from `now`.  A new leg whose packet
+        fits no carrier is dropped.  A retransmission (`leg.done` set), or
+        any attempt under dynamic scheduling, asks for its grant: (uplink) a
+        scheduling request, then the DCI.  A semi-static first attempt is
+        prepared at once."""
         if leg.n_rb is None:
             self._resolve_leg(leg, _DROPPED, f"{leg.hop.direction.lower()}_unallocatable")
-        elif self._dynamic:
-            self._request(leg, now)
+        elif leg.done or self._dynamic:
+            if leg.hop.sr:
+                now = lat.sr_chain(self.ctx, now)
+            self._push(now + self.ctx.decode_half, _DCI, leg)
         else:
             self._push(now + self.ctx.prepare_half, _DATA, leg)
-
-    def _request(self, leg: _Leg, tick: int) -> None:
-        """Ask for the leg's next grant at `tick`: (uplink) a scheduling
-        request, then the DCI."""
-        if leg.hop.sr:
-            tick = lat.sr_chain(self.ctx, tick)
-        self._push(tick + self.ctx.decode_half, _DCI, leg)
 
     def _on_data(self, now: int, leg: _Leg) -> None:
         """A (re)transmission of the leg from the instant its data is
@@ -528,10 +527,13 @@ class _Replication:
             return True
         if self._retx == "harq":
             uniform, bler = self.ctx.uniform, self._bler
-            still = 0
-            for _ in range(leg.pending):
-                if uniform() < bler:
-                    still += 1
+            if leg.pending == 1:
+                still = 1 if uniform() < bler else 0
+            else:
+                still = 0
+                for _ in range(leg.pending):
+                    if uniform() < bler:
+                        still += 1
             leg.pending = still
             return still == 0
         if self._retx == "k_repetitions":
@@ -546,7 +548,7 @@ class _Replication:
         if leg.state != _PENDING:
             return
         leg.attempts += 1
-        self._request(leg, lat.nack_chain(self.ctx, leg.hop.nack, now))
+        self._start(leg, lat.nack_chain(self.ctx, leg.hop.nack, now))
 
     def _on_dci(self, now: int, leg: _Leg) -> None:
         """The DCI granting or assigning the leg's next attempt."""
@@ -584,16 +586,18 @@ class _Replication:
     # -- downlink hand-over --------------------------------------------------------
 
     def _on_ingest(self, now: int, pkt: _Packet) -> None:
-        vid = pkt.vehicle
+        vid, dl = pkt.vehicle, self._dl
         for leg in self._dl_active[vid]:
             if leg.state == _PENDING:
                 if leg.placement is not None:
                     leg.hop.grid.release(leg.placement, not_before_tick=now)
                 self._resolve_leg(leg, _DROPPED, "dl_superseded")
-        if self.receivers is None:
-            legs = (_Leg(pkt, self._dl, self._dl.rbs[vid], now, self.cfg.harq_group_size),)
+        if self._receiver_rbs is None:
+            legs = (_Leg(pkt, dl, dl.rbs[vid], now, self.cfg.harq_group_size),)
         else:
-            legs = [_Leg(pkt, self._dl, self._dl.rbs[r], now, 1) for r in self.receivers[vid]]
+            legs = []
+            for n_rb in self._receiver_rbs[vid]:
+                legs.append(_Leg(pkt, dl, n_rb, now, 1))
         pkt.legs = legs
         pkt.legs_open = len(legs)
         self._dl_active[vid] = legs
@@ -620,7 +624,7 @@ class _Replication:
             if state == _DELIVERED:
                 s.n_delivered += 1
                 legs = pkt.legs
-                done = legs[0].done if len(legs) == 1 else max([leg.done for leg in legs])
+                done = legs[0].done if len(legs) == 1 else max(map(attrgetter("done"), legs))
                 self._uls.append(pkt.ul.done - pkt.gen)
                 self._dls.append(done - legs[0].created)
             elif state == _DROPPED:

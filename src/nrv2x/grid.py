@@ -246,7 +246,8 @@ class SlotGrid:
     # -- geometry -------------------------------------------------------------
 
     def alignment(self, ready_tick: int) -> int:
-        """First admissible start boundary at or after ready_tick."""
+        """First admissible start boundary at or after ready_tick; it serves
+        the tests, as `allocate` finds and returns the boundary inline."""
         base = ready_tick - ready_tick % self.slot_ticks
         return base + self._first_start[ready_tick - base][1]
 

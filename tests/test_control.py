@@ -78,12 +78,15 @@ def oracle_fifo_drains(arrivals, capacity, slot):
 
 
 def test_dci_cannot_ride_current_pdcch():
-    q = DciQueue(CONF1, SLOT)
-    assert q.enqueue(0) == SLOT            # created exactly at a slot start
-    q2 = DciQueue(CONF1, SLOT)
-    assert q2.enqueue(SLOT - 1) == SLOT    # created mid-slot
-    q3 = DciQueue(CONF1, SLOT)
-    assert q3.enqueue(SLOT) == 2 * SLOT
+    """On a fresh queue a DCI drains at its first eligible slot, which
+    `enqueue` computes inline and the benchmark's DCI wait metric reads from
+    `first_eligible_slot`: the two must agree."""
+    for created, drain in ((0, SLOT),            # created exactly at a slot start
+                           (SLOT - 1, SLOT),     # created mid-slot
+                           (SLOT, 2 * SLOT)):
+        q = DciQueue(CONF1, SLOT)
+        assert q.first_eligible_slot(created) * SLOT == drain
+        assert q.enqueue(created) == drain
 
 
 def test_capacity_displacement():

@@ -245,25 +245,40 @@ def test_attempt_outcome_draws(scheme, mcs_table):
     """`_attempt_ok` reads as many uniforms per call as the outcome rule
     needs, although which rule applies is decided once per replication: none
     for LEP without retransmissions, one for HEP without, k for k
-    repetitions, and one per pending receiver under HARQ."""
+    repetitions, and one per pending receiver under HARQ.  With the BLER set
+    to 0.5, the outcome and the receivers left pending equal a replay of the
+    uniforms read: HARQ keeps pending each receiver whose uniform falls below
+    the BLER, and succeeds when none does."""
     retx, k = scheme
     cfg = RunConfig(retransmission=retx, k=k, harq_max_retx=2 if retx == "harq" else 0,
                     mcs_table=mcs_table, horizon_ms=300.0, warmup_ms=100.0)
     rep = engine._Replication(cfg, np.random.default_rng(0))
+    rep._bler = bler = 0.5
     uniform, reads = rep.ctx.uniform, []
 
-    def counting():
-        reads.append(None)
-        return uniform()
+    def recording():
+        reads.append(uniform())
+        return reads[-1]
 
-    rep.ctx.uniform = counting
+    rep.ctx.uniform = recording
+    outcomes = set()
     for pending in (1, 2, 3, 5):
-        leg = engine._Leg(None, rep._dl, 1, 0, pending)
-        reads.clear()
-        rep._attempt_ok(leg)
         expected = {"none": int(mcs_table == "HEP"), "k_repetitions": k,
                     "harq": pending}[retx]
-        assert len(reads) == expected, pending
+        for _ in range(8):
+            leg = engine._Leg(None, rep._dl, 1, 0, pending)
+            reads.clear()
+            ok = rep._attempt_ok(leg)
+            assert len(reads) == expected, pending
+            still = sum(u < bler for u in reads)
+            replay = {"none": still == 0, "k_repetitions": still < k,
+                      "harq": still == 0}[retx]
+            assert ok == replay, (pending, reads)
+            assert leg.pending == (still if retx == "harq" else pending), (pending, reads)
+            outcomes.add((pending, ok))
+    if retx == "harq":
+        # both outcomes of a single pending receiver's one draw are replayed
+        assert {(1, True), (1, False)} <= outcomes
 
 
 def test_replications_replay_exactly():
@@ -809,6 +824,85 @@ def test_flat_load_packet_runs_three_events():
     assert n > 2500 and s.n_delivered == s.n_generated > 0
     assert rep.kinds == {engine._DATA: 2 * n, engine._INGEST: n, engine._FLUSH: flushes}
     assert rep.asked == 0
+
+
+@pytest.mark.parametrize("point", [dict(), dict(bandwidth_mhz=10, packet_bytes=3000)],
+                         ids=["benchmark", "unallocatable_receivers"])
+def test_dynamic_harq_unicast_path_shape(point):
+    """On the `dynamic_harq_unicast` benchmark's configuration, on a short
+    horizon, and on a narrower carrier with larger packets, where some
+    receivers fit no carrier, every hop of the dynamic leg state machine pushes what it
+    should and nothing more: a `_DCI` whose leg is pending pushes one
+    `_DATA` (a resolved leg's, none); a `_NACK` whose leg is pending pushes
+    one `_DCI`; an `_INGEST` pushes `unicast_m` `_DCI`s less its legs that
+    fit no carrier; and `_attempt_ok` is asked once per placed attempt.
+    Counts, not times, so the shape of the hot path is pinned on any host."""
+
+    class Shaped(_Watched):
+        pushed = None
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.shapes = []   # (event kind, leg pending, kinds pushed, legs unallocatable)
+            self.placed = self.asked = 0
+
+        def _push(self, tick, kind, payload):
+            if self.pushed is not None:
+                self.pushed.append(kind)
+            super()._push(tick, kind, payload)
+
+        def _resolve_leg(self, leg, state, detail, delivered=0):
+            if self.pushed is not None and detail == "dl_unallocatable":
+                self.unallocatable += 1
+            super()._resolve_leg(leg, state, detail, delivered)
+
+        def _shaped(self, kind, handler, now, payload):
+            pending = kind == engine._INGEST or payload.state == engine._PENDING
+            self.pushed, self.unallocatable = [], 0
+            handler(now, payload)
+            self.shapes.append((kind, pending, self.pushed, self.unallocatable))
+            self.pushed = None
+
+        def _on_ingest(self, now, pkt):
+            self._shaped(engine._INGEST, super()._on_ingest, now, pkt)
+
+        def _on_dci(self, now, leg):
+            self._shaped(engine._DCI, super()._on_dci, now, leg)
+
+        def _on_nack(self, now, leg):
+            self._shaped(engine._NACK, super()._on_nack, now, leg)
+
+        def _on_data(self, now, leg):
+            before = leg.placement
+            super()._on_data(now, leg)
+            self.placed += leg.placement is not before
+
+        def _attempt_ok(self, leg):
+            self.asked += 1
+            return super()._attempt_ok(leg)
+
+    m = 3
+    cfg = RunConfig(**{**dict(
+        scs_khz=30, bandwidth_mhz=20, slot_type="full", scheduling="dynamic",
+        control_variant="conf2", retransmission="harq", harq_max_retx=2, dl_cast="unicast",
+        unicast_m=m, mcs_table="LEP", traffic="aperiodic", interval_ms=20.0,
+        density_veh_km_lane=20.0, horizon_ms=200.0, warmup_ms=60.0, seed=1), **point})
+    rep = Shaped(cfg, np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0]))
+    rep.run()
+    seen = Counter()
+    for kind, pending, pushed, unallocatable in rep.shapes:
+        seen[kind, pending] += 1
+        seen["unallocatable"] += unallocatable
+        if kind == engine._INGEST:
+            assert pushed == [engine._DCI] * (m - unallocatable)
+        elif not pending:
+            assert pushed == []
+        else:
+            assert pushed == [{engine._DCI: engine._DATA, engine._NACK: engine._DCI}[kind]]
+    assert seen[engine._INGEST, True] == rep.kinds[engine._INGEST] > 400
+    assert seen[engine._DCI, True] > 2000 and seen[engine._NACK, True] > 100
+    assert (seen["unallocatable"] > 0) == bool(point)
+    assert rep.asked == rep.placed > 1000
 
 
 @pytest.mark.parametrize("point", [

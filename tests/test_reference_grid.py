@@ -3,6 +3,8 @@
 grid that shares no code with `SlotGrid`'s bit masks, memo or runs give the
 same trace rows, counts, latencies and utilisation as the engine's own."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -119,8 +121,8 @@ class ReferenceReplication(engine._Replication):
 
     def __init__(self, cfg, rng, trace_rows=None):
         super().__init__(cfg, rng, trace_rows)
-        self._ul = self._ul._replace(grid=ReferenceGrid(self._ul.grid))
-        self._dl = self._dl._replace(grid=ReferenceGrid(self._dl.grid))
+        self._ul = replace(self._ul, grid=ReferenceGrid(self._ul.grid))
+        self._dl = replace(self._dl, grid=ReferenceGrid(self._dl.grid))
 
 
 LOADED = dict(scs_khz=30, bandwidth_mhz=10, interval_ms=20.0, warmup_ms=20.0)
