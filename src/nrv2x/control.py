@@ -91,9 +91,8 @@ class DciQueue:
         self._last_created = -1
 
     def first_eligible_slot(self, created_tick: int) -> int:
-        """A DCI cannot ride the PDCCH of the slot it arrives in.  `enqueue`
-        applies the rule inline; the benchmark's tracer (its DCI wait) and
-        the tests read this method."""
+        """A DCI cannot ride the PDCCH of the slot it arrives in.  Read by
+        `enqueue`, by the benchmark's tracer (its DCI wait) and by the tests."""
         return created_tick // self.slot_ticks + 1
 
     def enqueue(self, created_tick: int) -> int:
@@ -101,7 +100,7 @@ class DciQueue:
         if created_tick < self._last_created:
             raise ConfigurationError("DCI messages must be enqueued in time order")
         self._last_created = created_tick
-        eligible = created_tick // self.slot_ticks + 1
+        eligible = self.first_eligible_slot(created_tick)
         if self._tail_slot < eligible:
             self._tail_slot, self._tail_count = eligible, 1
         elif self._tail_count < self.capacity:

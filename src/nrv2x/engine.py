@@ -527,7 +527,7 @@ class _Replication:
             return True
         if self._retx == "harq":
             uniform, bler = self.ctx.uniform, self._bler
-            if leg.pending == 1:
+            if leg.pending == 1:   # the uplink and every unicast leg: one draw, no range loop
                 still = 1 if uniform() < bler else 0
             else:
                 still = 0
@@ -595,9 +595,7 @@ class _Replication:
         if self._receiver_rbs is None:
             legs = (_Leg(pkt, dl, dl.rbs[vid], now, self.cfg.harq_group_size),)
         else:
-            legs = []
-            for n_rb in self._receiver_rbs[vid]:
-                legs.append(_Leg(pkt, dl, n_rb, now, 1))
+            legs = [_Leg(pkt, dl, n_rb, now, 1) for n_rb in self._receiver_rbs[vid]]
         pkt.legs = legs
         pkt.legs_open = len(legs)
         self._dl_active[vid] = legs

@@ -78,9 +78,9 @@ def oracle_fifo_drains(arrivals, capacity, slot):
 
 
 def test_dci_cannot_ride_current_pdcch():
-    """On a fresh queue a DCI drains at its first eligible slot, which
-    `enqueue` computes inline and the benchmark's DCI wait metric reads from
-    `first_eligible_slot`: the two must agree."""
+    """On a fresh queue a DCI drains at its first eligible slot, as
+    `first_eligible_slot` gives it; the benchmark's DCI wait metric reads
+    that method, so the two must agree."""
     for created, drain in ((0, SLOT),            # created exactly at a slot start
                            (SLOT - 1, SLOT),     # created mid-slot
                            (SLOT, 2 * SLOT)):
